@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
+.PHONY: build vet test test-short test-race bench-check-build chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet chaos
+test: vet chaos bench-check-build
 	$(GO) test ./...
+
+# benchmark/ is its own Go module, so `go build ./... && go test ./...`
+# never compiles it: an internal/ API edit can break the standing
+# benchmark unnoticed. This compiles, vets and tests it (~10 s).
+bench-check-build:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
 # Fault-injection suite under the race detector: the simnet fabric
 # itself, the 2PC crash-window tests, the cluster-level recovery-loop
@@ -64,15 +70,14 @@ test-race: vet
 	$(GO) test -race ./...
 
 # Fig. 7 benches plus the CN fast-path point-read benchmark
-# (batched per-DN fan-out vs the per-key baseline, cross-DC topology).
+# (batched per-DN fan-out, cross-DC topology).
 bench-fig7:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPointReadBatch' ./internal/bench/...
 
-# Fig. 10 TPC-H benches (serial vs MPP vs column index), each under the
-# vectorized batch engine and the row-mode baseline, plus the
-# filter→join→agg micro-benchmark that gates the batch engine (>=2x
-# over row mode at 100k rows).
+# Fig. 10 TPC-H benches (serial vs MPP vs column index), plus the
+# filter→join→agg micro-benchmark that gates the batch engine (>=2x over
+# the row operators at 100k rows).
 bench-fig10:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkExecBatchVsRow' ./internal/executor/
@@ -85,11 +90,12 @@ bench-commit:
 	$(GO) run ./cmd/polardbx-bench -exp commit -commit-out BENCH_commit.json
 	$(GO) test -run '^$$' -bench 'BenchmarkCommitThroughput' ./internal/paxos/
 
-# Compression experiment: column-index footprint and scan throughput on
-# encoded vs raw vectors (Fig. 10 query shapes), Paxos log-shipping
-# compression ratio, and PolarFS replication bytes moved. Writes
-# BENCH_compress.json as the standing record, then runs the Fig. 10
-# column-index benchmark with allocation and bytes-scanned reporting.
+# Compression experiment: column-index footprint against the logical row
+# bytes and scan throughput on encoded vectors (Fig. 10 query shapes),
+# Paxos log-shipping compression ratio, and PolarFS replication bytes
+# moved. Writes BENCH_compress.json as the standing record, then runs the
+# Fig. 10 column-index benchmark with allocation and bytes-scanned
+# reporting.
 bench-compress:
 	$(GO) run ./cmd/polardbx-bench -exp compress -compress-out BENCH_compress.json
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10ColumnIndex' -benchtime 1x .

@@ -137,63 +137,52 @@ func BenchmarkFig9Isolation(b *testing.B) {
 	}
 }
 
-// fig10Modes runs a Fig. 10 sweep under both execution engines: "batch"
-// is the vectorized default, "row" forces Fig10Options.RowMode so the
-// same queries measure the row-at-a-time baseline. scanStats adds the
-// column-index scan accounting (bytes scanned per op, encoded-scan
-// fraction) for the column-index figure.
-func fig10Modes(b *testing.B, queryIDs []int, metric string, gain func(bench.Fig10Row) float64, scanStats bool) {
-	for _, mode := range []struct {
-		name string
-		row  bool
-	}{{"batch", false}, {"row", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			if scanStats {
-				colindex.ResetScanStats()
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := bench.RunFig10(bench.Fig10Options{
-					TPCH:     tpch.Config{SF: 0.6, Partitions: 8, Seed: 10},
-					Reps:     2,
-					QueryIDs: queryIDs,
-					RowMode:  mode.row,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var total float64
-				for _, row := range res.Rows {
-					total += gain(row)
-				}
-				b.ReportMetric(total/float64(len(res.Rows)), metric)
-			}
-			if scanStats {
-				st := colindex.ScanStats()
-				b.ReportMetric(float64(st.BytesScanned)/float64(b.N)/1e6, "col-MB-scanned/op")
-				if st.Scans > 0 {
-					b.ReportMetric(float64(st.EncodedScans)/float64(st.Scans)*100, "encoded-scan-%")
-				}
-			}
+// fig10Sweep runs a Fig. 10 sweep and reports the mean of gain over its
+// queries. scanStats adds the column-index scan accounting (bytes scanned
+// per op, encoded-scan fraction) for the column-index figure.
+func fig10Sweep(b *testing.B, queryIDs []int, metric string, gain func(bench.Fig10Row) float64, scanStats bool) {
+	b.ReportAllocs()
+	if scanStats {
+		colindex.ResetScanStats()
+	}
+	for i := 0; i < b.N; i++ {
+		res, err := bench.RunFig10(bench.Fig10Options{
+			TPCH:     tpch.Config{SF: 0.6, Partitions: 8, Seed: 10},
+			Reps:     2,
+			QueryIDs: queryIDs,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var total float64
+		for _, row := range res.Rows {
+			total += gain(row)
+		}
+		b.ReportMetric(total/float64(len(res.Rows)), metric)
+	}
+	if scanStats {
+		st := colindex.ScanStats()
+		b.ReportMetric(float64(st.BytesScanned)/float64(b.N)/1e6, "col-MB-scanned/op")
+		if st.Scans > 0 {
+			b.ReportMetric(float64(st.EncodedScans)/float64(st.Scans)*100, "encoded-scan-%")
+		}
 	}
 }
 
 // BenchmarkFig10MPP: TPC-H serial vs MPP (paper: 21/22 queries >100%
-// faster, Q9 +263%). Runs a representative subset under the batch and
-// row engines; metric: mean MPP gain in percent.
+// faster, Q9 +263%). Runs a representative subset; metric: mean MPP gain
+// in percent.
 func BenchmarkFig10MPP(b *testing.B) {
-	fig10Modes(b, []int{1, 3, 5, 6, 9, 12, 14, 19}, "mpp-gain-%", bench.Fig10Row.SpeedupMPP, false)
+	fig10Sweep(b, []int{1, 3, 5, 6, 9, 12, 14, 19}, "mpp-gain-%", bench.Fig10Row.SpeedupMPP, false)
 }
 
 // BenchmarkFig10ColumnIndex: TPC-H with the in-memory column index
 // (paper: Q1 +748%, Q6 +1828%, Q12 +556%, Q14 +547%). Metrics: mean
-// column-index gain over serial on the paper's headline queries under
-// both execution engines, plus allocation counts and column-index scan
-// accounting (MB scanned per op, fraction of scans served from encoded
-// vectors).
+// column-index gain over serial on the paper's headline queries, plus
+// allocation counts and column-index scan accounting (MB scanned per op,
+// fraction of scans served from encoded vectors).
 func BenchmarkFig10ColumnIndex(b *testing.B) {
-	fig10Modes(b, []int{1, 6, 12, 14}, "colindex-gain-%", bench.Fig10Row.SpeedupCol, true)
+	fig10Sweep(b, []int{1, 6, 12, 14}, "colindex-gain-%", bench.Fig10Row.SpeedupCol, true)
 }
 
 // BenchmarkROScaling: the §II claim that adding RO replicas raises read

@@ -161,50 +161,38 @@ func TestSysbenchPlanCacheHitRate(t *testing.T) {
 }
 
 // BenchmarkPointReadBatch measures the CN fast path's multi-point read
-// (SELECT ... WHERE id IN (...)) on the Fig. 7 cross-DC topology:
-// batched per-DN fan-out vs the per-key NoBatch baseline. The literals
-// vary every iteration, so the batched runs also exercise plan-cache
-// re-binding under real inter-DC latency.
+// (SELECT ... WHERE id IN (...)) on the Fig. 7 cross-DC topology: one
+// MultiGet per touched DN. The literals vary every iteration, so the
+// runs also exercise plan-cache re-binding under real inter-DC latency.
 func BenchmarkPointReadBatch(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{
-		{"batched", false},
-		{"perkey", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			topo := simnet.DefaultTopology()
-			cluster, err := core.NewCluster(core.Config{
-				DCs: 3, CNsPerDC: 2, DNGroups: 3, MultiDC: true,
-				Topology: &topo, NoBatch: mode.noBatch,
-			})
-			if err != nil {
-				b.Fatal(err)
+	topo := simnet.DefaultTopology()
+	cluster, err := core.NewCluster(core.Config{
+		DCs: 3, CNsPerDC: 2, DNGroups: 3, MultiDC: true, Topology: &topo,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cluster.Stop()
+	const rows = 1200
+	cfg := sysbench.Config{Rows: rows, Partitions: 6, Seed: 42}
+	if err := sysbench.Load(cluster.CN(simnet.DC1).NewSession(), cfg); err != nil {
+		b.Fatal(err)
+	}
+	s := cluster.CN(simnet.DC1).NewSession()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sb strings.Builder
+		sb.WriteString("SELECT c FROM sbtest WHERE id IN (")
+		for k := 0; k < 8; k++ {
+			if k > 0 {
+				sb.WriteString(", ")
 			}
-			defer cluster.Stop()
-			const rows = 1200
-			cfg := sysbench.Config{Rows: rows, Partitions: 6, Seed: 42}
-			if err := sysbench.Load(cluster.CN(simnet.DC1).NewSession(), cfg); err != nil {
-				b.Fatal(err)
-			}
-			s := cluster.CN(simnet.DC1).NewSession()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var sb strings.Builder
-				sb.WriteString("SELECT c FROM sbtest WHERE id IN (")
-				for k := 0; k < 8; k++ {
-					if k > 0 {
-						sb.WriteString(", ")
-					}
-					fmt.Fprintf(&sb, "%d", (i*131+k*151)%rows)
-				}
-				sb.WriteByte(')')
-				if _, err := s.Execute(sb.String()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			fmt.Fprintf(&sb, "%d", (i*131+k*151)%rows)
+		}
+		sb.WriteByte(')')
+		if _, err := s.Execute(sb.String()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -271,18 +259,12 @@ func TestCompressShapeFootprintAndRatios(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := res.Colindex
-	if c.Ratio < 3 {
-		t.Errorf("column-index footprint ratio %.2fx, want >= 3x (raw %d, encoded %d)",
-			c.Ratio, c.RawBytes, c.EncodedBytes)
+	if c.Ratio < 2.5 {
+		t.Errorf("column-index footprint ratio %.2fx, want >= 2.5x (rows %d, index %d)",
+			c.Ratio, c.LogicalBytes, c.EncodedBytes)
 	}
-	if c.EncodedScans == 0 {
-		t.Error("encoded leg served no scans from encoded vectors")
-	}
-	// The shape claim is that executing on encoded vectors does not cost
-	// throughput; a loose floor keeps the miniature-scale test stable
-	// while bench-compress records the real numbers.
-	if c.ScanSpeedup < 0.5 {
-		t.Errorf("encoded scan speedup %.2fx, want >= 0.5x", c.ScanSpeedup)
+	if c.EncodedScans != c.ScansTotal || c.ScansTotal == 0 {
+		t.Errorf("%d of %d scans ran on encoded vectors, want all", c.EncodedScans, c.ScansTotal)
 	}
 	if res.WAL.Ratio <= 1.05 {
 		t.Errorf("WAL ship ratio %.2fx, want > 1.05x (%d raw, %d wire)",

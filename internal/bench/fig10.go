@@ -52,10 +52,6 @@ type Fig10Options struct {
 	// it is what makes columnar execution's lower per-row cost visible
 	// as latency.
 	DNServiceRate float64
-	// RowMode disables the vectorized batch engine on every engine
-	// configuration (Config.VectorizedOff), so the same sweep measures
-	// the row-at-a-time baseline.
-	RowMode bool
 }
 
 func (o Fig10Options) withDefaults() Fig10Options {
@@ -93,16 +89,13 @@ func RunFig10(opts Fig10Options) (Fig10Result, error) {
 		// executor worker.
 		{name: "serial", cfg: core.Config{CNsPerDC: 1, DNGroups: 4, ROsPerDN: 1,
 			MPPOff: true, TPCostThreshold: 1, DNServiceRate: opts.DNServiceRate,
-			VectorizedOff: opts.RowMode,
-			SchedulerCfg:  htap.Config{APWorkers: 1, SlowWorkers: 1},
+			SchedulerCfg: htap.Config{APWorkers: 1, SlowWorkers: 1},
 		}},
 		{name: "mpp", cfg: core.Config{CNsPerDC: 4, DNGroups: 4, ROsPerDN: 1,
 			TPCostThreshold: 1, DNServiceRate: opts.DNServiceRate,
-			VectorizedOff: opts.RowMode,
 		}},
 		{name: "colindex", cfg: core.Config{CNsPerDC: 4, DNGroups: 4, ROsPerDN: 1,
 			TPCostThreshold: 1, DNServiceRate: opts.DNServiceRate,
-			VectorizedOff: opts.RowMode,
 		}, colIndex: true},
 	}
 

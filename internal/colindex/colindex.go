@@ -191,13 +191,9 @@ type Index struct {
 	mu sync.RWMutex
 	// cols[i] is the vector for schema column i.
 	cols []*colVec
-	// vis bounds each row version's visibility window (raw timestamp
-	// slices, or run-length created + sparse deleted when compressed).
+	// vis bounds each row version's visibility window (run-length
+	// created + sparse deleted).
 	vis visibility
-	// compress enables adaptive column encodings and compressed
-	// visibility metadata (the default; core.Config.CompressionOff turns
-	// it off for byte-identical pre-encoding behavior).
-	compress bool
 	// latest maps encoded PK -> newest row position (for update/delete).
 	latest map[string]int
 	// encodedScans/scanBytes mirror the package ScanStats into an obs
@@ -221,30 +217,14 @@ type stagedTxn struct {
 	recs     []wal.Record
 }
 
-// New creates an empty index for a table. Compression (adaptive column
-// encodings + compressed visibility) is on by default; SetCompression
-// (false) before loading data restores the raw pre-encoding layout.
+// New creates an empty index for a table. Each column's encoding adapts
+// to its data (see colVec.adapt); columns that do not compress stay raw.
 func New(tableID uint32, schema *types.Schema) *Index {
 	idx := &Index{TableID: tableID, Schema: schema, latest: make(map[string]int), BatchSize: 1}
-	idx.compress = true
-	idx.vis.compressed = true
 	for _, c := range schema.Columns {
 		idx.cols = append(idx.cols, newColVec(c.Kind))
 	}
 	return idx
-}
-
-// SetCompression turns adaptive column encoding on or off. Call before
-// data arrives: already-encoded columns stay encoded when turning off
-// (reads remain correct either way); compressed visibility only
-// activates while the index is still empty.
-func (x *Index) SetCompression(on bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.compress = on
-	if x.vis.len() == 0 {
-		x.vis.compressed = on
-	}
 }
 
 // SetMetrics attaches obs counters for encoded scans and bytes scanned
@@ -408,10 +388,8 @@ func (x *Index) flushLocked() error {
 		}
 	}
 	x.staging = x.staging[:0]
-	if x.compress {
-		for _, c := range x.cols {
-			c.adapt()
-		}
+	for _, c := range x.cols {
+		c.adapt()
 	}
 	// Refresh the size caches geometrically so repeated small flushes
 	// stay O(1) amortized per row.

@@ -4,23 +4,16 @@ import (
 	"repro/internal/hlc"
 )
 
-// visibility tracks each row version's [created, deleted) window. Raw
-// mode stores two timestamp slices (the seed layout, byte-identical
-// behavior). Compressed mode exploits the structure of the data:
-// created timestamps arrive in commit order, so consecutive rows of one
-// transaction form runs (run-length encoded as cumulative ends), and
-// deletions are sparse, so a packed has-deleted bitmap plus a small
-// position→timestamp map replaces a mostly-zero timestamp array. All
-// access happens under the Index lock.
+// visibility tracks each row version's [created, deleted) window. The
+// layout exploits the structure of the data: created timestamps arrive
+// in commit order, so consecutive rows of one transaction form runs
+// (run-length encoded as cumulative ends), and deletions are sparse, so
+// a packed has-deleted bitmap plus a small position→timestamp map
+// replaces a mostly-zero timestamp array. All access happens under the
+// Index lock.
 type visibility struct {
-	compressed bool
-	n          int
+	n int
 
-	// Raw mode.
-	created []hlc.Timestamp
-	deleted []hlc.Timestamp // zero = live
-
-	// Compressed mode.
 	cEnds    []int32 // cumulative end row per created-TS run
 	cVals    []hlc.Timestamp
 	delWords []uint64 // packed has-deleted bitmap (grown lazily)
@@ -31,12 +24,6 @@ func (vs *visibility) len() int { return vs.n }
 
 // append records one new row version created at ts.
 func (vs *visibility) append(ts hlc.Timestamp) {
-	if !vs.compressed {
-		vs.created = append(vs.created, ts)
-		vs.deleted = append(vs.deleted, 0)
-		vs.n++
-		return
-	}
 	if r := len(vs.cEnds) - 1; r >= 0 && vs.cVals[r] == ts {
 		vs.cEnds[r]++
 	} else {
@@ -49,10 +36,6 @@ func (vs *visibility) append(ts hlc.Timestamp) {
 // kill marks row i deleted at ts (idempotence is the caller's concern:
 // flushLocked only kills live rows).
 func (vs *visibility) kill(i int, ts hlc.Timestamp) {
-	if !vs.compressed {
-		vs.deleted[i] = ts
-		return
-	}
 	w := i >> 6
 	for len(vs.delWords) <= w {
 		vs.delWords = append(vs.delWords, 0)
@@ -66,9 +49,6 @@ func (vs *visibility) kill(i int, ts hlc.Timestamp) {
 
 // deletedAt returns row i's deletion timestamp (zero = live).
 func (vs *visibility) deletedAt(i int) hlc.Timestamp {
-	if !vs.compressed {
-		return vs.deleted[i]
-	}
 	if w := i >> 6; w >= len(vs.delWords) || vs.delWords[w]>>uint(i&63)&1 == 0 {
 		return 0
 	}
@@ -77,9 +57,6 @@ func (vs *visibility) deletedAt(i int) hlc.Timestamp {
 
 // sizeBytes is the resident footprint of the visibility metadata.
 func (vs *visibility) sizeBytes() int {
-	if !vs.compressed {
-		return 8 * (len(vs.created) + len(vs.deleted))
-	}
 	return 4*len(vs.cEnds) + 8*len(vs.cVals) + 8*len(vs.delWords) + 48*len(vs.delMap)
 }
 
@@ -97,12 +74,6 @@ func (vs *visibility) cursor() visCursor { return visCursor{vs: vs} }
 // arbitrary, but ascending access is the fast path.
 func (c *visCursor) visible(i int, ts hlc.Timestamp) bool {
 	vs := c.vs
-	if !vs.compressed {
-		if vs.created[i] > ts {
-			return false
-		}
-		return vs.deleted[i].IsZero() || vs.deleted[i] > ts
-	}
 	r := c.run
 	if r >= len(vs.cEnds) || i < runStart(vs.cEnds, r) || i >= int(vs.cEnds[r]) {
 		r = findEndsRun(vs.cEnds, i, r)

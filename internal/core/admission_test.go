@@ -113,6 +113,37 @@ func TestStatementTimeoutDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// TestStatementTimeoutBoundsROWait: an AP read on a replica waits until
+// the replica has applied the session's own writes; when the replica has
+// stalled, the wait ends at the statement deadline, not never.
+func TestStatementTimeoutBoundsROWait(t *testing.T) {
+	c := newTestCluster(t, Config{ROsPerDN: 1, TPCostThreshold: 1})
+	if err := c.EnableAPReplicas(1); err != nil {
+		t.Fatal(err)
+	}
+	s := c.CN(simnet.DC1).NewSession()
+	mustExec(t, s, `CREATE TABLE ev (id BIGINT, v BIGINT, PRIMARY KEY(id)) PARTITIONS 4`)
+	for _, g := range []string{"dng0", "dng1"} {
+		inst, err := c.DNGroup(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ro := range inst.ROs() {
+			ro.SetApplyDelay(time.Minute)
+		}
+	}
+	mustExec(t, s, `INSERT INTO ev (id, v) VALUES (1, 1), (2, 2), (3, 3), (4, 4)`)
+	s.SetStatementTimeout(100 * time.Millisecond)
+	start := time.Now()
+	res, err := s.Execute("SELECT COUNT(*) FROM ev")
+	if !errors.Is(err, obs.ErrDeadlineExceeded) {
+		t.Fatalf("AP read behind a stalled replica = %v, %v; want ErrDeadlineExceeded", res, err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("deadline-bounded read took %v", took)
+	}
+}
+
 // TestAdmissionDisabledIsInert pins the defaults-off contract: with no
 // Admission config and no StatementTimeout, sessions never see
 // ErrOverloaded or ErrDeadlineExceeded regardless of concurrency.

@@ -1,19 +1,20 @@
 package core_test
 
-// Row/batch/encoded equivalence harness (the batch engine's correctness
-// gate): every TPC-H query runs on three identically seeded clusters —
-// one forced to row-at-a-time operators via Config.VectorizedOff, one
-// with the vectorized batch engine over raw (unencoded) column vectors
-// via Config.CompressionOff, and one with the defaults, where the batch
-// engine executes directly on dictionary/RLE/bit-packed vectors — and
-// the results must match across all three. Queries with ORDER BY compare
-// positionally; the rest compare as multisets. Floats get a small
-// epsilon: partial-aggregate merge order is deterministic per mode but
-// the column-index pushdown path may fold in a different order than the
-// CN-side fold.
+// Row/batch equivalence harness (the batch engine's correctness gate):
+// every TPC-H query runs on two identically seeded clusters. The
+// reference classifies every query TP (an infinite TP/AP cost boundary),
+// so it runs on the row operators against the leaders' row stores; the
+// other classifies the scan-heavy ones AP, so they run on the batch
+// engine against the replicas, directly on the dictionary/RLE/bit-packed
+// vectors of their column indexes. The results must match. Queries with
+// ORDER BY compare positionally; the rest compare as multisets. Floats
+// get a small epsilon: partial-aggregate merge order is deterministic
+// per mode but the column-index pushdown path may fold in a different
+// order than the CN-side fold.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -28,16 +29,16 @@ import (
 
 const equivEps = 1e-6
 
+// apThreshold pushes the scan-heavy queries into the AP class at this
+// small scale factor (point lookups cost 10 and stay TP).
+const apThreshold = 100
+
 // equivCluster builds a loaded TPC-H cluster with AP replicas serving
-// column indexes on the scan-heavy tables.
-func equivCluster(t *testing.T, vectorizedOff, compressionOff bool) *core.Session {
+// column indexes on the scan-heavy tables; plans costing more than
+// tpThreshold are AP.
+func equivCluster(t *testing.T, tpThreshold float64) *core.Session {
 	t.Helper()
-	// The low TP/AP threshold pushes the scan-heavy queries into the AP
-	// class at this small scale factor (point lookups cost 10 and stay TP).
-	c, err := core.NewCluster(core.Config{
-		ROsPerDN: 1, VectorizedOff: vectorizedOff, CompressionOff: compressionOff,
-		TPCostThreshold: 100,
-	})
+	c, err := core.NewCluster(core.Config{ROsPerDN: 1, TPCostThreshold: tpThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +120,12 @@ func assertEquivalent(t *testing.T, label string, ordered bool, row, batch []typ
 	}
 }
 
-// TestTPCHRowBatchEquivalence runs all 22 queries in three execution
-// modes — row-at-a-time, batch over raw vectors, and batch directly on
-// encoded vectors — and asserts identical results.
+// TestTPCHRowBatchEquivalence runs all 22 queries as TP on the row
+// engine and under the default classification, and asserts identical
+// results.
 func TestTPCHRowBatchEquivalence(t *testing.T) {
-	rowSess := equivCluster(t, true, true)
-	batchSess := equivCluster(t, false, true)
-	encSess := equivCluster(t, false, false)
+	rowSess := equivCluster(t, math.Inf(1))
+	batchSess := equivCluster(t, apThreshold)
 	colindex.ResetScanStats()
 	sawBatch := false
 	for _, q := range tpch.Queries() {
@@ -133,36 +133,31 @@ func TestTPCHRowBatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d row mode: %v", q.ID, err)
 		}
-		if rowRes.Plan.Vectorized {
-			t.Fatalf("Q%d: VectorizedOff cluster produced a batch plan", q.ID)
+		if rowRes.Plan.IsAP {
+			t.Fatalf("Q%d: the reference cluster classified it AP", q.ID)
 		}
 		batchRes, err := batchSess.Execute(q.SQL)
 		if err != nil {
 			t.Fatalf("Q%d batch mode: %v", q.ID, err)
 		}
-		if batchRes.Plan.Vectorized {
+		if batchRes.Plan.IsAP {
 			sawBatch = true
-		}
-		encRes, err := encSess.Execute(q.SQL)
-		if err != nil {
-			t.Fatalf("Q%d encoded mode: %v", q.ID, err)
 		}
 		ordered := strings.Contains(strings.ToUpper(q.SQL), "ORDER BY")
 		assertEquivalent(t, fmt.Sprintf("Q%d (%s)", q.ID, q.Name), ordered, rowRes.Rows, batchRes.Rows)
-		assertEquivalent(t, fmt.Sprintf("Q%d (%s) encoded", q.ID, q.Name), ordered, rowRes.Rows, encRes.Rows)
 	}
 	if !sawBatch {
 		t.Fatal("no query executed in batch mode; the AP default is not wired")
 	}
 	if st := colindex.ScanStats(); st.EncodedScans == 0 {
-		t.Fatal("no column-index scan touched an encoded vector; the encoded leg is not exercising compression")
+		t.Fatal("no column-index scan touched an encoded vector; the AP leg is not exercising compression")
 	}
 }
 
 // TestBatchModeSelection checks the optimizer's mode choice: AP plans
-// vectorize by default, TP point reads stay row-at-a-time.
+// vectorize, TP point reads stay row-at-a-time.
 func TestBatchModeSelection(t *testing.T) {
-	s := equivCluster(t, false, false)
+	s := equivCluster(t, apThreshold)
 	res, err := s.Execute("SELECT COUNT(*) FROM lineitem")
 	if err != nil {
 		t.Fatal(err)

@@ -12,13 +12,12 @@ import (
 )
 
 // This file is the batch-mode (vectorized) twin of query.go's operator
-// lowering: AP-classified plans with Plan.Vectorized set execute as
-// BatchOperator trees exchanging ~1024-row column-major batches. Every
-// build function mirrors its row-mode counterpart exactly — same shard
-// fan-out, same gather order, same fragment scheduling — so the two
-// modes are equivalent by construction; plan shapes without a batch
-// kernel (GSI routes, point lookups, nested-loop joins) bridge through
-// the row operators via RowToBatch.
+// lowering: AP-classified plans execute as BatchOperator trees exchanging
+// ~1024-row column-major batches, TP plans on query.go's row operators.
+// Every build function mirrors its row-mode counterpart — same shard
+// fan-out, same gather order, same fragment scheduling; plan shapes
+// without a batch kernel (GSI routes, point lookups, nested-loop joins)
+// bridge through the row operators via RowToBatch.
 
 // buildBatchOperator lowers a plan node to a batch operator tree,
 // wrapping each node with an instrumented shim when the query runs under
@@ -121,7 +120,7 @@ func (cn *CN) buildBatchTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNo
 			shards = append(shards, i)
 		}
 	}
-	pushed := cn.pushableAgg(n, scan, ctx)
+	pushed := cn.pushableAgg(n, scan)
 	scheds := []*htap.Scheduler{cn.sched}
 	if ctx.mpp {
 		scheds = nil
@@ -208,11 +207,11 @@ func (cn *CN) buildBatchPartitionWiseJoin(n *optimizer.JoinNode, ctx *queryCtx) 
 
 // buildBatchScan lowers a table scan to batch sources. GSI routes and
 // point lookups are row-shaped (scattered point reads) and bridge
-// through the row scan; multi-shard AP scans fan out one batch fragment
-// per shard, exactly like the row path.
+// through the row scan; multi-shard scans fan out one batch fragment per
+// shard.
 func (cn *CN) buildBatchScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.BatchOperator, error) {
 	cols := scan.Columns()
-	if scan.GSI != nil || len(scan.PointLookups) > 0 || ctx.tx != nil {
+	if scan.GSI != nil || len(scan.PointLookups) > 0 {
 		op, err := cn.buildScan(scan, ctx)
 		if err != nil {
 			return nil, err
@@ -239,66 +238,30 @@ func (cn *CN) buildBatchScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.
 }
 
 // batchShardSource builds the batch source for one shard of an AP scan:
-// the DN columnarizes once at the source (WantBatch) — or answers
-// zero-copy from its column index — and the batch crosses simnet
-// without a pivot back to rows. Leader-fallback reads (no AP replica)
-// scan rows through an ephemeral branch and columnarize CN-side.
+// a replica columnarizes once at the source (WantBatch) — or answers
+// zero-copy from its column index — and the batch crosses simnet without
+// a pivot back to rows. A leader (no AP replica) answers in rows, which
+// are columnarized here.
 func (cn *CN) batchShardSource(scan *optimizer.ScanNode, shard int, ctx *queryCtx, pushed *dn.PushAgg) (executor.BatchOperator, error) {
-	if ctx.tx != nil {
-		src, err := cn.shardSource(scan, shard, ctx, pushed)
-		if err != nil {
-			return nil, err
-		}
-		return &executor.RowToBatch{Op: src}, nil
-	}
 	dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
 	if err != nil {
 		return nil, err
 	}
 	cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
-	physTable := scan.Table.PhysicalTableID(shard)
-	cols := scan.Columns()
-
-	target, minLSN := cn.apTarget(ctx, dnName)
-	if target == dnName {
-		// AP load routed to the RW leader (shared-resource configs):
-		// row scan through an ephemeral branch, columnarized here.
-		fetched := false
-		return &executor.BatchCallbackSource{Cols: cols, Fetch: func() (*vector.Batch, error) {
-			if fetched {
-				return nil, nil
-			}
-			fetched = true
-			tmp, err := cn.coord.Begin()
-			if err != nil {
-				return nil, err
-			}
-			defer tmp.Abort()
-			rows, err := tmp.ScanReq(dnName, dn.ScanReq{
-				Table: physTable, Filter: scan.Filter, Projection: scan.Projection,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if len(rows) == 0 {
-				return nil, nil
-			}
-			return vector.FromRows(rows, len(rows[0])), nil
-		}}, nil
-	}
+	rt := ctx.target(dnName)
 	req := dn.ROScanReq{
-		Table: physTable, SnapshotTS: ctx.snapshot, MinLSN: minLSN,
+		Table:  scan.Table.PhysicalTableID(shard),
 		Filter: scan.Filter, Projection: scan.Projection,
 		UseColumnIndex: scan.UseColumnIndex, Aggregate: pushed,
 		WantBatch: true,
 	}
 	fetched := false
-	return &executor.BatchCallbackSource{Cols: cols, Fetch: func() (*vector.Batch, error) {
+	return &executor.BatchCallbackSource{Cols: scan.Columns(), Fetch: func() (*vector.Batch, error) {
 		if fetched {
 			return nil, nil
 		}
 		fetched = true
-		resp, err := cn.coord.ScanROBatch(target, req)
+		resp, err := rt.scan(req)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,30 +76,12 @@ type Config struct {
 	IsolationOff bool
 	// MPPOff disables multi-CN fragment execution (Fig. 10 baseline).
 	MPPOff bool
-	// VectorizedOff disables the batch (vectorized) execution engine: AP
-	// plans fall back to row-at-a-time operators — the pre-batch behavior,
-	// kept for equivalence tests and as a benchmark baseline.
-	VectorizedOff bool
 	// DNServiceRate models each DN node's compute capacity in work
 	// tokens per second (0 = unlimited). Every RW and RO node gets its
 	// own bucket, so read capacity scales with replica count (Fig. 9b).
 	DNServiceRate float64
 	// WithPolarFS provisions chunk servers and volumes (page-flush I/O).
 	WithPolarFS bool
-	// NoBatch disables the CN fast path (per-DN batched multi-gets,
-	// batched DML writes, parallel multi-shard TP scans), falling back to
-	// one RPC per key/row/shard — the pre-fast-path behavior, kept for
-	// equivalence tests and as a benchmark baseline.
-	NoBatch bool
-	// PlanCacheOff disables the CN's fingerprinted plan cache: every
-	// statement pays the full optimizer pipeline (benchmark baseline).
-	PlanCacheOff bool
-	// CompressionOff disables the compression stack cluster-wide: column
-	// indexes store raw vectors, Paxos log frames ship uncompressed, and
-	// PolarFS replication payloads move at their logical size — the exact
-	// pre-compression behavior, kept for equivalence tests and as a
-	// benchmark baseline. Compression is on by default.
-	CompressionOff bool
 	// FaultPlan scripts network chaos (per-link drops, duplication,
 	// jitter, call deadlines) onto the cluster fabric from the moment it
 	// is built. Tests and examples use it with a fixed Seed for
@@ -353,9 +336,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	if cfg.WithPolarFS {
 		c.FS = polarfs.NewCluster(c.Net, 0)
-		if cfg.CompressionOff {
-			c.FS.SetCompression(false)
-		}
 		for d := 0; d < cfg.DCs; d++ {
 			for i := 0; i < 3; i++ {
 				if _, err := c.FS.AddServer(fmt.Sprintf("sn-dc%d-%d", d+1, i), simnet.DC(d)); err != nil {
@@ -445,7 +425,6 @@ func (c *Cluster) addDNGroup(g int) error {
 			InDoubtAfter:      c.cfg.InDoubtTimeout,
 			GroupCommitWindow: c.cfg.GroupCommitWindow,
 			FlushDelay:        c.cfg.DNFlushDelay,
-			CompressionOff:    c.cfg.CompressionOff,
 			Metrics:           c.metrics,
 		})
 		if err != nil {
@@ -490,14 +469,12 @@ func (c *Cluster) addCN(dc simnet.DC) *CN {
 		oracle = txn.NewHLCOracle(hlc.NewClock(nil))
 	}
 	cn := &CN{
-		name:    name,
-		dc:      dc,
-		cluster: c,
-		coord:   txn.NewCoordinator(c.Net, name, oracle),
-		sched:   htap.NewScheduler(c.cfg.SchedulerCfg),
-	}
-	if !c.cfg.PlanCacheOff {
-		cn.planCache = optimizer.NewPlanCache(0)
+		name:      name,
+		dc:        dc,
+		cluster:   c,
+		coord:     txn.NewCoordinator(c.Net, name, oracle),
+		sched:     htap.NewScheduler(c.cfg.SchedulerCfg),
+		planCache: optimizer.NewPlanCache(0),
 	}
 	if c.metrics != nil {
 		cn.coord.SetMetrics(c.metrics)
@@ -520,7 +497,7 @@ func (c *Cluster) addCN(dc simnet.DC) *CN {
 	cn.opt = optimizer.New(c.GMS, statsAdapter{c}, optimizer.Options{
 		TPCostThreshold: c.cfg.TPCostThreshold,
 		MPPAvailable:    !c.cfg.MPPOff,
-		BatchAvailable:  !c.cfg.VectorizedOff,
+		BatchAvailable:  true,
 		HasColumnIndex:  cn.hasColumnIndex,
 	})
 	c.mu.Lock()
@@ -812,27 +789,34 @@ func (s statsAdapter) RowCount(table string) int64 {
 // errUnsupported wraps statement-dispatch misses.
 var errUnsupported = errors.New("core: unsupported statement")
 
-// waitConverged blocks until every DN group's ROs have applied redo up
-// to the group's current DLSN (test/bench helper).
+// WaitROConvergence blocks until every fed RO replica has applied redo
+// up to its group's current DLSN (test/bench helper). A replica its
+// instance evicted is not waited for: it will never catch up. On timeout
+// the error names a lagging replica, how far it got, and the group's DLSN
+// and redo base.
 func (c *Cluster) WaitROConvergence(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		lagging := false
+		lagging := ""
 		c.mu.Lock()
 		for _, inst := range c.dns {
 			dlsn := inst.Paxos().DLSN()
+			evicted := inst.EvictedROs()
 			for _, ro := range inst.ROs() {
-				if ro.AppliedLSN() < dlsn {
-					lagging = true
+				applied := ro.AppliedLSN()
+				if applied >= dlsn || slices.Contains(evicted, ro.Name()) {
+					continue
 				}
+				lagging = fmt.Sprintf("%s applied %d, %s dlsn %d base %d",
+					ro.Name(), applied, inst.Name(), dlsn, inst.Paxos().Log().BaseLSN())
 			}
 		}
 		c.mu.Unlock()
-		if !lagging {
+		if lagging == "" {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return errors.New("core: RO convergence timeout")
+			return fmt.Errorf("core: RO convergence timeout: %s", lagging)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -47,8 +47,7 @@ type CN struct {
 	// shed without consulting the controller (AP memory admission) land
 	// in the same metrics. All fields are nil-safe when metrics are off.
 	admMetrics admission.Metrics
-	// planCache caches plan skeletons by statement fingerprint (nil when
-	// Config.PlanCacheOff).
+	// planCache caches plan skeletons by statement fingerprint.
 	planCache *optimizer.PlanCache
 	// mPCHit/mPCMiss count plan-cache outcomes in the cluster registry
 	// (nil when metrics are off; Counter methods are nil-safe).
@@ -129,10 +128,6 @@ func (cn *CN) lookupColumnIndex(table string) bool {
 func (cn *CN) planFor(sel *sql.Select, tr *obs.Trace) (*optimizer.Plan, error) {
 	span := tr.StartSpan(nil, "plan")
 	defer span.End()
-	if cn.planCache == nil {
-		span.Annotate("cache=off")
-		return cn.opt.PlanSelect(sel)
-	}
 	fp, params, ok := sql.FingerprintSelect(sel)
 	if !ok {
 		span.Annotate("cache=uncacheable")
@@ -154,12 +149,8 @@ func (cn *CN) planFor(sel *sql.Select, tr *obs.Trace) (*optimizer.Plan, error) {
 	return plan, nil
 }
 
-// PlanCacheStats returns the CN's plan-cache hit/miss counters (zeros
-// when the cache is disabled).
+// PlanCacheStats returns the CN's plan-cache hit/miss counters.
 func (cn *CN) PlanCacheStats() (hits, misses uint64) {
-	if cn.planCache == nil {
-		return 0, 0
-	}
 	return cn.planCache.Stats()
 }
 
@@ -694,38 +685,43 @@ func (cn *CN) createIndex(s *Session, st *sql.CreateIndex) (*Result, error) {
 			return nil, err
 		}
 	}
-	// Backfill in one distributed transaction: read every base shard,
-	// insert the derived index rows.
+	// Backfill in one distributed transaction: read every base shard and
+	// insert the derived index rows, one MultiWrite per DN per shard read.
 	tx, err := cn.coord.Begin()
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	for shard := 0; shard < t.Shards; shard++ {
-		dnName, err := cn.cluster.GMS.DNForShard(t.Name, shard)
-		if err != nil {
-			_ = tx.Abort()
-			return nil, err
-		}
-		rows, err := tx.Scan(dnName, t.PhysicalTableID(shard), "", nil, nil, 0)
-		if err != nil {
-			_ = tx.Abort()
-			return nil, err
-		}
-		for _, row := range rows {
-			irow := gi.IndexRow(t, row)
-			ishard := gi.ShardOfIndexRow(irow)
-			idnName, err := cn.cluster.GMS.DNForShard(t.Name, ishard)
+	n, err := func() (int, error) {
+		n := 0
+		for shard := 0; shard < t.Shards; shard++ {
+			dnName, err := cn.cluster.GMS.DNForShard(t.Name, shard)
 			if err != nil {
-				_ = tx.Abort()
-				return nil, err
+				return 0, err
 			}
-			if err := tx.Insert(idnName, gi.PhysicalTableID(ishard), irow); err != nil {
-				_ = tx.Abort()
-				return nil, err
+			rows, err := tx.Scan(dnName, t.PhysicalTableID(shard), "", nil, nil, 0)
+			if err != nil {
+				return 0, err
 			}
-			n++
+			batch := newWriteBatch()
+			for _, row := range rows {
+				irow := gi.IndexRow(t, row)
+				ishard := gi.ShardOfIndexRow(irow)
+				idnName, err := cn.cluster.GMS.DNForShard(t.Name, ishard)
+				if err != nil {
+					return 0, err
+				}
+				batch.add(idnName, dn.WriteItem{Table: gi.PhysicalTableID(ishard), Op: dn.OpInsert, Row: irow})
+			}
+			if err := batch.flush(tx); err != nil {
+				return 0, err
+			}
+			n += len(rows)
 		}
+		return n, nil
+	}()
+	if err != nil {
+		_ = tx.Abort()
+		return nil, err
 	}
 	if _, err := tx.Commit(); err != nil {
 		return nil, err

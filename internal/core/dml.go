@@ -8,6 +8,7 @@ import (
 	"repro/internal/dn"
 	"repro/internal/partition"
 	"repro/internal/sql"
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -34,10 +35,7 @@ func (s *Session) execInsert(st *sql.Insert) (*Result, error) {
 		return nil, err
 	}
 	n, execErr := func() (int, error) {
-		var batch *writeBatch
-		if !s.cn.cluster.cfg.NoBatch {
-			batch = newWriteBatch()
-		}
+		batch := newWriteBatch()
 		count := 0
 		for _, exprRow := range st.Rows {
 			if len(exprRow) != len(colPos) {
@@ -54,21 +52,15 @@ func (s *Session) execInsert(st *sql.Insert) (*Result, error) {
 			if t.Schema.ImplicitPK {
 				row[len(row)-1] = types.Int(autoInc.Add(1))
 			}
-			if batch != nil {
-				if err := s.stageInsert(batch, t, row); err != nil {
-					return count, err
-				}
-			} else if err := s.insertRow(tx, t, row); err != nil {
+			if err := s.stageInsert(batch, t, row); err != nil {
 				return count, err
 			}
 			count++
 		}
-		if batch != nil {
-			// One MultiWrite per touched DN carries the whole multi-row
-			// INSERT including index maintenance.
-			if err := batch.flush(tx); err != nil {
-				return 0, err
-			}
+		// One MultiWrite per touched DN carries the whole multi-row
+		// INSERT including index maintenance.
+		if err := batch.flush(tx); err != nil {
+			return 0, err
 		}
 		return count, nil
 	}()
@@ -76,42 +68,6 @@ func (s *Session) execInsert(st *sql.Insert) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Affected: n}, nil
-}
-
-// insertRow routes one row plus its index rows.
-func (s *Session) insertRow(tx txnLike, t *partition.Table, row types.Row) error {
-	shard := t.ShardOfRow(row)
-	dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
-	if err != nil {
-		return err
-	}
-	if err := tx.Insert(dnName, t.PhysicalTableID(shard), row); err != nil {
-		return err
-	}
-	s.cn.cluster.GMS.RecordLoad(t.Name, shard, 1)
-	for _, gi := range t.Indexes {
-		irow := gi.IndexRow(t, row)
-		ishard := gi.ShardOfIndexRow(irow)
-		idn, err := s.cn.cluster.GMS.DNForShard(t.Name, ishard)
-		if err != nil {
-			return err
-		}
-		if err := tx.Insert(idn, gi.PhysicalTableID(ishard), irow); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// txnLike abstracts txn.Tx for DML helpers.
-type txnLike interface {
-	Insert(dnName string, table uint32, row types.Row) error
-	Update(dnName string, table uint32, row types.Row) error
-	Delete(dnName string, table uint32, pk []byte) error
-	Get(dnName string, table uint32, pk []byte) (types.Row, bool, error)
-	Scan(dnName string, table uint32, index string, start, end []byte, limit int) ([]types.Row, error)
-	MultiGet(dnName string, gets []dn.PointGet) ([]dn.ReadResp, error)
-	MultiWrite(dnName string, writes []dn.WriteItem) error
 }
 
 // writeBatch accumulates one DML statement's mutations per DN so each
@@ -139,7 +95,7 @@ func (b *writeBatch) add(dnName string, item dn.WriteItem) {
 // analogue of the point-read fan-out). On error the statement fails and
 // the caller's transaction handling aborts the branches, rolling back
 // any partially applied batch.
-func (b *writeBatch) flush(tx txnLike) error {
+func (b *writeBatch) flush(tx *txn.Tx) error {
 	switch len(b.order) {
 	case 0:
 		return nil
@@ -159,8 +115,7 @@ func (b *writeBatch) flush(tx txnLike) error {
 	return firstErr
 }
 
-// stageInsert stages one row plus its index rows into the batch
-// (batched counterpart of insertRow).
+// stageInsert stages one row plus its index rows into the batch.
 func (s *Session) stageInsert(b *writeBatch, t *partition.Table, row types.Row) error {
 	shard := t.ShardOfRow(row)
 	dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
@@ -208,7 +163,7 @@ func insertColumnOrder(t *partition.Table, cols []string) ([]int, error) {
 // matchRows finds the rows a WHERE clause selects: the PK fast path
 // reads exactly the pinned rows; otherwise every shard is scanned with
 // the filter pushed down.
-func (s *Session) matchRows(tx txnLike, t *partition.Table, where sql.Expr) ([]types.Row, error) {
+func (s *Session) matchRows(tx *txn.Tx, t *partition.Table, where sql.Expr) ([]types.Row, error) {
 	filter, points, err := analyzeWhere(t, where)
 	if err != nil {
 		return nil, err
@@ -235,26 +190,7 @@ func (s *Session) matchRows(tx txnLike, t *partition.Table, where sql.Expr) ([]t
 		points = uniq
 	}
 	if points != nil {
-		results, err := s.pointGets(tx, t, points)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			if !r.OK {
-				continue
-			}
-			if filter != nil {
-				v, err := sql.Eval(filter, r.Row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsTruthy() {
-					continue
-				}
-			}
-			out = append(out, r.Row)
-		}
-		return out, nil
+		return s.cn.pointRows(&queryCtx{s: s, tx: tx}, t, points, filter, false)
 	}
 	for shard := 0; shard < t.Shards; shard++ {
 		dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
@@ -270,80 +206,8 @@ func (s *Session) matchRows(tx txnLike, t *partition.Table, where sql.Expr) ([]t
 	return out, nil
 }
 
-// pointGets reads a set of PKs inside the transaction, returning one
-// ReadResp per key in input order. Fast path: keys group by owning DN
-// into one MultiGet each, all DNs in parallel; Config.NoBatch keeps the
-// one-RPC-per-key baseline.
-func (s *Session) pointGets(tx txnLike, t *partition.Table, points [][]byte) ([]dn.ReadResp, error) {
-	results := make([]dn.ReadResp, len(points))
-	if s.cn.cluster.cfg.NoBatch {
-		for k, pk := range points {
-			shard := t.ShardOfPK(pk)
-			dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
-			if err != nil {
-				return nil, err
-			}
-			row, ok, err := tx.Get(dnName, t.PhysicalTableID(shard), pk)
-			if err != nil {
-				return nil, err
-			}
-			results[k] = dn.ReadResp{Row: row, OK: ok}
-		}
-		return results, nil
-	}
-	groups := make(map[string]*pointGroup)
-	var order []*pointGroup
-	for k, pk := range points {
-		shard := t.ShardOfPK(pk)
-		dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
-		if err != nil {
-			return nil, err
-		}
-		g := groups[dnName]
-		if g == nil {
-			g = &pointGroup{dn: dnName}
-			groups[dnName] = g
-			order = append(order, g)
-		}
-		g.gets = append(g.gets, dn.PointGet{Table: t.PhysicalTableID(shard), PK: pk})
-		g.pos = append(g.pos, k)
-	}
-	fetch := func(g *pointGroup) error {
-		rs, err := tx.MultiGet(g.dn, g.gets)
-		if err != nil {
-			return err
-		}
-		for i, r := range rs {
-			results[g.pos[i]] = r
-		}
-		return nil
-	}
-	if len(order) == 1 {
-		if err := fetch(order[0]); err != nil {
-			return nil, err
-		}
-		return results, nil
-	}
-	errs := make(chan error, len(order))
-	for _, g := range order {
-		go func(g *pointGroup) { errs <- fetch(g) }(g)
-	}
-	var firstErr error
-	for range order {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
-}
-
 // scanShard runs a filtered shard scan inside the transaction.
-func (s *Session) scanShard(tx txnLike, dnName string, physTable uint32, filter sql.Expr) ([]types.Row, error) {
-	// The txnLike interface has no filter parameter; DN-side pushdown for
-	// DML scans goes through the full Tx type.
+func (s *Session) scanShard(tx *txn.Tx, dnName string, physTable uint32, filter sql.Expr) ([]types.Row, error) {
 	rows, err := tx.Scan(dnName, physTable, "", nil, nil, 0)
 	if err != nil {
 		return nil, err
@@ -533,10 +397,7 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		var batch *writeBatch
-		if !s.cn.cluster.cfg.NoBatch {
-			batch = newWriteBatch()
-		}
+		batch := newWriteBatch()
 		for i, old := range rows {
 			newRow := old.Clone()
 			for _, a := range sets {
@@ -551,24 +412,13 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 			if err != nil {
 				return i, err
 			}
-			if batch != nil {
-				batch.add(dnName, dn.WriteItem{Table: t.PhysicalTableID(shard), Op: dn.OpUpdate, Row: newRow})
-				if err := s.stageRefreshIndexes(batch, t, old, newRow); err != nil {
-					return i, err
-				}
-				continue
-			}
-			if err := tx.Update(dnName, t.PhysicalTableID(shard), newRow); err != nil {
-				return i, err
-			}
-			if err := s.refreshIndexes(tx, t, old, newRow); err != nil {
+			batch.add(dnName, dn.WriteItem{Table: t.PhysicalTableID(shard), Op: dn.OpUpdate, Row: newRow})
+			if err := s.stageRefreshIndexes(batch, t, old, newRow); err != nil {
 				return i, err
 			}
 		}
-		if batch != nil {
-			if err := batch.flush(tx); err != nil {
-				return 0, err
-			}
+		if err := batch.flush(tx); err != nil {
+			return 0, err
 		}
 		return len(rows), nil
 	}()
@@ -603,44 +453,7 @@ func bindToSchema(t *partition.Table, e sql.Expr) error {
 	return bindErr
 }
 
-// refreshIndexes maintains GSIs across an update.
-func (s *Session) refreshIndexes(tx txnLike, t *partition.Table, old, new types.Row) error {
-	for _, gi := range t.Indexes {
-		oldIdx := gi.IndexRow(t, old)
-		newIdx := gi.IndexRow(t, new)
-		same := len(oldIdx) == len(newIdx)
-		if same {
-			for i := range oldIdx {
-				if oldIdx[i].Compare(newIdx[i]) != 0 {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
-			continue
-		}
-		oshard := gi.ShardOfIndexRow(oldIdx)
-		odn, err := s.cn.cluster.GMS.DNForShard(t.Name, oshard)
-		if err != nil {
-			return err
-		}
-		if err := tx.Delete(odn, gi.PhysicalTableID(oshard), gi.Schema.PKKey(oldIdx)); err != nil {
-			return err
-		}
-		nshard := gi.ShardOfIndexRow(newIdx)
-		ndn, err := s.cn.cluster.GMS.DNForShard(t.Name, nshard)
-		if err != nil {
-			return err
-		}
-		if err := tx.Insert(ndn, gi.PhysicalTableID(nshard), newIdx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stageRefreshIndexes is refreshIndexes' batched counterpart: the GSI
+// stageRefreshIndexes maintains GSIs across an update: the
 // delete-then-insert pair is staged in order (same key → same DN → the
 // DN applies them in order).
 func (s *Session) stageRefreshIndexes(b *writeBatch, t *partition.Table, old, new types.Row) error {
@@ -693,21 +506,14 @@ func (s *Session) execDelete(st *sql.Delete) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		var batch *writeBatch
-		if !s.cn.cluster.cfg.NoBatch {
-			batch = newWriteBatch()
-		}
+		batch := newWriteBatch()
 		for i, row := range rows {
 			shard := t.ShardOfRow(row)
 			dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
 			if err != nil {
 				return i, err
 			}
-			if batch != nil {
-				batch.add(dnName, dn.WriteItem{Table: t.PhysicalTableID(shard), Op: dn.OpDelete, PK: t.Schema.PKKey(row)})
-			} else if err := tx.Delete(dnName, t.PhysicalTableID(shard), t.Schema.PKKey(row)); err != nil {
-				return i, err
-			}
+			batch.add(dnName, dn.WriteItem{Table: t.PhysicalTableID(shard), Op: dn.OpDelete, PK: t.Schema.PKKey(row)})
 			for _, gi := range t.Indexes {
 				irow := gi.IndexRow(t, row)
 				ishard := gi.ShardOfIndexRow(irow)
@@ -715,17 +521,11 @@ func (s *Session) execDelete(st *sql.Delete) (*Result, error) {
 				if err != nil {
 					return i, err
 				}
-				if batch != nil {
-					batch.add(idn, dn.WriteItem{Table: gi.PhysicalTableID(ishard), Op: dn.OpDelete, PK: gi.Schema.PKKey(irow)})
-				} else if err := tx.Delete(idn, gi.PhysicalTableID(ishard), gi.Schema.PKKey(irow)); err != nil {
-					return i, err
-				}
+				batch.add(idn, dn.WriteItem{Table: gi.PhysicalTableID(ishard), Op: dn.OpDelete, PK: gi.Schema.PKKey(irow)})
 			}
 		}
-		if batch != nil {
-			if err := batch.flush(tx); err != nil {
-				return 0, err
-			}
+		if err := batch.flush(tx); err != nil {
+			return 0, err
 		}
 		return len(rows), nil
 	}()

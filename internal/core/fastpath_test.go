@@ -1,9 +1,7 @@
 package core
 
 // Tests for the CN fast path: per-DN batched RPC fan-out (multi-point
-// reads, batched DML writes) and the fingerprinted plan cache. The
-// legacy per-key/per-row path is kept behind Config.NoBatch and serves
-// as the equivalence baseline throughout.
+// reads, batched DML writes) and the fingerprinted plan cache.
 
 import (
 	"fmt"
@@ -17,9 +15,11 @@ import (
 )
 
 // TestBatchedPointReadRPCBudget pins the fast path's RPC budget: a
-// multi-point SELECT spanning several DN groups pays exactly one
-// MultiGet per touched DN and zero per-key reads, while the NoBatch
-// baseline pays one ReadReq per key.
+// multi-point read spanning several DN groups pays exactly one MultiGet
+// per touched DN and zero per-key reads — for a SELECT by primary key
+// (auto-commit and in a transaction) and for the base-row fetch behind a
+// non-clustered global index, whose backfill in turn pays batched writes
+// only.
 func TestBatchedPointReadRPCBudget(t *testing.T) {
 	const keys = 24
 	groups := []string{"dng0", "dng1", "dng2"}
@@ -31,198 +31,200 @@ func TestBatchedPointReadRPCBudget(t *testing.T) {
 		return strings.Join(ids, ", ")
 	}()
 
-	snapshot := func(c *Cluster) (points, multis uint64) {
+	c := newTestCluster(t, Config{DNGroups: 3})
+	snapshot := func() (points, multis, writes uint64) {
 		for _, g := range groups {
 			inst, err := c.DNGroup(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, m, _, _ := inst.RPCStats()
+			p, m, w, _ := inst.RPCStats()
 			points += p
 			multis += m
+			writes += w
 		}
-		return points, multis
+		return points, multis, writes
 	}
-	seed := func(c *Cluster) *Session {
-		s := c.CN(simnet.DC1).NewSession()
-		mustExec(t, s, `CREATE TABLE kv (id BIGINT, v BIGINT, PRIMARY KEY(id)) PARTITIONS 6`)
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO kv (id, v) VALUES ")
-		for i := 0; i < keys; i++ {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "(%d, %d)", i, i*11)
+	s := c.CN(simnet.DC1).NewSession()
+	mustExec(t, s, `CREATE TABLE kv (id BIGINT, v BIGINT, PRIMARY KEY(id)) PARTITIONS 6`)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO kv (id, v) VALUES ")
+	for i := 0; i < keys; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
 		}
-		mustExec(t, s, sb.String())
-		return s
+		fmt.Fprintf(&sb, "(%d, %d)", i, i%2)
 	}
-	// The exact set of DNs the statement must touch, from the placement.
-	expectDNs := func(c *Cluster) map[string]bool {
-		tbl, err := c.GMS.Table("kv")
-		if err != nil {
-			t.Fatal(err)
-		}
+	mustExec(t, s, sb.String())
+
+	// The exact set of DNs a read of the given keys must touch, from the
+	// placement.
+	tbl, err := c.GMS.Table("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	touched := func(pick func(id int64) bool) int {
 		dns := map[string]bool{}
 		for i := int64(0); i < keys; i++ {
-			shard := tbl.ShardOfPK(types.EncodeKey(nil, types.Int(i)))
-			name, err := c.GMS.DNForShard("kv", shard)
+			if !pick(i) {
+				continue
+			}
+			name, err := c.GMS.DNForShard("kv", tbl.ShardOfPK(types.EncodeKey(nil, types.Int(i))))
 			if err != nil {
 				t.Fatal(err)
 			}
 			dns[name] = true
 		}
-		return dns
+		if len(dns) < 2 {
+			t.Fatalf("test needs a multi-DN read, placement uses %d DN(s)", len(dns))
+		}
+		return len(dns)
 	}
-	checkRows := func(res *Result) {
+	// budget runs one statement and checks rows returned and RPCs paid.
+	budget := func(name, query string, rows, dns int) {
 		t.Helper()
-		if len(res.Rows) != keys {
-			t.Fatalf("IN(%d keys) returned %d rows", keys, len(res.Rows))
+		p0, m0, _ := snapshot()
+		res := mustExec(t, s, query)
+		p1, m1, _ := snapshot()
+		if len(res.Rows) != rows {
+			t.Fatalf("%s: %d rows, want %d", name, len(res.Rows), rows)
+		}
+		if got := m1 - m0; got != uint64(dns) {
+			t.Fatalf("%s: %d MultiGet RPCs for %d touched DNs", name, got, dns)
+		}
+		if p1 != p0 {
+			t.Fatalf("%s: %d per-key reads", name, p1-p0)
 		}
 	}
 
-	t.Run("batched", func(t *testing.T) {
-		c := newTestCluster(t, Config{DNGroups: 3})
-		s := seed(c)
-		want := len(expectDNs(c))
-		if want < 2 {
-			t.Fatalf("test needs a multi-DN statement, placement uses %d DN(s)", want)
-		}
+	all := touched(func(int64) bool { return true })
+	// Auto-commit statement (ephemeral branch per DN).
+	budget("auto-commit", "SELECT v FROM kv WHERE id IN ("+inList+")", keys, all)
+	// Same budget inside an explicit transaction.
+	if err := s.BeginTxn(); err != nil {
+		t.Fatal(err)
+	}
+	budget("in-txn", "SELECT v FROM kv WHERE id IN ("+inList+")", keys, all)
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
 
-		// Auto-commit statement (ephemeral branch per DN).
-		p0, m0 := snapshot(c)
-		checkRows(mustExec(t, s, "SELECT v FROM kv WHERE id IN ("+inList+")"))
-		p1, m1 := snapshot(c)
-		if got := m1 - m0; got != uint64(want) {
-			t.Fatalf("auto-commit: %d MultiGet RPCs for %d touched DNs", got, want)
-		}
-		if p1 != p0 {
-			t.Fatalf("auto-commit: fast path fell back to %d per-key reads", p1-p0)
-		}
-
-		// Same budget inside an explicit transaction.
-		if err := s.BeginTxn(); err != nil {
-			t.Fatal(err)
-		}
-		p0, m0 = snapshot(c)
-		checkRows(mustExec(t, s, "SELECT v FROM kv WHERE id IN ("+inList+")"))
-		p1, m1 = snapshot(c)
-		if err := s.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if got := m1 - m0; got != uint64(want) {
-			t.Fatalf("in-txn: %d MultiGet RPCs for %d touched DNs", got, want)
-		}
-		if p1 != p0 {
-			t.Fatalf("in-txn: fast path fell back to %d per-key reads", p1-p0)
-		}
-	})
-
-	t.Run("nobatch-baseline", func(t *testing.T) {
-		c := newTestCluster(t, Config{DNGroups: 3, NoBatch: true})
-		s := seed(c)
-		p0, m0 := snapshot(c)
-		checkRows(mustExec(t, s, "SELECT v FROM kv WHERE id IN ("+inList+")"))
-		p1, m1 := snapshot(c)
-		if got := p1 - p0; got != keys {
-			t.Fatalf("baseline: %d per-key reads for %d keys", got, keys)
-		}
-		if m1 != m0 {
-			t.Fatalf("baseline issued %d MultiGets with NoBatch set", m1-m0)
-		}
-	})
+	// Non-clustered global index: the backfill stages its index rows into
+	// MultiWrites, and a lookup reads the index shard once, then fetches
+	// the base rows — half the table, spread over the DNs — batched per DN.
+	_, _, w0 := snapshot()
+	mustExec(t, s, `CREATE GLOBAL INDEX idx_v ON kv (v)`)
+	if _, _, w1 := snapshot(); w1 != w0 {
+		t.Fatalf("GSI backfill issued %d per-row writes", w1-w0)
+	}
+	const q = "SELECT id FROM kv WHERE v = 1"
+	if plan := mustExec(t, s, "EXPLAIN "+q); !strings.Contains(fmt.Sprint(plan.Rows), "gsi=idx_v") {
+		t.Fatalf("lookup does not route through the index:\n%v", plan.Rows)
+	}
+	budget("gsi base rows", q, keys/2, touched(func(id int64) bool { return id%2 == 1 }))
 }
 
 // TestFastPathEquivalenceUnderConcurrency drives many concurrent
 // sessions through the batched paths (multi-row INSERT, IN-list
 // UPDATE/DELETE/SELECT, GSI maintenance, explicit cross-shard
-// transactions) and checks the final database state is byte-identical
-// to the per-key NoBatch baseline. Run under -race via `make test-race`.
+// transactions), each over its own key range, and checks the final
+// database state against a map model of the same per-worker script. Run
+// under -race via `make test-race`.
 func TestFastPathEquivalenceUnderConcurrency(t *testing.T) {
 	const workers, span = 4, 60
-	run := func(noBatch bool) []string {
-		c := newTestCluster(t, Config{NoBatch: noBatch})
-		s := c.CN(simnet.DC1).NewSession()
-		mustExec(t, s, `CREATE TABLE acct (id BIGINT, grp BIGINT, val BIGINT, PRIMARY KEY(id)) PARTITIONS 8`)
-		mustExec(t, s, `CREATE GLOBAL INDEX idx_grp ON acct (grp)`)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sess := c.CN(simnet.DC1).NewSession()
-				base := w * span
-				// Multi-row inserts (batched write fan-out + GSI rows).
-				for lo := 0; lo < span; lo += 20 {
-					var sb strings.Builder
-					sb.WriteString("INSERT INTO acct (id, grp, val) VALUES ")
-					for i := lo; i < lo+20; i++ {
-						if i > lo {
-							sb.WriteString(", ")
-						}
-						fmt.Fprintf(&sb, "(%d, %d, %d)", base+i, (base+i)%7, (base+i)*3)
+	type acct struct{ grp, val int64 }
+	model := map[int64]acct{}
+
+	c := newTestCluster(t, Config{})
+	s := c.CN(simnet.DC1).NewSession()
+	mustExec(t, s, `CREATE TABLE acct (id BIGINT, grp BIGINT, val BIGINT, PRIMARY KEY(id)) PARTITIONS 8`)
+	mustExec(t, s, `CREATE GLOBAL INDEX idx_grp ON acct (grp)`)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		base := w * span
+		// The script, applied to the model...
+		for i := base; i < base+span; i++ {
+			model[int64(i)] = acct{grp: int64(i % 7), val: int64(i * 3)}
+		}
+		var ids []string
+		for i := base; i < base+span; i += 6 {
+			ids = append(ids, fmt.Sprintf("%d", i))
+			a := model[int64(i)]
+			model[int64(i)] = acct{grp: a.grp + 7, val: a.val + 1000}
+		}
+		deleted := [3]int{base + 1, base + 8, base + 15}
+		for _, id := range deleted {
+			delete(model, int64(id))
+		}
+		// ... and to the database.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := c.CN(simnet.DC1).NewSession()
+			// Multi-row inserts (batched write fan-out + GSI rows).
+			for lo := base; lo < base+span; lo += 20 {
+				var sb strings.Builder
+				sb.WriteString("INSERT INTO acct (id, grp, val) VALUES ")
+				for i := lo; i < lo+20; i++ {
+					if i > lo {
+						sb.WriteString(", ")
 					}
-					if _, err := sess.Execute(sb.String()); err != nil {
-						t.Error(err)
-						return
-					}
+					fmt.Fprintf(&sb, "(%d, %d, %d)", i, i%7, i*3)
 				}
-				// Explicit cross-shard transaction over an IN list: batched
-				// point reads + batched updates that move GSI entries.
-				var ids []string
-				for i := 0; i < span; i += 6 {
-					ids = append(ids, fmt.Sprintf("%d", base+i))
-				}
-				list := strings.Join(ids, ", ")
-				if err := sess.BeginTxn(); err != nil {
+				if _, err := sess.Execute(sb.String()); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := sess.Execute(
-					"SELECT val FROM acct WHERE id IN (" + list + ")"); err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := sess.Execute(
-					"UPDATE acct SET val = val + 1000, grp = grp + 7 WHERE id IN (" + list + ")"); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := sess.Commit(); err != nil {
-					t.Error(err)
-					return
-				}
-				// Auto-commit batched delete.
-				if _, err := sess.Execute(fmt.Sprintf(
-					"DELETE FROM acct WHERE id IN (%d, %d, %d)", base+1, base+8, base+15)); err != nil {
-					t.Error(err)
-					return
-				}
-			}(w)
-		}
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-		res := mustExec(t, s, "SELECT id, grp, val FROM acct ORDER BY id")
-		out := make([]string, 0, len(res.Rows)+1)
-		for _, r := range res.Rows {
-			out = append(out, fmt.Sprintf("%d|%d|%d", r[0].AsInt(), r[1].AsInt(), r[2].AsInt()))
-		}
-		// The GSI stayed consistent with the base table (index route).
-		gsi := mustExec(t, s, "SELECT COUNT(*) FROM acct WHERE grp = 9")
-		out = append(out, fmt.Sprintf("grp9=%d", gsi.Rows[0][0].AsInt()))
-		return out
+			}
+			// Explicit cross-shard transaction over an IN list: batched
+			// point reads + batched updates that move GSI entries.
+			list := strings.Join(ids, ", ")
+			if err := sess.BeginTxn(); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := sess.Execute(
+				"SELECT val FROM acct WHERE id IN (" + list + ")"); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := sess.Execute(
+				"UPDATE acct SET val = val + 1000, grp = grp + 7 WHERE id IN (" + list + ")"); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := sess.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+			// Auto-commit batched delete.
+			if _, err := sess.Execute(fmt.Sprintf(
+				"DELETE FROM acct WHERE id IN (%d, %d, %d)", deleted[0], deleted[1], deleted[2])); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	fast := run(false)
-	slow := run(true)
-	if len(fast) != len(slow) {
-		t.Fatalf("row counts differ: batched=%d baseline=%d", len(fast), len(slow))
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("row %d differs:\n  batched  = %s\n  baseline = %s", i, fast[i], slow[i])
+	res := mustExec(t, s, "SELECT id, grp, val FROM acct ORDER BY id")
+	if len(res.Rows) != len(model) {
+		t.Fatalf("%d rows, model has %d", len(res.Rows), len(model))
+	}
+	grp9 := 0
+	for _, r := range res.Rows {
+		got := acct{grp: r[1].AsInt(), val: r[2].AsInt()}
+		if want, ok := model[r[0].AsInt()]; !ok || got != want {
+			t.Fatalf("row %d = %+v, model has %+v (present=%v)", r[0].AsInt(), got, want, ok)
 		}
+		if got.grp == 9 {
+			grp9++
+		}
+	}
+	// The GSI stayed consistent with the base table (index route).
+	if gsi := mustExec(t, s, "SELECT COUNT(*) FROM acct WHERE grp = 9"); gsi.Rows[0][0].AsInt() != int64(grp9) {
+		t.Fatalf("GSI route counts %d rows with grp = 9, base table has %d", gsi.Rows[0][0].AsInt(), grp9)
 	}
 }
 
@@ -366,44 +368,33 @@ func TestColumnIndexCacheInvalidation(t *testing.T) {
 }
 
 // TestDMLDuplicateINKeys: duplicate IN-list entries must match a row
-// once for UPDATE/DELETE (MySQL semantics) in both the batched and the
-// NoBatch path — without dedup the second staged delete of the same key
-// fails at the DN.
+// once for UPDATE/DELETE (MySQL semantics) — without dedup the second
+// staged delete of the same key fails at the DN.
 func TestDMLDuplicateINKeys(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{
-		{"batched", false},
-		{"nobatch", true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			c := newTestCluster(t, Config{NoBatch: mode.noBatch})
-			s := c.CN(simnet.DC1).NewSession()
-			mustExec(t, s, `CREATE TABLE dup (id BIGINT, v BIGINT, PRIMARY KEY (id)) PARTITIONS 4`)
-			mustExec(t, s, `CREATE GLOBAL INDEX idx_dupv ON dup (v)`)
-			mustExec(t, s, `INSERT INTO dup (id, v) VALUES (1, 10), (2, 20), (3, 30)`)
+	c := newTestCluster(t, Config{})
+	s := c.CN(simnet.DC1).NewSession()
+	mustExec(t, s, `CREATE TABLE dup (id BIGINT, v BIGINT, PRIMARY KEY (id)) PARTITIONS 4`)
+	mustExec(t, s, `CREATE GLOBAL INDEX idx_dupv ON dup (v)`)
+	mustExec(t, s, `INSERT INTO dup (id, v) VALUES (1, 10), (2, 20), (3, 30)`)
 
-			if res := mustExec(t, s, `UPDATE dup SET v = v + 1 WHERE id IN (2, 2, 2)`); res.Affected != 1 {
-				t.Fatalf("update affected = %d, want 1", res.Affected)
-			}
-			if res := mustExec(t, s, `SELECT v FROM dup WHERE id = 2`); res.Rows[0][0].AsInt() != 21 {
-				t.Fatalf("duplicate-key update applied more than once: v = %v", res.Rows[0][0])
-			}
+	if res := mustExec(t, s, `UPDATE dup SET v = v + 1 WHERE id IN (2, 2, 2)`); res.Affected != 1 {
+		t.Fatalf("update affected = %d, want 1", res.Affected)
+	}
+	if res := mustExec(t, s, `SELECT v FROM dup WHERE id = 2`); res.Rows[0][0].AsInt() != 21 {
+		t.Fatalf("duplicate-key update applied more than once: v = %v", res.Rows[0][0])
+	}
 
-			if res := mustExec(t, s, `DELETE FROM dup WHERE id IN (3, 3, 3)`); res.Affected != 1 {
-				t.Fatalf("delete affected = %d, want 1", res.Affected)
-			}
-			if res := mustExec(t, s, `SELECT id FROM dup ORDER BY id`); len(res.Rows) != 2 {
-				t.Fatalf("rows after delete = %d, want 2", len(res.Rows))
-			}
-			// The GSI must have followed: old entries gone, updated one present.
-			if res := mustExec(t, s, `SELECT id FROM dup WHERE v = 21`); len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 2 {
-				t.Fatalf("GSI lookup after dup-key update = %v", res.Rows)
-			}
-			if res := mustExec(t, s, `SELECT id FROM dup WHERE v = 30`); len(res.Rows) != 0 {
-				t.Fatalf("GSI entry for deleted row survived: %v", res.Rows)
-			}
-		})
+	if res := mustExec(t, s, `DELETE FROM dup WHERE id IN (3, 3, 3)`); res.Affected != 1 {
+		t.Fatalf("delete affected = %d, want 1", res.Affected)
+	}
+	if res := mustExec(t, s, `SELECT id FROM dup ORDER BY id`); len(res.Rows) != 2 {
+		t.Fatalf("rows after delete = %d, want 2", len(res.Rows))
+	}
+	// The GSI must have followed: old entries gone, updated one present.
+	if res := mustExec(t, s, `SELECT id FROM dup WHERE v = 21`); len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 2 {
+		t.Fatalf("GSI lookup after dup-key update = %v", res.Rows)
+	}
+	if res := mustExec(t, s, `SELECT id FROM dup WHERE v = 30`); len(res.Rows) != 0 {
+		t.Fatalf("GSI entry for deleted row survived: %v", res.Rows)
 	}
 }

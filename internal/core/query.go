@@ -11,11 +11,11 @@ import (
 	"repro/internal/htap"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/partition"
 	"repro/internal/retry"
 	"repro/internal/sql"
 	"repro/internal/txn"
 	"repro/internal/types"
-	"repro/internal/wal"
 )
 
 // apMemRetry backs an AP query off briefly when its working-memory
@@ -29,8 +29,7 @@ type queryCtx struct {
 	s        *Session
 	tx       *txn.Tx       // TP reads (branch-scoped); nil in AP mode
 	snapshot hlc.Timestamp // AP snapshot
-	ap       bool
-	group    htap.Group // pool classification (isolation-off forces TP)
+	group    htap.Group    // pool classification (isolation-off forces TP)
 	mpp      bool
 	// analyze, when non-nil, requests EXPLAIN ANALYZE instrumentation:
 	// operator lowering wraps every node and records its rows-out and
@@ -84,7 +83,7 @@ func (s *Session) runPlan(plan *optimizer.Plan, analyze map[optimizer.Node]*obs.
 		return nil, err
 	}
 	defer release()
-	ctx := &queryCtx{s: s, ap: plan.IsAP, mpp: plan.MPP, analyze: analyze}
+	ctx := &queryCtx{s: s, mpp: plan.MPP, analyze: analyze}
 	ctx.group = htap.GroupTP
 	if plan.IsAP && !s.cn.cluster.cfg.IsolationOff {
 		ctx.group = htap.GroupAP
@@ -128,9 +127,9 @@ func (s *Session) runPlan(plan *optimizer.Plan, analyze map[optimizer.Node]*obs.
 	// jobs in the classified pool (quota-gated for AP, §VI-D); the final
 	// merge pulls from their bounded exchange queues on this goroutine,
 	// so a blocked consumer can never starve the workers its producers
-	// need. AP plans default to the vectorized batch engine; row mode
-	// remains the TP path and the Config.VectorizedOff baseline.
-	if plan.Vectorized {
+	// need. AP plans run on the vectorized batch engine, TP plans on the
+	// row operators.
+	if plan.IsAP {
 		root, err := s.cn.buildBatchOperator(plan.Root, ctx)
 		if err != nil {
 			return nil, err
@@ -224,10 +223,9 @@ func aggSpecs(items []optimizer.AggItem) []executor.AggSpec {
 	return out
 }
 
-// buildAgg lowers aggregation, using the MPP two-phase split when the
-// input is a scan: per-shard fragments compute partial aggregates near
-// the data (or fully inside the column index), and the coordinator
-// merges (§VI-C).
+// buildAgg lowers aggregation, using the two-phase split when the input
+// is a scan: per-shard fragments compute partial aggregates near the
+// data, and the coordinator merges (§VI-C).
 func (cn *CN) buildAgg(n *optimizer.AggNode, ctx *queryCtx) (executor.Operator, error) {
 	scan, scanInput := n.Input.(*optimizer.ScanNode)
 	if n.TwoPhase && scanInput && len(scan.PointLookups) == 0 && scan.GSI == nil {
@@ -249,19 +247,9 @@ func (cn *CN) buildTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNode, c
 			shards = append(shards, i)
 		}
 	}
-	pushed := cn.pushableAgg(n, scan, ctx)
-	scheds := []*htap.Scheduler{cn.sched}
-	if ctx.mpp {
-		// MPP: spread fragments across every CN's scheduler (§VI-C Task
-		// Scheduler distributing tasks to CN nodes).
-		scheds = nil
-		for _, other := range cn.cluster.CNs() {
-			scheds = append(scheds, other.sched)
-		}
-	}
 	var assignments []executor.FragmentAssignment
-	for i, shard := range shards {
-		src, err := cn.shardSource(scan, shard, ctx, pushed)
+	for _, shard := range shards {
+		src, err := cn.shardSource(scan, shard, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -272,13 +260,11 @@ func (cn *CN) buildTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNode, c
 			// source; the shared slot sums rows across shards.
 			frag = executor.Instrument(src, st)
 		}
-		if pushed == nil {
-			// Partial aggregation runs in the fragment, near its shard.
-			frag = &executor.HashAgg{Input: frag, GroupBy: n.GroupBy,
-				Aggs: aggSpecs(n.Aggs), Mode: executor.AggPartial}
-		}
+		// Partial aggregation runs in the fragment, near its shard.
 		assignments = append(assignments, executor.FragmentAssignment{
-			Op: frag, Sched: scheds[i%len(scheds)],
+			Op: &executor.HashAgg{Input: frag, GroupBy: n.GroupBy,
+				Aggs: aggSpecs(n.Aggs), Mode: executor.AggPartial},
+			Sched: cn.sched,
 		})
 	}
 	gather := executor.RunFragments(ctx.group, assignments)
@@ -298,10 +284,10 @@ func finalGroupRefs(k int) []sql.Expr {
 }
 
 // pushableAgg decides whether the whole partial aggregation can be
-// pushed into the column index (§VI-E): AP column-index scan, group-by
-// and aggregate arguments all plain schema columns, no DISTINCT.
-func (cn *CN) pushableAgg(n *optimizer.AggNode, scan *optimizer.ScanNode, ctx *queryCtx) *dn.PushAgg {
-	if !ctx.ap || !scan.UseColumnIndex {
+// pushed into the column index (§VI-E): column-index scan, group-by and
+// aggregate arguments all plain schema columns, no DISTINCT.
+func (cn *CN) pushableAgg(n *optimizer.AggNode, scan *optimizer.ScanNode) *dn.PushAgg {
+	if !scan.UseColumnIndex {
 		return nil
 	}
 	pa := &dn.PushAgg{}
@@ -367,22 +353,15 @@ func (cn *CN) buildPartitionWiseJoin(n *optimizer.JoinNode, ctx *queryCtx) (exec
 	if ls.Table.Shards != rs.Table.Shards {
 		return nil, false, nil
 	}
-	scheds := []*htap.Scheduler{cn.sched}
-	if ctx.mpp {
-		scheds = nil
-		for _, other := range cn.cluster.CNs() {
-			scheds = append(scheds, other.sched)
-		}
-	}
 	var assignments []executor.FragmentAssignment
 	for shard := 0; shard < ls.Table.Shards; shard++ {
 		var leftSrc, rightSrc executor.Operator
 		var err error
-		leftSrc, err = cn.shardSource(ls, shard, ctx, nil)
+		leftSrc, err = cn.shardSource(ls, shard, ctx)
 		if err != nil {
 			return nil, false, err
 		}
-		rightSrc, err = cn.shardSource(rs, shard, ctx, nil)
+		rightSrc, err = cn.shardSource(rs, shard, ctx)
 		if err != nil {
 			return nil, false, err
 		}
@@ -395,8 +374,7 @@ func (cn *CN) buildPartitionWiseJoin(n *optimizer.JoinNode, ctx *queryCtx) (exec
 		frag := &executor.HashJoin{Left: leftSrc, Right: rightSrc,
 			LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
 			Residual: n.On, Outer: n.Outer}
-		assignments = append(assignments, executor.FragmentAssignment{
-			Op: frag, Sched: scheds[shard%len(scheds)]})
+		assignments = append(assignments, executor.FragmentAssignment{Op: frag, Sched: cn.sched})
 	}
 	g := executor.RunFragments(ctx.group, assignments)
 	g.Cols = n.Columns()
@@ -415,7 +393,7 @@ func (cn *CN) buildScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.Opera
 		return executor.NewRowsSource(cols, rows), nil
 	}
 	if len(scan.PointLookups) > 0 {
-		rows, err := cn.pointRows(scan, ctx)
+		rows, err := cn.pointRows(ctx, scan.Table, scan.PointLookups, scan.Filter, true)
 		if err != nil {
 			return nil, err
 		}
@@ -427,49 +405,21 @@ func (cn *CN) buildScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.Opera
 			shards = append(shards, i)
 		}
 	}
-	if ctx.tx != nil {
-		if len(shards) == 1 || cn.cluster.cfg.NoBatch {
-			// Single shard, or legacy mode: sequential shard scans inside
-			// the transaction.
-			inputs := make([]executor.Operator, 0, len(shards))
-			for _, shard := range shards {
-				src, err := cn.shardSource(scan, shard, ctx, nil)
-				if err != nil {
-					return nil, err
-				}
-				inputs = append(inputs, src)
-			}
-			if len(inputs) == 1 {
-				return inputs[0], nil
-			}
-			return &executor.Gather{Cols: cols, Inputs: inputs}, nil
-		}
-		// TP fast path: fan the shard scans out in parallel under the
-		// transaction (one branch RPC per shard, concurrently — the same
-		// shape as the 2PC prepare fan-out), so a multi-shard TP statement
-		// pays one round trip, not one per shard.
-		fetched := false
-		return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
-			if fetched {
-				return nil, nil
-			}
-			fetched = true
-			return cn.parallelTxScan(scan, shards, ctx)
-		}}, nil
+	if len(shards) == 1 {
+		return cn.shardSource(scan, shards[0], ctx)
 	}
-	// AP path: each shard fetch is a scheduled fragment so the CN's
-	// quota gates the heavy work.
-	var assignments []executor.FragmentAssignment
-	for _, shard := range shards {
-		src, err := cn.shardSource(scan, shard, ctx, nil)
-		if err != nil {
-			return nil, err
+	// Fan the shard scans out in parallel under the transaction (one
+	// branch RPC per shard, concurrently — the same shape as the 2PC
+	// prepare fan-out), so a multi-shard TP statement pays one round trip,
+	// not one per shard.
+	fetched := false
+	return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
+		if fetched {
+			return nil, nil
 		}
-		assignments = append(assignments, executor.FragmentAssignment{Op: src, Sched: cn.sched})
-	}
-	g := executor.RunFragments(ctx.group, assignments)
-	g.Cols = cols
-	return g, nil
+		fetched = true
+		return cn.parallelTxScan(scan, shards, ctx)
+	}}, nil
 }
 
 // parallelTxScan runs one branch-scoped ScanReq per shard concurrently
@@ -515,167 +465,111 @@ func (cn *CN) parallelTxScan(scan *optimizer.ScanNode, shards []int, ctx *queryC
 	return out, nil
 }
 
-// pointGroup collects one DN's share of a multi-point statement,
-// remembering each key's position in statement order.
+// pointGroup collects one DN's share of a multi-point read, remembering
+// each key's position in the caller's key order.
 type pointGroup struct {
 	dn   string
 	gets []dn.PointGet
 	pos  []int
 }
 
-// pointRows fetches the scan's pinned primary keys. Fast path: keys are
-// grouped by owning DN and each group goes out as ONE MultiGet RPC, all
-// DNs in parallel — a statement touching K keys on N DNs pays N round
-// trips instead of K (the Fig. 7 point-read path). Results are
-// reassembled in statement key order, so output matches the per-key path
-// exactly.
-func (cn *CN) pointRows(scan *optimizer.ScanNode, ctx *queryCtx) ([]types.Row, error) {
-	if cn.cluster.cfg.NoBatch {
-		return cn.pointRowsSeq(scan, ctx)
-	}
-	groups := make(map[string]*pointGroup)
-	var order []*pointGroup // deterministic first-seen fan-out order
-	for k, pk := range scan.PointLookups {
-		shard := scan.Table.ShardOfPK(pk)
-		dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
+// pointGets reads primary keys of one table: one ReadResp per key, in
+// key order. Keys are grouped by owning DN and each group goes out as ONE
+// MultiGet RPC, all DNs in parallel — K keys on N DNs cost N round trips
+// (the Fig. 7 point-read path). Every multi-point read of the CN comes
+// through here: SELECT by primary key, the row fetch of UPDATE/DELETE, and
+// the base-row fetch behind a non-clustered global index.
+func (cn *CN) pointGets(ctx *queryCtx, t *partition.Table, pks [][]byte, recordLoad bool) ([]dn.ReadResp, error) {
+	var groups []pointGroup // first-seen DN order (deterministic fan-out)
+	for k, pk := range pks {
+		shard := t.ShardOfPK(pk)
+		dnName, err := cn.cluster.GMS.DNForShard(t.Name, shard)
 		if err != nil {
 			return nil, err
 		}
-		cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
-		g := groups[dnName]
-		if g == nil {
-			g = &pointGroup{dn: dnName}
-			groups[dnName] = g
-			order = append(order, g)
+		if recordLoad {
+			cn.cluster.GMS.RecordLoad(t.Name, shard, 1)
 		}
-		g.gets = append(g.gets, dn.PointGet{Table: scan.Table.PhysicalTableID(shard), PK: pk})
-		g.pos = append(g.pos, k)
-	}
-	// results is indexed by statement key position; concurrent fetches
-	// write disjoint entries.
-	results := make([]dn.ReadResp, len(scan.PointLookups))
-	fetch := func(g *pointGroup) error {
-		var rs []dn.ReadResp
-		var err error
-		if ctx.tx != nil {
-			rs, err = ctx.tx.MultiGet(g.dn, g.gets)
-		} else {
-			target, minLSN := cn.apTarget(ctx, g.dn)
-			if target == g.dn {
-				// No RO: read through an ephemeral branch on the leader.
-				tmp, terr := cn.coord.Begin()
-				if terr != nil {
-					return terr
-				}
-				rs, err = tmp.MultiGet(g.dn, g.gets)
-				_ = tmp.Abort()
-			} else {
-				rs, err = cn.coord.MultiGetRO(target, g.gets, ctx.snapshot, minLSN)
+		g := -1
+		for i := range groups {
+			if groups[i].dn == dnName {
+				g = i
+				break
 			}
 		}
-		if err != nil {
-			return err
+		if g < 0 {
+			g = len(groups)
+			groups = append(groups, pointGroup{dn: dnName})
 		}
-		for i, r := range rs {
-			results[g.pos[i]] = r
-		}
-		return nil
+		groups[g].gets = append(groups[g].gets, dn.PointGet{Table: t.PhysicalTableID(shard), PK: pk})
+		groups[g].pos = append(groups[g].pos, k)
 	}
-	if len(order) == 1 {
-		if err := fetch(order[0]); err != nil {
-			return nil, err
-		}
-	} else {
-		errs := make(chan error, len(order))
-		for _, g := range order {
-			go func(g *pointGroup) { errs <- fetch(g) }(g)
-		}
-		var firstErr error
-		for range order {
-			if err := <-errs; err != nil && firstErr == nil {
-				firstErr = err
+	if len(groups) == 1 {
+		// One DN owns every key: its reply is the answer, already in key order.
+		return ctx.target(groups[0].dn).multiGet(groups[0].gets)
+	}
+	// results is indexed by key position; concurrent fetches write
+	// disjoint entries.
+	results := make([]dn.ReadResp, len(pks))
+	errs := make(chan error, len(groups))
+	for i := range groups {
+		go func(g *pointGroup) {
+			rs, err := ctx.target(g.dn).multiGet(g.gets)
+			for i, r := range rs {
+				results[g.pos[i]] = r
 			}
+			errs <- err
+		}(&groups[i])
+	}
+	var firstErr error
+	for range groups {
+		if err := <-errs; err != nil && firstErr == nil {
+			firstErr = err
 		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return results, nil
+}
+
+// pointRows is pointGets reduced to the rows that exist and pass filter
+// (the residual conditions of a WHERE beyond its primary-key part).
+func (cn *CN) pointRows(ctx *queryCtx, t *partition.Table, pks [][]byte, filter sql.Expr, recordLoad bool) ([]types.Row, error) {
+	results, err := cn.pointGets(ctx, t, pks, recordLoad)
+	if err != nil {
+		return nil, err
 	}
 	var out []types.Row
 	for _, r := range results {
 		if !r.OK {
 			continue
 		}
-		// The pushed filter may carry residual conditions beyond the PK.
-		if scan.Filter != nil {
-			v, err := sql.Eval(scan.Filter, r.Row)
-			if err != nil {
-				return nil, err
-			}
-			if !v.IsTruthy() {
-				continue
-			}
+		if ok, err := passes(filter, r.Row); err != nil {
+			return nil, err
+		} else if ok {
+			out = append(out, r.Row)
 		}
-		out = append(out, r.Row)
 	}
 	return out, nil
 }
 
-// pointRowsSeq is the legacy per-key path (Config.NoBatch): one RPC per
-// key, kept as the equivalence baseline for the fast path.
-func (cn *CN) pointRowsSeq(scan *optimizer.ScanNode, ctx *queryCtx) ([]types.Row, error) {
-	var out []types.Row
-	for _, pk := range scan.PointLookups {
-		shard := scan.Table.ShardOfPK(pk)
-		dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
-		if err != nil {
-			return nil, err
-		}
-		cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
-		var row types.Row
-		var ok bool
-		if ctx.tx != nil {
-			row, ok, err = ctx.tx.Get(dnName, scan.Table.PhysicalTableID(shard), pk)
-		} else {
-			target, minLSN := cn.apTarget(ctx, dnName)
-			if target == dnName {
-				// No RO: read through an ephemeral branch on the leader.
-				tmp, terr := cn.coord.Begin()
-				if terr != nil {
-					return nil, terr
-				}
-				row, ok, err = tmp.Get(dnName, scan.Table.PhysicalTableID(shard), pk)
-				_ = tmp.Abort()
-			} else {
-				row, ok, err = cn.coord.ReadRO(target, scan.Table.PhysicalTableID(shard), pk, ctx.snapshot, minLSN)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		// The pushed filter may carry residual conditions beyond the PK.
-		if scan.Filter != nil {
-			v, err := sql.Eval(scan.Filter, row)
-			if err != nil {
-				return nil, err
-			}
-			if !v.IsTruthy() {
-				continue
-			}
-		}
-		out = append(out, row)
+// passes evaluates a residual filter (nil = none) against a row.
+func passes(filter sql.Expr, row types.Row) (bool, error) {
+	if filter == nil {
+		return true, nil
 	}
-	return out, nil
+	v, err := sql.Eval(filter, row)
+	return err == nil && v.IsTruthy(), err
 }
 
 // gsiRows executes a scan routed through a global secondary index
 // (§II-B): read the pinned hidden-table shard by prefix range, then
 // either remap clustered index rows straight into base layout or fetch
-// base rows by primary key (scattered reads). The original filter runs
-// against the reconstructed base rows (the GSI equality prefix is
-// implied by the lookup; residual conditions still apply).
+// base rows by primary key (scattered reads, batched per DN). The
+// original filter runs against the reconstructed base rows (the GSI
+// equality prefix is implied by the lookup; residual conditions still
+// apply).
 func (cn *CN) gsiRows(scan *optimizer.ScanNode, ctx *queryCtx) ([]types.Row, error) {
 	gi := scan.GSI
 	shard := gi.ShardOfIndexedValues(scan.GSIVals...)
@@ -685,194 +579,139 @@ func (cn *CN) gsiRows(scan *optimizer.ScanNode, ctx *queryCtx) ([]types.Row, err
 	}
 	cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
 	start := types.EncodeKey(nil, scan.GSIVals...)
-	end := types.PrefixSuccessor(start)
-
-	fetch := func(table uint32, target string, req dn.ScanReq) ([]types.Row, error) {
-		if ctx.tx != nil {
-			req.Table = table
-			return ctx.tx.ScanReq(dnName, req)
-		}
-		if target == dnName {
-			tmp, err := cn.coord.Begin()
-			if err != nil {
-				return nil, err
-			}
-			defer tmp.Abort()
-			req.Table = table
-			return tmp.ScanReq(dnName, req)
-		}
-		return cn.coord.ScanROReq(target, dn.ROScanReq{
-			Table: table, Start: req.Start, End: req.End,
-			SnapshotTS: ctx.snapshot, MinLSN: ctx.s.minLSNFor(dnName),
-		})
-	}
-	target := dnName
-	if ctx.tx == nil {
-		target, _ = cn.apTarget(ctx, dnName)
-	}
-	irows, err := fetch(gi.PhysicalTableID(shard), target, dn.ScanReq{Start: start, End: end})
+	resp, err := ctx.target(dnName).scan(dn.ROScanReq{
+		Table: gi.PhysicalTableID(shard), Start: start, End: types.PrefixSuccessor(start),
+	})
 	if err != nil {
 		return nil, err
 	}
-
 	var out []types.Row
-	keep := func(row types.Row) (bool, error) {
-		if scan.Filter == nil {
-			return true, nil
-		}
-		v, err := sql.Eval(scan.Filter, row)
-		if err != nil {
-			return false, err
-		}
-		return v.IsTruthy(), nil
-	}
-	for _, irow := range irows {
-		if base, ok := gi.BaseRowFromIndexRow(scan.Table, irow); ok {
-			// Clustered: every column is in the index row.
-			if ok2, err := keep(base); err != nil {
-				return nil, err
-			} else if ok2 {
-				out = append(out, base)
-			}
+	var pks [][]byte
+	for _, irow := range resp.Rows {
+		base, ok := gi.BaseRowFromIndexRow(scan.Table, irow)
+		if !ok {
+			// Non-clustered: the base row is a scattered read by primary
+			// key; an index entry whose row was deleted since finds nothing.
+			pks = append(pks, types.EncodeKey(nil, gi.BasePKFromIndexRow(scan.Table, irow)...))
 			continue
 		}
-		// Non-clustered: scattered read of the base row by primary key.
-		pkVals := gi.BasePKFromIndexRow(scan.Table, irow)
-		pk := types.EncodeKey(nil, pkVals...)
-		bshard := scan.Table.ShardOfPK(pk)
-		bdn, err := cn.cluster.GMS.DNForShard(scan.Table.Name, bshard)
+		// Clustered: every column is in the index row.
+		if ok, err := passes(scan.Filter, base); err != nil {
+			return nil, err
+		} else if ok {
+			out = append(out, base)
+		}
+	}
+	if len(pks) > 0 {
+		rows, err := cn.pointRows(ctx, scan.Table, pks, scan.Filter, false)
 		if err != nil {
 			return nil, err
 		}
-		var row types.Row
-		var found bool
-		if ctx.tx != nil {
-			row, found, err = ctx.tx.Get(bdn, scan.Table.PhysicalTableID(bshard), pk)
-		} else {
-			btarget, minLSN := cn.apTarget(ctx, bdn)
-			if btarget == bdn {
-				tmp, terr := cn.coord.Begin()
-				if terr != nil {
-					return nil, terr
-				}
-				row, found, err = tmp.Get(bdn, scan.Table.PhysicalTableID(bshard), pk)
-				_ = tmp.Abort()
-			} else {
-				row, found, err = cn.coord.ReadRO(btarget, scan.Table.PhysicalTableID(bshard), pk, ctx.snapshot, minLSN)
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			continue // index entry for a row deleted since (verified out)
-		}
-		if ok2, err := keep(row); err != nil {
-			return nil, err
-		} else if ok2 {
-			out = append(out, row)
-		}
+		out = append(out, rows...)
 	}
 	return out, nil
 }
 
-// apTarget picks the replica serving AP reads for a DN group: a
-// dedicated RO (round-robin) if configured, else the leader itself
-// (Fig. 9 configs 1-2).
-func (cn *CN) apTarget(ctx *queryCtx, dnName string) (string, wal.LSN) {
+// readTarget is the node serving one statement's reads of one DN group.
+// The choice is made here and nowhere else:
+//   - a TP statement reads through its transaction's branch on the
+//     group leader;
+//   - an AP statement reads an RO replica (round-robin) at the AP
+//     snapshot, no earlier than the session's last write to the group;
+//   - with no replica enabled for AP (Fig. 9 configs 1-2) it reads the
+//     leader through an ephemeral branch.
+type readTarget struct {
+	ctx *queryCtx
+	dn  string // group leader
+	ro  string // AP replica; "" = read the leader
+}
+
+// target picks the node serving this statement's reads of a DN group.
+func (ctx *queryCtx) target(dnName string) readTarget {
+	rt := readTarget{ctx: ctx, dn: dnName}
+	if ctx.tx != nil {
+		return rt
+	}
+	cn := ctx.s.cn
 	c := cn.cluster
 	c.mu.Lock()
-	targets := c.apTargets[dnName]
-	var target string
-	if len(targets) > 0 {
-		target = targets[int(cn.roCounter.Add(1))%len(targets)]
+	if targets := c.apTargets[dnName]; len(targets) > 0 {
+		rt.ro = targets[int(cn.roCounter.Add(1))%len(targets)]
 	}
 	c.mu.Unlock()
-	if target == "" {
-		return dnName, 0
+	return rt
+}
+
+// leaderTx returns the transaction that reads the leader: the statement's
+// own, or — AP on the leader — an ephemeral one, which release aborts.
+func (rt readTarget) leaderTx() (*txn.Tx, error) {
+	if tx := rt.ctx.tx; tx != nil {
+		return tx, nil
 	}
-	return target, ctx.s.minLSNFor(dnName)
+	return rt.ctx.s.cn.coord.Begin()
+}
+
+func (rt readTarget) release(tx *txn.Tx) {
+	if tx != rt.ctx.tx {
+		_ = tx.Abort()
+	}
+}
+
+// multiGet reads a batch of keys owned by the group in one round trip.
+func (rt readTarget) multiGet(gets []dn.PointGet) ([]dn.ReadResp, error) {
+	ctx := rt.ctx
+	if rt.ro != "" {
+		return ctx.s.cn.coord.MultiGetRO(rt.ro, gets, ctx.snapshot, ctx.s.minLSNFor(rt.dn), ctx.s.deadline())
+	}
+	tx, err := rt.leaderTx()
+	if err != nil {
+		return nil, err
+	}
+	defer rt.release(tx)
+	return tx.MultiGet(rt.dn, gets)
+}
+
+// scan runs a pushdown scan of one physical table of the group. The
+// leader's row store serves range, filter and projection; column-index
+// scans, pushed aggregation and columnar replies exist on replicas only.
+func (rt readTarget) scan(req dn.ROScanReq) (dn.ScanResp, error) {
+	ctx := rt.ctx
+	if rt.ro != "" {
+		req.SnapshotTS, req.MinLSN = ctx.snapshot, ctx.s.minLSNFor(rt.dn)
+		return ctx.s.cn.coord.ScanRO(rt.ro, req, ctx.s.deadline())
+	}
+	tx, err := rt.leaderTx()
+	if err != nil {
+		return dn.ScanResp{}, err
+	}
+	defer rt.release(tx)
+	rows, err := tx.ScanReq(rt.dn, dn.ScanReq{
+		Table: req.Table, Start: req.Start, End: req.End,
+		Filter: req.Filter, Projection: req.Projection,
+	})
+	return dn.ScanResp{Rows: rows}, err
 }
 
 // shardSource builds the row source for one shard of a scan, with
-// filter/projection pushdown and (for AP column-index scans) optional
-// pushed aggregation.
-func (cn *CN) shardSource(scan *optimizer.ScanNode, shard int, ctx *queryCtx, pushed *dn.PushAgg) (executor.Operator, error) {
+// filter/projection pushdown.
+func (cn *CN) shardSource(scan *optimizer.ScanNode, shard int, ctx *queryCtx) (executor.Operator, error) {
 	dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
 	if err != nil {
 		return nil, err
 	}
 	cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
-	physTable := scan.Table.PhysicalTableID(shard)
-	cols := scan.Columns()
-
-	if ctx.tx != nil {
-		// TP path: branch-scoped scan on the RW leader.
-		fetched := false
-		return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
-			if fetched {
-				return nil, nil
-			}
-			fetched = true
-			rows, err := ctx.tx.ScanReq(dnName, dn.ScanReq{
-				Table: physTable, Filter: scan.Filter, Projection: scan.Projection,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if rows == nil {
-				rows = []types.Row{}
-			}
-			return rows, nil
-		}}, nil
-	}
-
-	// AP path: snapshot read on the AP target (RO or leader).
-	target, minLSN := cn.apTarget(ctx, dnName)
+	rt := ctx.target(dnName)
 	req := dn.ROScanReq{
-		Table: physTable, SnapshotTS: ctx.snapshot, MinLSN: minLSN,
+		Table:  scan.Table.PhysicalTableID(shard),
 		Filter: scan.Filter, Projection: scan.Projection,
-		UseColumnIndex: scan.UseColumnIndex, Aggregate: pushed,
-	}
-	if target == dnName {
-		// AP load routed to the RW leader (shared-resource configs):
-		// scan through an ephemeral branch.
-		fetched := false
-		return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
-			if fetched {
-				return nil, nil
-			}
-			fetched = true
-			tmp, err := cn.coord.Begin()
-			if err != nil {
-				return nil, err
-			}
-			defer tmp.Abort()
-			rows, err := tmp.ScanReq(dnName, dn.ScanReq{
-				Table: physTable, Filter: scan.Filter, Projection: scan.Projection,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if rows == nil {
-				rows = []types.Row{}
-			}
-			return rows, nil
-		}}, nil
 	}
 	fetched := false
-	return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
+	return &executor.CallbackSource{Cols: scan.Columns(), Fetch: func() ([]types.Row, error) {
 		if fetched {
 			return nil, nil
 		}
 		fetched = true
-		rows, err := cn.coord.ScanROReq(target, req)
-		if err != nil {
-			return nil, err
-		}
-		if rows == nil {
-			rows = []types.Row{}
-		}
-		return rows, nil
+		resp, err := rt.scan(req)
+		return resp.Rows, err
 	}}, nil
 }

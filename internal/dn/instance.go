@@ -79,14 +79,8 @@ type Config struct {
 	// spuriously aborted by presumed-abort resolution.
 	InDoubtAfter time.Duration
 
-	// CompressionOff disables the compression stack end to end on this
-	// instance: Paxos frames ship raw, and column indexes enabled on the
-	// instance's RO replicas store raw vectors (the exact pre-encoding
-	// layout). Compression is on by default.
-	CompressionOff bool
-
-	// Metrics, when non-nil, receives the instance's instruments
-	// (currently the Paxos quorum-wait histogram).
+	// Metrics, when non-nil, receives the instance's instruments (the
+	// Paxos quorum-wait histogram, deadline refusals, RO evictions).
 	Metrics *obs.Registry
 	// TimeSource drives the in-doubt sweep's timers (nil = wall time);
 	// chaos tests inject a FakeClock to step through recovery windows.
@@ -183,6 +177,8 @@ type Instance struct {
 	// mDeadline counts requests refused or unparked because their
 	// statement deadline expired (nil-safe).
 	mDeadline *obs.Counter
+	// mROEvicted counts replicas kicked out of the redo feed (nil-safe).
+	mROEvicted *obs.Counter
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -215,6 +211,7 @@ func NewInstance(cfg Config) (*Instance, error) {
 		finished:    make(map[uint64]finishedTxn),
 		inDoubtSeen: make(map[uint64]time.Time),
 		mDeadline:   cfg.Metrics.Counter("deadline.exceeded"),
+		mROEvicted:  cfg.Metrics.Counter("dn.ro_evicted"),
 		done:        make(chan struct{}),
 	}
 	inst.applier = storage.NewApplier(inst.eng)
@@ -238,7 +235,6 @@ func NewInstance(cfg Config) (*Instance, error) {
 		GroupCommitWindow: gcWindow,
 		GroupCommitBytes:  cfg.GroupCommitBytes,
 		FlushDelay:        cfg.FlushDelay,
-		NoCompress:        cfg.CompressionOff,
 		OnApply:           inst.onApply,
 		Clock:             cfg.TimeSource,
 		Metrics:           cfg.Metrics,
@@ -439,11 +435,16 @@ func (i *Instance) purgeRedo(dlsn wal.LSN) {
 	if m := i.node.MinPeerMatch(); m < bound {
 		bound = m
 	}
-	if m := i.MinROAck(); m < bound {
-		bound = m
-	}
 	if oldest, dirty := i.eng.Pool().OldestDirtyLSN(); dirty && oldest < bound {
 		bound = oldest
+	}
+	// i.mu is held from the replica floor through the purge: AddRO takes
+	// BaseLSN as a new replica's cursor under the same lock, so no purge
+	// lands above a cursor it did not see.
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	if m := i.minROAckLocked(dlsn); m < bound {
+		bound = m
 	}
 	log := i.node.Log()
 	if bound > log.BaseLSN() && bound <= log.FlushedLSN() {

@@ -33,28 +33,32 @@ type RO struct {
 	// exceeds the limit.
 	applyDelay atomic.Int64 // nanoseconds per batch
 
+	// ingestMu serialises ingest from the in-order check through apply and
+	// publish: simnet delivers every shipped batch on its own goroutine,
+	// and two batches applying concurrently would apply redo out of order
+	// and move applied backwards.
+	ingestMu sync.Mutex
+	ingests  uint64 // guarded by ingestMu
+
 	mu      sync.Mutex
-	applied wal.LSN
-	expect  wal.LSN // next expected stream offset
-	waiters []roWaiter
+	applied wal.LSN // monotonic; also the next expected stream offset
+	// wake, when non-nil, is closed on the next change of applied or
+	// stopped; readers parked in waitApplied hold it.
+	wake chan struct{}
+	// stopped is set when the replica is no longer fed: its instance
+	// stopped, or the instance evicted it.
 	stopped bool
-	ingests uint64
 
 	// colBuilder, when non-nil, maintains in-memory column indexes fed
 	// from the applied redo stream (§VI-E).
 	colBuilder atomic.Pointer[colindex.Builder]
 	// svc is this replica's own service-capacity model.
 	svc *svcModel
-	// compressOff propagates the instance's CompressionOff setting to
-	// column indexes enabled on this replica; metrics receives their
-	// encoded-scan counters.
-	compressOff bool
-	metrics     *obs.Registry
-}
-
-type roWaiter struct {
-	lsn wal.LSN
-	ch  chan struct{}
+	// metrics receives the encoded-scan counters of column indexes
+	// enabled on this replica; mDeadline counts reads refused or unparked
+	// because their statement deadline expired (nil-safe).
+	metrics   *obs.Registry
+	mDeadline *obs.Counter
 }
 
 // roAppendMsg ships raw redo [Start, Start+len(Bytes)) to an RO.
@@ -63,10 +67,13 @@ type roAppendMsg struct {
 	Bytes []byte
 }
 
-// roAck reports the RO's applied offset back to the instance.
+// roAck reports the RO's applied offset back to the instance. Rewind
+// asks the shipper to resume from that offset: the batch just received
+// could not be applied there.
 type roAck struct {
 	From    string
 	Applied wal.LSN
+	Rewind  bool
 }
 
 // AddRO attaches a new read-only replica to the instance. Because the
@@ -76,12 +83,12 @@ type roAck struct {
 // seconds, not hours — the §II/§VII-C scalable-reads claim.)
 func (i *Instance) AddRO(name string) (*RO, error) {
 	ro := &RO{
-		name:        name,
-		dc:          i.cfg.DC,
-		net:         i.cfg.Net,
-		eng:         storage.NewEngine(),
-		compressOff: i.cfg.CompressionOff,
-		metrics:     i.cfg.Metrics,
+		name:      name,
+		dc:        i.cfg.DC,
+		net:       i.cfg.Net,
+		eng:       storage.NewEngine(),
+		metrics:   i.cfg.Metrics,
+		mDeadline: i.cfg.Metrics.Counter("deadline.exceeded"),
 	}
 	ro.svc = newSvcModel(i.cfg.ServiceRate, 0)
 	ro.ap = storage.NewApplier(ro.eng)
@@ -105,7 +112,6 @@ func (i *Instance) AddRO(name string) (*RO, error) {
 	i.roCur[name] = base
 	i.roAck[name] = base
 	ro.mu.Lock()
-	ro.expect = base
 	ro.applied = base
 	ro.mu.Unlock()
 	return ro, nil
@@ -156,59 +162,86 @@ func (i *Instance) shipToROs() {
 	// Only redo below DLSN is safe to expose to readers: beyond it the
 	// records could be truncated after a leader change (§III).
 	limit := i.node.DLSN()
-	i.mu.Lock()
-	type job struct {
-		name string
-		from wal.LSN
+	type batch struct {
+		to  string
+		msg roAppendMsg
 	}
-	var jobs []job
+	var batches []batch
+	// The redo is read under i.mu: purgeRedo holds it too and stays below
+	// every live replica's ack, so a range starting at or above the ack
+	// cannot be purged between choosing it and reading it.
+	i.mu.Lock()
 	for _, ro := range i.ros {
 		name := ro.name
 		if i.evicted[name] {
 			continue
 		}
-		cur := i.roCur[name]
+		// After a rewind the cursor can trail the ack (a batch in flight
+		// took the replica further); what the replica holds is not re-sent.
+		cur := max(i.roCur[name], i.roAck[name])
 		if cur >= limit {
 			continue
 		}
 		// Eviction check: lag beyond the limit gets the replica kicked.
 		if limit-i.roAck[name] > i.cfg.ROLagLimit {
-			i.evicted[name] = true
+			i.evictLocked(ro)
 			continue
 		}
-		jobs = append(jobs, job{name: name, from: cur})
+		raw, err := log.ReadBytes(cur, limit)
+		if err != nil {
+			// The redo this replica still needs is gone (it attached below
+			// the purge base): it can never catch up.
+			i.evictLocked(ro)
+			continue
+		}
+		// The cursor moves only past bytes actually read.
 		i.roCur[name] = limit
+		batches = append(batches, batch{to: name, msg: roAppendMsg{Start: cur, Bytes: raw}})
 	}
 	i.mu.Unlock()
-
-	for _, j := range jobs {
-		raw, err := log.ReadBytes(j.from, limit)
-		if err != nil {
-			continue
-		}
-		i.cfg.Net.Send(i.cfg.Name, j.name, roAppendMsg{Start: j.from, Bytes: raw}, nil)
+	for _, b := range batches {
+		i.cfg.Net.Send(i.cfg.Name, b.to, b.msg, nil)
 	}
 }
 
-// handleROAck ingests a replica's applied offset.
+// evictLocked kicks a replica out of the redo feed: it stops bounding log
+// purge, receives no more redo, and its parked readers fail. Caller
+// holds i.mu.
+func (i *Instance) evictLocked(ro *RO) {
+	i.evicted[ro.name] = true
+	i.mROEvicted.Inc()
+	ro.halt()
+}
+
+// handleROAck ingests a replica's applied offset. simnet may deliver
+// acks out of order, so the offset only ever moves up, and a rewind
+// request resumes shipping from the highest offset the replica is known
+// to hold — never from a stale lower one, whose redo the higher ack
+// already allowed to be purged.
 func (i *Instance) handleROAck(m roAck) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if m.Applied > i.roAck[m.From] {
 		i.roAck[m.From] = m.Applied
 	}
-	// A rewind request (gap) moves the cursor back.
-	if m.Applied < i.roCur[m.From] {
-		i.roCur[m.From] = m.Applied
+	if m.Rewind && i.roAck[m.From] < i.roCur[m.From] {
+		i.roCur[m.From] = i.roAck[m.From]
 	}
 }
 
 // MinROAck returns the lowest applied LSN across live replicas — the
 // log-purge bound of §II-C step 8.
 func (i *Instance) MinROAck() wal.LSN {
+	dlsn := i.node.DLSN()
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	min := i.node.DLSN()
+	return i.minROAckLocked(dlsn)
+}
+
+// minROAckLocked is MinROAck with ceiling as the answer when no live
+// replica is below it. Caller holds i.mu.
+func (i *Instance) minROAckLocked(ceiling wal.LSN) wal.LSN {
+	min := ceiling
 	for _, ro := range i.ros {
 		if i.evicted[ro.name] {
 			continue
@@ -240,29 +273,52 @@ func (r *RO) appliedLSN() wal.LSN {
 	return r.applied
 }
 
-func (r *RO) stop() {
+// halt marks the replica as no longer fed and wakes parked readers,
+// which then fail with ErrStopped.
+func (r *RO) halt() {
 	r.mu.Lock()
 	r.stopped = true
-	ws := r.waiters
-	r.waiters = nil
+	r.wakeLocked()
 	r.mu.Unlock()
-	for _, w := range ws {
-		close(w.ch)
+}
+
+// wakeLocked releases every reader parked in waitApplied. Caller holds
+// r.mu.
+func (r *RO) wakeLocked() {
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
 	}
+}
+
+func (r *RO) stop() {
+	r.halt()
 	r.net.Unregister(r.name)
 }
 
+// handle dispatches shipped redo and CN reads. Like the RW handler it
+// unwraps a Deadlined envelope first: expired requests are refused at the
+// door, and the deadline bounds the session-consistency wait.
 func (r *RO) handle(from string, msg any) (any, error) {
+	var deadline time.Time
+	if env, ok := msg.(Deadlined); ok {
+		deadline = env.Deadline
+		msg = env.Req
+		if !deadline.IsZero() && time.Until(deadline) <= 0 {
+			r.mDeadline.Add(1)
+			return nil, fmt.Errorf("dn: ro %s: %T: %w", r.name, msg, obs.ErrDeadlineExceeded)
+		}
+	}
 	switch m := msg.(type) {
 	case roAppendMsg:
 		r.ingest(from, m)
 		return nil, nil
 	case ROReadReq:
-		return r.read(m)
+		return r.read(m, deadline)
 	case ROMultiGetReq:
-		return r.multiGet(m)
+		return r.multiGet(m, deadline)
 	case ROScanReq:
-		return r.scan(m)
+		return r.scan(m, deadline)
 	case StatusReq:
 		return StatusResp{Name: r.name, TailLSN: r.appliedLSN()}, nil
 	default:
@@ -270,54 +326,43 @@ func (r *RO) handle(from string, msg any) (any, error) {
 	}
 }
 
-// ingest applies a shipped redo batch and acks the applied offset.
+// ingest applies a shipped redo batch and acks the applied offset. A
+// batch that starts at or below the applied offset and ends beyond it is
+// applied from the applied offset on (after a rewind the shipper re-sends
+// bytes that a batch still in flight may deliver first). A batch that
+// starts beyond it (simnet reordered two batches) or does not decode is
+// answered with a rewind request; a stale duplicate is only acked.
 func (r *RO) ingest(from string, m roAppendMsg) {
+	r.ingestMu.Lock()
+	defer r.ingestMu.Unlock()
 	if d := r.applyDelay.Load(); d > 0 {
 		time.Sleep(time.Duration(d))
 	}
-	r.mu.Lock()
-	if m.Start != r.expect {
-		// Out-of-order batch (a rewind already served it, or a gap):
-		// re-ack our position so the shipper realigns.
-		applied := r.applied
-		r.mu.Unlock()
-		r.net.Send(r.name, from, roAck{From: r.name, Applied: applied}, nil)
-		return
-	}
-	r.expect = m.Start + wal.LSN(len(m.Bytes))
-	r.mu.Unlock()
-
-	recs, err := wal.DecodeAll(m.Bytes)
-	if err == nil {
+	ack := roAck{From: r.name, Applied: r.appliedLSN()}
+	end := m.Start + wal.LSN(len(m.Bytes))
+	switch {
+	case m.Start > ack.Applied:
+		ack.Rewind = true
+	case end > ack.Applied:
+		recs, err := wal.DecodeAll(m.Bytes[ack.Applied-m.Start:])
+		if err != nil {
+			ack.Rewind = true
+			break
+		}
 		r.applyRecords(recs)
-	}
-	r.mu.Lock()
-	r.applied = m.Start + wal.LSN(len(m.Bytes))
-	r.ingests++
-	vacuumDue := r.ingests%256 == 0
-	var ready []roWaiter
-	remaining := r.waiters[:0]
-	for _, w := range r.waiters {
-		if w.lsn <= r.applied {
-			ready = append(ready, w)
-		} else {
-			remaining = append(remaining, w)
+		ack.Applied = end
+		r.mu.Lock()
+		r.applied = end
+		r.wakeLocked()
+		r.mu.Unlock()
+		if r.ingests++; r.ingests%256 == 0 {
+			// Replica-side MVCC GC. RO snapshots are not registered with
+			// the engine, so vacuum keeps a generous safety window: only
+			// history superseded more than vacuumWindow ago is reclaimed.
+			r.eng.Vacuum(hlc.New(hlc.WallClock()-vacuumWindowMs, 0))
 		}
 	}
-	r.waiters = remaining
-	applied := r.applied
-	r.mu.Unlock()
-	for _, w := range ready {
-		close(w.ch)
-	}
-	if vacuumDue {
-		// Replica-side MVCC GC. RO snapshots are not registered with the
-		// engine, so vacuum keeps a generous safety window: only history
-		// superseded more than vacuumWindow ago is reclaimed.
-		horizon := hlc.New(hlc.WallClock()-vacuumWindowMs, 0)
-		r.eng.Vacuum(horizon)
-	}
-	r.net.Send(r.name, from, roAck{From: r.name, Applied: applied}, nil)
+	r.net.Send(r.name, from, ack, nil)
 }
 
 // vacuumWindowMs bounds how far behind "now" an RO snapshot may lag and
@@ -351,21 +396,43 @@ func (r *RO) applyRecords(recs []wal.Record) {
 
 // waitApplied blocks until the applied LSN reaches lsn (session
 // consistency: §II-C "The RO will wait until its snapshot version number
-// is no less than LSN_RW before processing the query").
-func (r *RO) waitApplied(lsn wal.LSN) {
-	r.mu.Lock()
-	if r.applied >= lsn || r.stopped {
+// is no less than LSN_RW before processing the query"). The wait ends
+// with obs.ErrDeadlineExceeded at the statement deadline (zero = none)
+// and with ErrStopped when the replica stops being fed.
+func (r *RO) waitApplied(lsn wal.LSN, deadline time.Time) error {
+	var timeout <-chan time.Time
+	for {
+		r.mu.Lock()
+		applied, stopped := r.applied, r.stopped
+		if applied < lsn && !stopped && r.wake == nil {
+			r.wake = make(chan struct{})
+		}
+		wake := r.wake
 		r.mu.Unlock()
-		return
+		if applied >= lsn {
+			return nil
+		}
+		if stopped {
+			return fmt.Errorf("dn: ro %s stopped or evicted at lsn %d, read needs %d: %w", r.name, applied, lsn, ErrStopped)
+		}
+		if timeout == nil && !deadline.IsZero() {
+			t := time.NewTimer(time.Until(deadline))
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-wake:
+		case <-timeout:
+			r.mDeadline.Add(1)
+			return fmt.Errorf("dn: ro %s at lsn %d, read needs %d: %w", r.name, applied, lsn, obs.ErrDeadlineExceeded)
+		}
 	}
-	ch := make(chan struct{})
-	r.waiters = append(r.waiters, roWaiter{lsn: lsn, ch: ch})
-	r.mu.Unlock()
-	<-ch
 }
 
-func (r *RO) read(m ROReadReq) (ReadResp, error) {
-	r.waitApplied(m.MinLSN)
+func (r *RO) read(m ROReadReq, deadline time.Time) (ReadResp, error) {
+	if err := r.waitApplied(m.MinLSN, deadline); err != nil {
+		return ReadResp{}, err
+	}
 	r.svc.serve(pointCost)
 	row, ok, err := r.eng.GetAt(m.Table, m.PK, m.SnapshotTS)
 	return ReadResp{Row: row, OK: ok}, err
@@ -373,8 +440,10 @@ func (r *RO) read(m ROReadReq) (ReadResp, error) {
 
 // multiGet serves a batch of session-consistent point reads in one
 // round trip: wait for the watermark once, then answer every key.
-func (r *RO) multiGet(m ROMultiGetReq) (MultiGetResp, error) {
-	r.waitApplied(m.MinLSN)
+func (r *RO) multiGet(m ROMultiGetReq, deadline time.Time) (MultiGetResp, error) {
+	if err := r.waitApplied(m.MinLSN, deadline); err != nil {
+		return MultiGetResp{}, err
+	}
 	r.svc.serve(pointCost * float64(len(m.Gets)))
 	out := make([]ReadResp, len(m.Gets))
 	for k, g := range m.Gets {
@@ -406,7 +475,6 @@ func (r *RO) EnableColumnIndex(tableIDs []uint32, batch int) error {
 		}
 		ix := colindex.New(id, t.Schema)
 		ix.BatchSize = batch
-		ix.SetCompression(!r.compressOff)
 		ix.SetMetrics(r.metrics)
 		indexes = append(indexes, ix)
 	}
@@ -465,8 +533,10 @@ func (r *RO) ColumnIndex(tableID uint32) (*colindex.Index, bool) {
 	return b.Index(tableID)
 }
 
-func (r *RO) scan(m ROScanReq) (ScanResp, error) {
-	r.waitApplied(m.MinLSN)
+func (r *RO) scan(m ROScanReq, deadline time.Time) (ScanResp, error) {
+	if err := r.waitApplied(m.MinLSN, deadline); err != nil {
+		return ScanResp{}, err
+	}
 	if m.UseColumnIndex {
 		if b := r.colBuilder.Load(); b != nil {
 			if ix, ok := b.Index(m.Table); ok {

@@ -94,8 +94,7 @@ func (n *Node) shipOnce(tick bool) {
 		if err != nil {
 			continue // purged/truncated under us; the stall rewind recovers
 		}
-		frames := wal.NewBatcher(epoch, n.cfg.BatchBytes).
-			WithCompression(!n.cfg.NoCompress).Next(j.from, raw)
+		frames := wal.NewBatcher(epoch, n.cfg.BatchBytes).Next(j.from, raw)
 		var wire int64
 		for i := range frames {
 			wire += int64(len(frames[i].Payload))

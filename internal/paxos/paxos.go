@@ -113,13 +113,6 @@ type Config struct {
 	// WindowBytes caps the redo bytes per shipped window — one appendMsg,
 	// split into BatchBytes frames (default 64 KB).
 	WindowBytes int
-	// NoCompress disables MLOG_PAXOS payload compression. By default each
-	// frame ships block-compressed (frame codec byte, internal/compress)
-	// whenever that is smaller than the raw chunk; followers decompress
-	// before appending, so the replicated log bytes are identical either
-	// way and turning this on restores the exact pre-codec wire format.
-	NoCompress bool
-
 	// GroupCommitWindow enables leader group commit: concurrent proposals
 	// accumulate for up to this long (closed early at GroupCommitBytes)
 	// and share ONE redo flush. 0 disables it — the seed behavior where

@@ -144,10 +144,6 @@ func (s *ChunkServer) Name() string { return s.name }
 type Cluster struct {
 	net       *simnet.Network
 	chunkSize int64
-	// noCompress disables replication-payload compression (on by
-	// default; writes compress once and ship the smaller payload to all
-	// replicas).
-	noCompress bool
 	// bytesRepRaw/Wire count replication traffic: logical bytes that had
 	// to reach replicas vs payload bytes actually moved.
 	bytesRepRaw  int64
@@ -159,13 +155,6 @@ type Cluster struct {
 	// placed counts replica assignments per server (including chunks not
 	// yet materialized by a write), for least-loaded placement.
 	placed map[string]int
-}
-
-// SetCompression toggles replication-payload compression.
-func (c *Cluster) SetCompression(on bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.noCompress = !on
 }
 
 // ReplicationBytes reports raw (logical bytes × replicas) and wire

@@ -154,7 +154,7 @@ func (v *Volume) WriteAt(caller string, off int64, data []byte) error {
 // soon as a majority (including, preferentially, the leader) succeeded.
 func (v *Volume) replicate(caller string, g *replicaGroup, off int64, data []byte) error {
 	req := writeReq{Chunk: g.chunk, Offset: off, Data: data, Size: v.cluster.chunkSize}
-	if !v.cluster.noCompress && len(data) >= 64 {
+	if len(data) >= 64 {
 		// Compress once; every replica ships the same smaller payload.
 		if enc := compress.Encode(nil, data); len(enc) < len(data) {
 			req.Data, req.Codec = enc, 1

@@ -767,11 +767,14 @@ func (t *Tx) abortBranches(branches []string) {
 }
 
 // ReadRO performs a session-consistent point read on an RO replica.
+// Like every RO call it is bounded by the statement deadline (zero =
+// none), which also rides the request so the replica's wait for minLSN
+// ends with it.
 func (c *Coordinator) ReadRO(roName string, table uint32, pk []byte,
-	snapshot hlc.Timestamp, minLSN wal.LSN) (types.Row, bool, error) {
-	reply, err := c.net.Call(c.self, roName, dn.ROReadReq{
+	snapshot hlc.Timestamp, minLSN wal.LSN, deadline time.Time) (types.Row, bool, error) {
+	reply, err := c.callUntil(roName, dn.ROReadReq{
 		Table: table, PK: pk, SnapshotTS: snapshot, MinLSN: minLSN,
-	})
+	}, deadline)
 	if err != nil {
 		return nil, false, err
 	}
@@ -783,30 +786,17 @@ func (c *Coordinator) ReadRO(roName string, table uint32, pk []byte,
 // RO replica in one round trip (the RO waits for MinLSN once, then
 // answers every key at the snapshot).
 func (c *Coordinator) MultiGetRO(roName string, gets []dn.PointGet,
-	snapshot hlc.Timestamp, minLSN wal.LSN) ([]dn.ReadResp, error) {
+	snapshot hlc.Timestamp, minLSN wal.LSN, deadline time.Time) ([]dn.ReadResp, error) {
 	if len(gets) == 0 {
 		return nil, nil
 	}
-	reply, err := c.net.Call(c.self, roName, dn.ROMultiGetReq{
+	reply, err := c.callUntil(roName, dn.ROMultiGetReq{
 		Gets: gets, SnapshotTS: snapshot, MinLSN: minLSN,
-	})
+	}, deadline)
 	if err != nil {
 		return nil, err
 	}
 	return reply.(dn.MultiGetResp).Results, nil
-}
-
-// ScanRO performs a session-consistent range scan on an RO replica.
-func (c *Coordinator) ScanRO(roName string, table uint32, index string,
-	start, end []byte, limit int, snapshot hlc.Timestamp, minLSN wal.LSN) ([]types.Row, error) {
-	reply, err := c.net.Call(c.self, roName, dn.ROScanReq{
-		Table: table, Index: index, Start: start, End: end, Limit: limit,
-		SnapshotTS: snapshot, MinLSN: minLSN,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return reply.(dn.ScanResp).Rows, nil
 }
 
 // ScanReq runs a pushdown-capable scan in this transaction's branch on a
@@ -824,21 +814,12 @@ func (t *Tx) ScanReq(dnName string, req dn.ScanReq) ([]types.Row, error) {
 	return reply.(dn.ScanResp).Rows, nil
 }
 
-// ScanROReq runs a pushdown-capable scan against an RO replica
-// (including column-index and pushed-aggregation requests).
-func (c *Coordinator) ScanROReq(roName string, req dn.ROScanReq) ([]types.Row, error) {
-	reply, err := c.net.Call(c.self, roName, req)
-	if err != nil {
-		return nil, err
-	}
-	return reply.(dn.ScanResp).Rows, nil
-}
-
-// ScanROBatch is ScanROReq for batch-mode callers: it returns the full
-// response so a columnar payload (req.WantBatch) reaches the vectorized
+// ScanRO runs a pushdown-capable scan against an RO replica (including
+// column-index and pushed-aggregation requests). It returns the full
+// response: a columnar payload (req.WantBatch) reaches the vectorized
 // executor without a pivot through rows.
-func (c *Coordinator) ScanROBatch(roName string, req dn.ROScanReq) (dn.ScanResp, error) {
-	reply, err := c.net.Call(c.self, roName, req)
+func (c *Coordinator) ScanRO(roName string, req dn.ROScanReq, deadline time.Time) (dn.ScanResp, error) {
+	reply, err := c.callUntil(roName, req, deadline)
 	if err != nil {
 		return dn.ScanResp{}, err
 	}

@@ -559,7 +559,7 @@ func TestSessionConsistentROReadAfterWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, ok, err := coord.ReadRO("dn1-ro1", 1, pkOf(1), commitTS, tx.LastLSN())
+	row, ok, err := coord.ReadRO("dn1-ro1", 1, pkOf(1), commitTS, tx.LastLSN(), time.Time{})
 	if err != nil || !ok || row[1].AsString() != "fresh" {
 		t.Fatalf("RO read = %v %v %v", row, ok, err)
 	}

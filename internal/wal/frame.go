@@ -126,7 +126,6 @@ type Batcher struct {
 	epoch      uint64
 	nextIndex  uint64
 	maxPayload int
-	compress   bool
 	scratch    []byte
 }
 
@@ -139,18 +138,12 @@ func NewBatcher(epoch uint64, maxPayload int) *Batcher {
 	return &Batcher{epoch: epoch, maxPayload: maxPayload}
 }
 
-// WithCompression enables per-frame payload compression: each chunk
-// ships block-compressed (CodecLZ) when that is smaller than the raw
-// bytes, raw otherwise. Chunking is always by raw size, so frame LSN
-// ranges are unchanged. Returns the batcher for call chaining.
-func (ba *Batcher) WithCompression(on bool) *Batcher {
-	ba.compress = on
-	return ba
-}
-
 // Next splits [start, start+len(b)) into frames. The split respects the
 // payload cap but not record boundaries — followers append raw bytes and
-// only decode on apply, exactly like shipping a physical log.
+// only decode on apply, exactly like shipping a physical log. Each chunk
+// ships block-compressed (CodecLZ) when that is smaller than the raw
+// bytes, raw otherwise; chunking is always by raw size, so frame LSN
+// ranges do not depend on the codec.
 func (ba *Batcher) Next(start LSN, b []byte) []PaxosFrame {
 	var frames []PaxosFrame
 	for off := 0; off < len(b); {
@@ -159,18 +152,11 @@ func (ba *Batcher) Next(start LSN, b []byte) []PaxosFrame {
 			n = ba.maxPayload
 		}
 		chunk := b[off : off+n]
-		codec := uint8(CodecRaw)
-		var payload []byte
-		if ba.compress {
-			ba.scratch = compress.Encode(ba.scratch, chunk)
-			if len(ba.scratch) < n {
-				codec = CodecLZ
-				payload = append([]byte(nil), ba.scratch...)
-			}
+		codec, payload := uint8(CodecRaw), chunk
+		if ba.scratch = compress.Encode(ba.scratch, chunk); len(ba.scratch) < n {
+			codec, payload = CodecLZ, ba.scratch
 		}
-		if payload == nil {
-			payload = append([]byte(nil), chunk...)
-		}
+		payload = append([]byte(nil), payload...)
 		frames = append(frames, PaxosFrame{
 			Epoch:    ba.epoch,
 			Index:    ba.nextIndex,

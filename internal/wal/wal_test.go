@@ -318,8 +318,8 @@ func TestBatcherDefaultCap(t *testing.T) {
 	if len(frames) != 2 {
 		t.Fatalf("got %d frames", len(frames))
 	}
-	if len(frames[0].Payload) != MaxFramePayload {
-		t.Fatalf("first frame %d bytes", len(frames[0].Payload))
+	if raw := frames[0].EndLSN - frames[0].StartLSN; raw != MaxFramePayload {
+		t.Fatalf("first frame covers %d raw bytes", raw)
 	}
 }
 
@@ -364,7 +364,7 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 
 func TestFrameCodecRoundTrip(t *testing.T) {
 	redo := bytes.Repeat([]byte("cust=000042|status=ACTIVE|region=us-east-1|"), 64)
-	frames := NewBatcher(5, 0).WithCompression(true).Next(1000, redo)
+	frames := NewBatcher(5, 0).Next(1000, redo)
 	if len(frames) != 1 {
 		t.Fatalf("frames = %d, want 1", len(frames))
 	}
@@ -400,12 +400,24 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// incompressible returns n bytes the block codec cannot shrink.
+func incompressible(n int) []byte {
+	out := make([]byte, n)
+	x := uint32(0x9e3779b9)
+	for i := range out {
+		x = x*1664525 + 1013904223
+		out[i] = byte(x >> 24)
+	}
+	return out
+}
+
 func TestFrameCodecRawIdentical(t *testing.T) {
-	redo := bytes.Repeat([]byte("abc"), 100)
-	frames := NewBatcher(5, 0).Next(0, redo) // compression off
+	// Incompressible bytes ship raw: the batcher falls back per chunk.
+	redo := incompressible(300)
+	frames := NewBatcher(5, 0).Next(0, redo)
 	fr := frames[0]
 	if fr.Codec != CodecRaw {
-		t.Fatalf("codec = %d, want CodecRaw", fr.Codec)
+		t.Fatalf("incompressible chunk shipped as codec %d, want raw", fr.Codec)
 	}
 	if !bytes.Equal(fr.Payload, redo) {
 		t.Fatal("raw frame must carry the redo bytes unchanged")
@@ -427,20 +439,8 @@ func TestFrameCodecRawIdentical(t *testing.T) {
 }
 
 func TestFrameCodecBadPayload(t *testing.T) {
-	// Incompressible (random-ish) bytes must ship raw even when
-	// compression is on.
-	var junk []byte
-	x := uint32(0x9e3779b9)
-	for i := 0; i < 512; i++ {
-		x = x*1664525 + 1013904223
-		junk = append(junk, byte(x>>24))
-	}
-	fr := NewBatcher(1, 0).WithCompression(true).Next(0, junk)[0]
-	if fr.Codec != CodecRaw {
-		t.Fatalf("incompressible chunk shipped as codec %d, want raw", fr.Codec)
-	}
 	// A corrupted compressed payload must fail Body(), not corrupt the log.
-	good := NewBatcher(1, 0).WithCompression(true).
+	good := NewBatcher(1, 0).
 		Next(0, bytes.Repeat([]byte("xy"), 300))[0]
 	if good.Codec != CodecLZ {
 		t.Fatalf("setup: want a compressed frame, got codec %d", good.Codec)
