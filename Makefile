@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race bench-check-build chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
+.PHONY: build vet test test-short test-race stress bench-check-build chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
 
 build:
 	$(GO) build ./...
@@ -60,14 +60,29 @@ test-short:
 	$(GO) test -short ./...
 
 # The concurrency-sensitive paths (batched RPC fan-out, plan cache,
-# 2PC) are exercised under the race detector. The vectorized executor,
-# the column index, and the tracing/metrics layer run first and
-# explicitly: pooled batches moving through bounded MPP exchange queues
-# and the lock-cheap metrics instruments are the newest shared-memory
-# surfaces.
+# 2PC) are exercised under the race detector. The executor, the column
+# index, and the tracing/metrics layer run first and explicitly: every
+# statement's pooled batches move through bounded exchange queues, and
+# the lock-cheap metrics instruments are shared-memory surfaces too.
 test-race: vet
 	$(GO) test -race ./internal/executor/ ./internal/colindex/ ./internal/obs/ ./internal/vector/
 	$(GO) test -race ./...
+
+# "Green under load and at more than one GOMAXPROCS" (ROADMAP ground
+# rule): PKGS run N times each at -cpu 1,2,4 while internal/bench, the
+# heaviest suite, runs beside them over and over until they finish.
+# Fails if either side fails.
+#   make stress PKGS="./internal/core" N=10
+N ?= 50
+PKGS ?= ./internal/executor ./internal/sql ./internal/admission
+stress:
+	@stop=$$(mktemp -u); log=$$(mktemp); \
+	( while [ ! -e $$stop ]; do $(GO) test -count=1 ./internal/bench > $$log 2>&1 || exit 1; done ) & load=$$!; \
+	$(GO) test -count=$(N) -cpu 1,2,4 $(PKGS); rc=$$?; \
+	touch $$stop; wait $$load; lrc=$$?; \
+	[ $$lrc -eq 0 ] || { echo "stress: internal/bench failed beside the run:"; cat $$log; }; \
+	rm -f $$stop $$log; \
+	[ $$rc -eq 0 ] && [ $$lrc -eq 0 ]
 
 # Fig. 7 benches plus the CN fast-path point-read benchmark
 # (batched per-DN fan-out, cross-DC topology).
@@ -75,12 +90,9 @@ bench-fig7:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPointReadBatch' ./internal/bench/...
 
-# Fig. 10 TPC-H benches (serial vs MPP vs column index), plus the
-# filter→join→agg micro-benchmark that gates the batch engine (>=2x over
-# the row operators at 100k rows).
+# Fig. 10 TPC-H benches (serial vs MPP vs column index).
 bench-fig10:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatchVsRow' ./internal/executor/
 
 # Commit-pipeline benchmark: sustained multi-client commit throughput
 # over a fixed 3-DC RTT matrix, group commit on vs off (the seed's

@@ -66,7 +66,9 @@ func TestQueueWaitShed(t *testing.T) {
 }
 
 func TestPriorityOrder(t *testing.T) {
-	c := New(Config{MaxConcurrent: 1, MaxQueueWait: time.Second}, Metrics{})
+	// MaxQueueWait is out of reach: the test is about wake order, and a
+	// loaded host may take long to park three goroutines.
+	c := New(Config{MaxConcurrent: 1, MaxQueueWait: time.Minute}, Metrics{})
 	release, err := c.Admit("t", TPAuto, time.Time{})
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +76,13 @@ func TestPriorityOrder(t *testing.T) {
 	var order []Class
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for _, class := range []Class{AP, TPTxn, TPAuto} {
+	// Park the waiters one at a time, lowest priority first. AP must go
+	// first for a second reason: the default brownout watermark
+	// (MaxQueue/2 = 2) sheds an AP arrival that finds two waiters queued.
+	for i, class := range []Class{AP, TPTxn, TPAuto} {
 		wg.Add(1)
 		go func(cl Class) {
 			defer wg.Done()
-			<-start
 			rel, err := c.Admit("t", cl, time.Time{})
 			if err != nil {
 				t.Errorf("class %v: %v", cl, err)
@@ -90,14 +93,11 @@ func TestPriorityOrder(t *testing.T) {
 			mu.Unlock()
 			rel()
 		}(class)
-	}
-	close(start)
-	// Let all three park before releasing the slot.
-	for i := 0; i < 1000 && c.Queued() < 3; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if got := c.Queued(); got != 3 {
-		t.Fatalf("want 3 queued, got %d", got)
+		for parked := time.Now(); c.Queued() < i+1; time.Sleep(time.Millisecond) {
+			if t.Failed() || time.Since(parked) > 30*time.Second {
+				t.Fatalf("class %v never queued (depth %d)", class, c.Queued())
+			}
+		}
 	}
 	release()
 	wg.Wait()

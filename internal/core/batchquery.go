@@ -11,17 +11,17 @@ import (
 	"repro/internal/vector"
 )
 
-// This file is the batch-mode (vectorized) twin of query.go's operator
-// lowering: AP-classified plans execute as BatchOperator trees exchanging
-// ~1024-row column-major batches, TP plans on query.go's row operators.
-// Every build function mirrors its row-mode counterpart — same shard
-// fan-out, same gather order, same fragment scheduling; plan shapes
-// without a batch kernel (GSI routes, point lookups, nested-loop joins)
-// bridge through the row operators via RowToBatch.
+// This file lowers physical plans to executor operator trees. Every
+// plan, TP or AP, runs on the one batch engine: BatchOperator trees
+// exchanging ~1024-row column-major batches, with shard fetches fanned
+// out as fragments on the htap scheduler. What a TP plan does
+// differently is all in queryCtx — reads go through the statement's
+// transaction branches on the leaders (ctx.tx), fragments run in
+// htap.GroupTP, and no AP memory is reserved.
 
 // buildBatchOperator lowers a plan node to a batch operator tree,
 // wrapping each node with an instrumented shim when the query runs under
-// EXPLAIN ANALYZE (ctx.analyze non-nil), mirroring buildOperator.
+// EXPLAIN ANALYZE (ctx.analyze non-nil).
 func (cn *CN) buildBatchOperator(node optimizer.Node, ctx *queryCtx) (executor.BatchOperator, error) {
 	op, err := cn.lowerBatchOperator(node, ctx)
 	if err != nil || ctx.analyze == nil {
@@ -83,20 +83,17 @@ func (cn *CN) lowerBatchOperator(node optimizer.Node, ctx *queryCtx) (executor.B
 				LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
 				Residual: n.On, Outer: n.Outer}, nil
 		}
-		// Nested-loop joins have no batch kernel: bridge through the row
-		// implementation (rare in AP plans — equi-joins dominate).
-		return &executor.RowToBatch{Op: &executor.NestedLoopJoin{
-			Left: &executor.BatchToRow{Op: left}, Right: &executor.BatchToRow{Op: right},
-			On: n.On, Outer: n.Outer}}, nil
+		return &executor.BatchNestedLoopJoin{Left: left, Right: right, On: n.On, Outer: n.Outer}, nil
 	case *optimizer.AggNode:
 		return cn.buildBatchAgg(n, ctx)
 	default:
-		return nil, fmt.Errorf("core: cannot execute plan node %T in batch mode", node)
+		return nil, fmt.Errorf("core: cannot execute plan node %T", node)
 	}
 }
 
-// buildBatchAgg mirrors buildAgg: the MPP two-phase split when the input
-// is a scan, a complete-mode hash aggregation otherwise.
+// buildBatchAgg lowers aggregation, using the two-phase split when the
+// input is a scan: per-shard fragments compute partial aggregates near
+// the data, and the coordinator merges (§VI-C).
 func (cn *CN) buildBatchAgg(n *optimizer.AggNode, ctx *queryCtx) (executor.BatchOperator, error) {
 	scan, scanInput := n.Input.(*optimizer.ScanNode)
 	if n.TwoPhase && scanInput && len(scan.PointLookups) == 0 && scan.GSI == nil {
@@ -136,8 +133,9 @@ func (cn *CN) buildBatchTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNo
 		}
 		var frag executor.BatchOperator = src
 		if st := ctx.statsFor(scan); st != nil {
-			// Mirror buildTwoPhaseAgg: the scan's stats slot is shared by
-			// every shard fragment, summing rows across the fan-out.
+			// The scan never passes through buildBatchOperator here
+			// (fragments consume shard sources directly), so attach its
+			// stats to each source; the shared slot sums rows across shards.
 			frag = executor.InstrumentBatch(src, st)
 		}
 		if pushed == nil {
@@ -154,9 +152,11 @@ func (cn *CN) buildBatchTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNo
 		Aggs: aggSpecs(n.Aggs), Mode: executor.AggFinal, Names: n.Names}, nil
 }
 
-// buildBatchPartitionWiseJoin is the batch twin of
-// buildPartitionWiseJoin: one shard-local batch hash join per partition
-// group, no redistribution.
+// buildBatchPartitionWiseJoin executes a partition-wise join (§II-B):
+// both sides share a table group and join on the partition key, so shard
+// i of the left table only ever matches shard i of the right. Each
+// partition group becomes one join fragment running near its data — no
+// redistribution, no cross-shard build table.
 func (cn *CN) buildBatchPartitionWiseJoin(n *optimizer.JoinNode, ctx *queryCtx) (executor.BatchOperator, bool, error) {
 	if !n.PartitionWise || len(n.LeftKeys) == 0 {
 		return nil, false, nil
@@ -206,17 +206,26 @@ func (cn *CN) buildBatchPartitionWiseJoin(n *optimizer.JoinNode, ctx *queryCtx) 
 }
 
 // buildBatchScan lowers a table scan to batch sources. GSI routes and
-// point lookups are row-shaped (scattered point reads) and bridge
-// through the row scan; multi-shard scans fan out one batch fragment per
-// shard.
+// point lookups are scattered point reads, made here — during lowering,
+// before any fragment of the plan is started — and columnarized; shard
+// scans fan out one batch fragment per shard (under a transaction that
+// is one branch RPC per shard, concurrently — the same shape as the 2PC
+// prepare fan-out) and gather in shard order.
 func (cn *CN) buildBatchScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.BatchOperator, error) {
 	cols := scan.Columns()
-	if scan.GSI != nil || len(scan.PointLookups) > 0 {
-		op, err := cn.buildScan(scan, ctx)
+	if scan.GSI != nil {
+		rows, err := cn.gsiRows(scan, ctx)
 		if err != nil {
 			return nil, err
 		}
-		return &executor.RowToBatch{Op: op}, nil
+		return executor.NewBatchRowsSource(cols, rows), nil
+	}
+	if len(scan.PointLookups) > 0 {
+		rows, err := cn.pointRows(ctx, scan.Table, scan.PointLookups, scan.Filter, true)
+		if err != nil {
+			return nil, err
+		}
+		return executor.NewBatchRowsSource(cols, rows), nil
 	}
 	shards := scan.Shards
 	if shards == nil {
@@ -237,11 +246,12 @@ func (cn *CN) buildBatchScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.
 	return g, nil
 }
 
-// batchShardSource builds the batch source for one shard of an AP scan:
-// a replica columnarizes once at the source (WantBatch) — or answers
-// zero-copy from its column index — and the batch crosses simnet without
-// a pivot back to rows. A leader (no AP replica) answers in rows, which
-// are columnarized here.
+// batchShardSource builds the batch source for one shard of a scan, with
+// filter/projection pushdown: a replica columnarizes once at the source
+// (WantBatch) — or answers zero-copy from its column index — and the
+// batch crosses simnet without a pivot back to rows. A leader (a TP
+// statement, or AP with no replica) answers in rows, which are
+// columnarized here.
 func (cn *CN) batchShardSource(scan *optimizer.ScanNode, shard int, ctx *queryCtx, pushed *dn.PushAgg) (executor.BatchOperator, error) {
 	dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
 	if err != nil {

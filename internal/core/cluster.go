@@ -497,7 +497,6 @@ func (c *Cluster) addCN(dc simnet.DC) *CN {
 	cn.opt = optimizer.New(c.GMS, statsAdapter{c}, optimizer.Options{
 		TPCostThreshold: c.cfg.TPCostThreshold,
 		MPPAvailable:    !c.cfg.MPPOff,
-		BatchAvailable:  true,
 		HasColumnIndex:  cn.hasColumnIndex,
 	})
 	c.mu.Lock()

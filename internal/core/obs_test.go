@@ -157,12 +157,50 @@ func TestExplainAnalyze(t *testing.T) {
 		}
 	}
 	if !sawAgg || !sawScanActuals {
-		var b strings.Builder
-		for _, row := range res.Rows {
-			b.WriteString(row[0].AsString() + "\n")
-		}
-		t.Fatalf("EXPLAIN ANALYZE missing actuals (agg=%v scan=%v):\n%s", sawAgg, sawScanActuals, b.String())
+		t.Fatalf("EXPLAIN ANALYZE missing actuals (agg=%v scan=%v):\n%s", sawAgg, sawScanActuals, explainText(res))
 	}
+
+	// TP plans are instrumented by the same shim: a point select, and a
+	// join of a point lookup with a multi-shard scan (one user per city
+	// row, 40 users in city2).
+	mustExec(t, s, "CREATE TABLE cities (name VARCHAR(16), region BIGINT, PRIMARY KEY(name)) PARTITIONS 4")
+	mustExec(t, s, "INSERT INTO cities (name, region) VALUES ('city0', 0), ('city1', 1), ('city2', 2), ('city3', 3), ('city4', 4)")
+	for _, tc := range []struct {
+		sql  string
+		want []string // each: a plan line holding both fragments
+	}{
+		{"EXPLAIN ANALYZE SELECT name FROM users WHERE id = 42",
+			[]string{"point×1|actual rows=1 ", "Project|actual rows=1 "}},
+		{"EXPLAIN ANALYZE SELECT u.id, c.region FROM users u JOIN cities c ON u.city = c.name WHERE c.name = 'city2'",
+			[]string{"HashJoin|actual rows=40 ", "Scan(users|actual rows=200 ", "Scan(cities, point×1|actual rows=1 "}},
+	} {
+		res = mustExec(t, s, tc.sql)
+		text := explainText(res)
+		if !strings.HasPrefix(text, "-- class=TP") || !strings.Contains(text, "exec=batch") {
+			t.Fatalf("%s: want a TP plan on the batch engine:\n%s", tc.sql, text)
+		}
+		for _, w := range tc.want {
+			node, actual, _ := strings.Cut(w, "|")
+			found := false
+			for _, line := range strings.Split(text, "\n") {
+				if strings.Contains(line, node) && strings.Contains(line, actual) && strings.Contains(line, "time=") {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("%s: no %q line with %q and a time:\n%s", tc.sql, node, actual, text)
+			}
+		}
+	}
+}
+
+// explainText joins an EXPLAIN result's lines.
+func explainText(res *Result) string {
+	var b strings.Builder
+	for _, row := range res.Rows {
+		b.WriteString(row[0].AsString() + "\n")
+	}
+	return b.String()
 }
 
 // TestMetricsSnapshotAndSlowQueryLog exercises the registry wiring and

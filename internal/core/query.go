@@ -127,91 +127,12 @@ func (s *Session) runPlan(plan *optimizer.Plan, analyze map[optimizer.Node]*obs.
 	// jobs in the classified pool (quota-gated for AP, §VI-D); the final
 	// merge pulls from their bounded exchange queues on this goroutine,
 	// so a blocked consumer can never starve the workers its producers
-	// need. AP plans run on the vectorized batch engine, TP plans on the
-	// row operators.
-	if plan.IsAP {
-		root, err := s.cn.buildBatchOperator(plan.Root, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return executor.CollectBatch(root)
-	}
-	root, err := s.cn.buildOperator(plan.Root, ctx)
+	// need.
+	root, err := s.cn.buildBatchOperator(plan.Root, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return executor.Collect(root)
-}
-
-// buildOperator lowers a plan node to an executor operator tree,
-// wrapping each node with an instrumented shim when the query runs under
-// EXPLAIN ANALYZE (ctx.analyze non-nil). Plain queries lower directly.
-func (cn *CN) buildOperator(node optimizer.Node, ctx *queryCtx) (executor.Operator, error) {
-	op, err := cn.lowerOperator(node, ctx)
-	if err != nil || ctx.analyze == nil {
-		return op, err
-	}
-	return executor.Instrument(op, ctx.statsFor(node)), nil
-}
-
-// lowerOperator is the uninstrumented lowering behind buildOperator.
-func (cn *CN) lowerOperator(node optimizer.Node, ctx *queryCtx) (executor.Operator, error) {
-	switch n := node.(type) {
-	case *optimizer.ScanNode:
-		return cn.buildScan(n, ctx)
-	case *optimizer.FilterNode:
-		in, err := cn.buildOperator(n.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &executor.Filter{Input: in, Pred: n.Pred}, nil
-	case *optimizer.ProjectNode:
-		in, err := cn.buildOperator(n.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &executor.Project{Input: in, Exprs: n.Exprs, Names: n.Names}, nil
-	case *optimizer.SortNode:
-		in, err := cn.buildOperator(n.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		op := &executor.Sort{Input: in}
-		for _, k := range n.Keys {
-			op.Keys = append(op.Keys, executor.SortKey{Expr: k.Expr, Desc: k.Desc})
-		}
-		return op, nil
-	case *optimizer.LimitNode:
-		in, err := cn.buildOperator(n.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &executor.Limit{Input: in, N: n.N}, nil
-	case *optimizer.JoinNode:
-		if op, ok, err := cn.buildPartitionWiseJoin(n, ctx); err != nil {
-			return nil, err
-		} else if ok {
-			return op, nil
-		}
-		left, err := cn.buildOperator(n.Left, ctx)
-		if err != nil {
-			return nil, err
-		}
-		right, err := cn.buildOperator(n.Right, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if len(n.LeftKeys) > 0 {
-			return &executor.HashJoin{Left: left, Right: right,
-				LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
-				Residual: n.On, Outer: n.Outer}, nil
-		}
-		return &executor.NestedLoopJoin{Left: left, Right: right, On: n.On, Outer: n.Outer}, nil
-	case *optimizer.AggNode:
-		return cn.buildAgg(n, ctx)
-	default:
-		return nil, fmt.Errorf("core: cannot execute plan node %T", node)
-	}
+	return executor.CollectBatch(root)
 }
 
 // aggSpecs converts optimizer aggregates to executor specs.
@@ -221,56 +142,6 @@ func aggSpecs(items []optimizer.AggItem) []executor.AggSpec {
 		out[i] = executor.AggSpec{Func: a.Func, Arg: a.Arg, Star: a.Star, Distinct: a.Distinct}
 	}
 	return out
-}
-
-// buildAgg lowers aggregation, using the two-phase split when the input
-// is a scan: per-shard fragments compute partial aggregates near the
-// data, and the coordinator merges (§VI-C).
-func (cn *CN) buildAgg(n *optimizer.AggNode, ctx *queryCtx) (executor.Operator, error) {
-	scan, scanInput := n.Input.(*optimizer.ScanNode)
-	if n.TwoPhase && scanInput && len(scan.PointLookups) == 0 && scan.GSI == nil {
-		return cn.buildTwoPhaseAgg(n, scan, ctx)
-	}
-	in, err := cn.buildOperator(n.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &executor.HashAgg{Input: in, GroupBy: n.GroupBy,
-		Aggs: aggSpecs(n.Aggs), Mode: executor.AggComplete, Names: n.Names}, nil
-}
-
-// buildTwoPhaseAgg fans one partial-aggregation fragment out per shard.
-func (cn *CN) buildTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNode, ctx *queryCtx) (executor.Operator, error) {
-	shards := scan.Shards
-	if shards == nil {
-		for i := 0; i < scan.Table.Shards; i++ {
-			shards = append(shards, i)
-		}
-	}
-	var assignments []executor.FragmentAssignment
-	for _, shard := range shards {
-		src, err := cn.shardSource(scan, shard, ctx)
-		if err != nil {
-			return nil, err
-		}
-		var frag executor.Operator = src
-		if st := ctx.statsFor(scan); st != nil {
-			// The scan never passes through buildOperator here (fragments
-			// consume shard sources directly), so attach its stats to each
-			// source; the shared slot sums rows across shards.
-			frag = executor.Instrument(src, st)
-		}
-		// Partial aggregation runs in the fragment, near its shard.
-		assignments = append(assignments, executor.FragmentAssignment{
-			Op: &executor.HashAgg{Input: frag, GroupBy: n.GroupBy,
-				Aggs: aggSpecs(n.Aggs), Mode: executor.AggPartial},
-			Sched: cn.sched,
-		})
-	}
-	gather := executor.RunFragments(ctx.group, assignments)
-	finalGroup := finalGroupRefs(len(n.GroupBy))
-	return &executor.HashAgg{Input: gather, GroupBy: finalGroup,
-		Aggs: aggSpecs(n.Aggs), Mode: executor.AggFinal, Names: n.Names}, nil
 }
 
 // finalGroupRefs builds the final-merge group keys: after the partial
@@ -334,135 +205,6 @@ func boundExpr(e sql.Expr) bool {
 		return true
 	})
 	return ok
-}
-
-// buildPartitionWiseJoin executes a partition-wise join (§II-B): both
-// sides share a table group and join on the partition key, so shard i
-// of the left table only ever matches shard i of the right. Each
-// partition group becomes one join fragment running near its data — no
-// redistribution, no cross-shard build table.
-func (cn *CN) buildPartitionWiseJoin(n *optimizer.JoinNode, ctx *queryCtx) (executor.Operator, bool, error) {
-	if !n.PartitionWise || len(n.LeftKeys) == 0 {
-		return nil, false, nil
-	}
-	ls, lok := n.Left.(*optimizer.ScanNode)
-	rs, rok := n.Right.(*optimizer.ScanNode)
-	if !lok || !rok || len(ls.PointLookups) > 0 || len(rs.PointLookups) > 0 {
-		return nil, false, nil
-	}
-	if ls.Table.Shards != rs.Table.Shards {
-		return nil, false, nil
-	}
-	var assignments []executor.FragmentAssignment
-	for shard := 0; shard < ls.Table.Shards; shard++ {
-		var leftSrc, rightSrc executor.Operator
-		var err error
-		leftSrc, err = cn.shardSource(ls, shard, ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		rightSrc, err = cn.shardSource(rs, shard, ctx)
-		if err != nil {
-			return nil, false, err
-		}
-		if st := ctx.statsFor(ls); st != nil {
-			leftSrc = executor.Instrument(leftSrc, st)
-		}
-		if st := ctx.statsFor(rs); st != nil {
-			rightSrc = executor.Instrument(rightSrc, st)
-		}
-		frag := &executor.HashJoin{Left: leftSrc, Right: rightSrc,
-			LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
-			Residual: n.On, Outer: n.Outer}
-		assignments = append(assignments, executor.FragmentAssignment{Op: frag, Sched: cn.sched})
-	}
-	g := executor.RunFragments(ctx.group, assignments)
-	g.Cols = n.Columns()
-	return g, true, nil
-}
-
-// buildScan lowers a table scan: GSI routes, point lookups, or
-// per-shard sources gathered together.
-func (cn *CN) buildScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.Operator, error) {
-	cols := scan.Columns()
-	if scan.GSI != nil {
-		rows, err := cn.gsiRows(scan, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return executor.NewRowsSource(cols, rows), nil
-	}
-	if len(scan.PointLookups) > 0 {
-		rows, err := cn.pointRows(ctx, scan.Table, scan.PointLookups, scan.Filter, true)
-		if err != nil {
-			return nil, err
-		}
-		return executor.NewRowsSource(cols, rows), nil
-	}
-	shards := scan.Shards
-	if shards == nil {
-		for i := 0; i < scan.Table.Shards; i++ {
-			shards = append(shards, i)
-		}
-	}
-	if len(shards) == 1 {
-		return cn.shardSource(scan, shards[0], ctx)
-	}
-	// Fan the shard scans out in parallel under the transaction (one
-	// branch RPC per shard, concurrently — the same shape as the 2PC
-	// prepare fan-out), so a multi-shard TP statement pays one round trip,
-	// not one per shard.
-	fetched := false
-	return &executor.CallbackSource{Cols: cols, Fetch: func() ([]types.Row, error) {
-		if fetched {
-			return nil, nil
-		}
-		fetched = true
-		return cn.parallelTxScan(scan, shards, ctx)
-	}}, nil
-}
-
-// parallelTxScan runs one branch-scoped ScanReq per shard concurrently
-// and concatenates the results in shard order (deterministic output).
-func (cn *CN) parallelTxScan(scan *optimizer.ScanNode, shards []int, ctx *queryCtx) ([]types.Row, error) {
-	type shardTarget struct {
-		dn    string
-		table uint32
-	}
-	targets := make([]shardTarget, len(shards))
-	for i, shard := range shards {
-		dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
-		if err != nil {
-			return nil, err
-		}
-		cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
-		targets[i] = shardTarget{dn: dnName, table: scan.Table.PhysicalTableID(shard)}
-	}
-	rows := make([][]types.Row, len(targets))
-	errs := make(chan error, len(targets))
-	for i, tg := range targets {
-		go func(i int, tg shardTarget) {
-			rs, err := ctx.tx.ScanReq(tg.dn, dn.ScanReq{
-				Table: tg.table, Filter: scan.Filter, Projection: scan.Projection,
-			})
-			rows[i] = rs
-			errs <- err
-		}(i, tg)
-	}
-	var firstErr error
-	for range targets {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out := []types.Row{}
-	for _, rs := range rows {
-		out = append(out, rs...)
-	}
-	return out, nil
 }
 
 // pointGroup collects one DN's share of a multi-point read, remembering
@@ -690,28 +432,4 @@ func (rt readTarget) scan(req dn.ROScanReq) (dn.ScanResp, error) {
 		Filter: req.Filter, Projection: req.Projection,
 	})
 	return dn.ScanResp{Rows: rows}, err
-}
-
-// shardSource builds the row source for one shard of a scan, with
-// filter/projection pushdown.
-func (cn *CN) shardSource(scan *optimizer.ScanNode, shard int, ctx *queryCtx) (executor.Operator, error) {
-	dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
-	if err != nil {
-		return nil, err
-	}
-	cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
-	rt := ctx.target(dnName)
-	req := dn.ROScanReq{
-		Table:  scan.Table.PhysicalTableID(shard),
-		Filter: scan.Filter, Projection: scan.Projection,
-	}
-	fetched := false
-	return &executor.CallbackSource{Cols: scan.Columns(), Fetch: func() ([]types.Row, error) {
-		if fetched {
-			return nil, nil
-		}
-		fetched = true
-		resp, err := rt.scan(req)
-		return resp.Rows, err
-	}}, nil
 }

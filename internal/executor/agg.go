@@ -1,10 +1,6 @@
 package executor
 
 import (
-	"errors"
-	"fmt"
-	"sort"
-
 	"repro/internal/sql"
 	"repro/internal/types"
 )
@@ -148,147 +144,8 @@ func (s *aggState) final(mode AggMode) []types.Value {
 	return []types.Value{types.Null()}
 }
 
-// HashAgg groups its input on GroupBy expressions and computes Aggs.
-// Output layout: group columns first (in GroupBy order), then aggregate
-// columns (state columns in Partial mode). Groups are emitted in sorted
-// group-key order for determinism.
-type HashAgg struct {
-	Input   Operator
-	GroupBy []sql.Expr
-	Aggs    []AggSpec
-	Mode    AggMode
-	// Names overrides output column names (len = group cols + agg cols).
-	Names []string
-
-	groups map[string]*aggGroup
-	order  []string
-	pos    int
-	built  bool
-}
-
+// aggGroup is one group's key values and per-aggregate states.
 type aggGroup struct {
 	keyVals types.Row
 	states  []*aggState
-}
-
-// Columns implements Operator.
-func (h *HashAgg) Columns() []string {
-	if h.Names != nil {
-		return h.Names
-	}
-	var out []string
-	for i := range h.GroupBy {
-		out = append(out, fmt.Sprintf("group%d", i))
-	}
-	for i, a := range h.Aggs {
-		if h.Mode == AggPartial && a.Func == "AVG" {
-			out = append(out, fmt.Sprintf("agg%d_sum", i), fmt.Sprintf("agg%d_cnt", i))
-		} else {
-			out = append(out, fmt.Sprintf("agg%d", i))
-		}
-	}
-	return out
-}
-
-// Open implements Operator.
-func (h *HashAgg) Open() error {
-	h.groups, h.order, h.pos, h.built = nil, nil, 0, false
-	return h.Input.Open()
-}
-
-// Next implements Operator.
-func (h *HashAgg) Next() (types.Row, error) {
-	if !h.built {
-		if err := h.build(); err != nil {
-			return nil, err
-		}
-	}
-	if h.pos >= len(h.order) {
-		return nil, ErrEOF
-	}
-	g := h.groups[h.order[h.pos]]
-	h.pos++
-	out := append(types.Row{}, g.keyVals...)
-	for _, st := range g.states {
-		out = append(out, st.final(h.Mode)...)
-	}
-	return out, nil
-}
-
-func (h *HashAgg) build() error {
-	h.groups = make(map[string]*aggGroup)
-	for {
-		row, err := h.Input.Next()
-		if errors.Is(err, ErrEOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		keyVals := make(types.Row, len(h.GroupBy))
-		for i, e := range h.GroupBy {
-			v, err := sql.Eval(e, row)
-			if err != nil {
-				return err
-			}
-			keyVals[i] = v
-		}
-		key := string(types.EncodeKey(nil, keyVals...))
-		g, ok := h.groups[key]
-		if !ok {
-			g = &aggGroup{keyVals: keyVals}
-			for _, spec := range h.Aggs {
-				g.states = append(g.states, newAggState(spec))
-			}
-			h.groups[key] = g
-		}
-		if h.Mode == AggFinal {
-			// Input rows are [groupCols..., stateCols...]: merge states.
-			col := len(h.GroupBy)
-			for i, spec := range h.Aggs {
-				w := spec.stateWidth()
-				if col+w > len(row) {
-					return fmt.Errorf("executor: partial state row too narrow: %d cols", len(row))
-				}
-				g.states[i].merge(row[col : col+w])
-				col += w
-			}
-			continue
-		}
-		for i, spec := range h.Aggs {
-			var v types.Value
-			if spec.Star {
-				v = types.Int(1)
-			} else {
-				var err error
-				v, err = sql.Eval(spec.Arg, row)
-				if err != nil {
-					return err
-				}
-			}
-			g.states[i].add(v)
-		}
-	}
-	// Global aggregation (no GROUP BY) over zero rows still yields one
-	// row of zero/NULL aggregates, per SQL semantics.
-	if len(h.GroupBy) == 0 && len(h.groups) == 0 {
-		g := &aggGroup{}
-		for _, spec := range h.Aggs {
-			g.states = append(g.states, newAggState(spec))
-		}
-		h.groups[""] = g
-	}
-	h.order = make([]string, 0, len(h.groups))
-	for k := range h.groups {
-		h.order = append(h.order, k)
-	}
-	sort.Strings(h.order)
-	h.built = true
-	return nil
-}
-
-// Close implements Operator.
-func (h *HashAgg) Close() error {
-	h.groups = nil
-	return h.Input.Close()
 }

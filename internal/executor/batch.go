@@ -1,10 +1,16 @@
-// Batch execution mode (§VI-C/§VI-E): operators exchange column-major
-// vector.Batch values (~1024 rows) instead of single rows. Iteration,
-// predicate evaluation, group-key hashing and exchange locking amortize
-// over the batch, which is where the Fig. 10 MPP and column-index
-// speedups come from. Row mode (Operator) remains the TP path and the
-// equivalence baseline; adapters below bridge the two worlds so every
-// plan shape stays executable in either mode.
+// Package executor implements PolarDB-X's query execution operators and
+// the MPP fragment machinery (paper §VI-C): batch-at-a-time volcano
+// operators (scan sources, filter, project, hash join, nested-loop
+// join, hash aggregation with partial/final split, sort, limit),
+// bounded exchange queues with producer backpressure between fragments,
+// and cooperative fragment jobs that run on the htap time-sliced
+// scheduler.
+//
+// There is one engine (§VI-C/§VI-E): operators exchange column-major
+// vector.Batch values (~1024 rows), so iteration, predicate evaluation,
+// group-key hashing and exchange locking amortize over the batch. TP
+// and AP plans run the same operators; they differ in resource group,
+// data source and fan-out, which the CN decides when it lowers a plan.
 package executor
 
 import (
@@ -13,6 +19,9 @@ import (
 	"repro/internal/types"
 	"repro/internal/vector"
 )
+
+// ErrEOF signals operator exhaustion.
+var ErrEOF = errors.New("executor: end of rows")
 
 // BatchOperator is the batch-at-a-time volcano interface. NextBatch
 // transfers ownership of the returned batch to the caller (see the
@@ -91,7 +100,7 @@ func (s *BatchCallbackSource) NextBatch() (*vector.Batch, error) {
 func (s *BatchCallbackSource) Close() error { return nil }
 
 // NewBatchRowsSource columnarizes a row slice into batches of the
-// default size (the batch analogue of NewRowsSource).
+// default size (point-lookup and GSI results, VALUES lists, fixtures).
 func NewBatchRowsSource(cols []string, rows []types.Row) *BatchesSource {
 	return &BatchesSource{Cols: cols, Batches: BatchesFromRows(rows, len(cols))}
 }
@@ -110,96 +119,19 @@ func BatchesFromRows(rows []types.Row, ncols int) []*vector.Batch {
 	return out
 }
 
-// RowToBatch adapts a row operator to the batch interface by buffering
-// DefaultSize rows per batch — the bridge for plan shapes with no
-// native batch implementation (GSI routes, point lookups).
-type RowToBatch struct {
-	Op Operator
-}
-
-// Columns implements BatchOperator.
-func (a *RowToBatch) Columns() []string { return a.Op.Columns() }
-
-// Open implements BatchOperator.
-func (a *RowToBatch) Open() error { return a.Op.Open() }
-
-// NextBatch implements BatchOperator.
-func (a *RowToBatch) NextBatch() (*vector.Batch, error) {
-	b := vector.NewBatch(len(a.Op.Columns()))
-	for b.NumRows() < vector.DefaultSize {
-		row, err := a.Op.Next()
-		if errors.Is(err, ErrEOF) {
-			break
-		}
-		if err != nil {
-			b.Release()
-			return nil, err
-		}
-		b.AppendRow(row)
-	}
-	if b.NumRows() == 0 {
-		b.Release()
-		return nil, ErrEOF
-	}
-	return b, nil
-}
-
-// Close implements BatchOperator.
-func (a *RowToBatch) Close() error { return a.Op.Close() }
-
-// BatchToRow adapts a batch operator to the row interface (final
-// merges that still run row-at-a-time, mixed-mode plans).
-type BatchToRow struct {
-	Op  BatchOperator
-	cur *vector.Batch
-	pos int
-}
-
-// Columns implements Operator.
-func (a *BatchToRow) Columns() []string { return a.Op.Columns() }
-
-// Open implements Operator.
-func (a *BatchToRow) Open() error {
-	a.cur, a.pos = nil, 0
-	return a.Op.Open()
-}
-
-// Next implements Operator.
-func (a *BatchToRow) Next() (types.Row, error) {
-	for {
-		if a.cur != nil && a.pos < a.cur.NumRows() {
-			row := a.cur.Row(a.pos)
-			a.pos++
-			return row, nil
-		}
-		if a.cur != nil {
-			a.cur.Release()
-			a.cur = nil
-		}
-		b, err := a.Op.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		a.cur, a.pos = b, 0
-	}
-}
-
-// Close implements Operator.
-func (a *BatchToRow) Close() error {
-	if a.cur != nil {
-		a.cur.Release()
-		a.cur = nil
-	}
-	return a.Op.Close()
-}
-
 // CollectBatch drains a batch operator into rows (the coordinator's
-// final gather in batch mode).
+// final gather).
 func CollectBatch(op BatchOperator) ([]types.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
+	return drainRows(op)
+}
+
+// drainRows materializes the rest of an opened operator's output,
+// releasing each batch as it goes.
+func drainRows(op BatchOperator) ([]types.Row, error) {
 	var out []types.Row
 	for {
 		b, err := op.NextBatch()

@@ -36,167 +36,198 @@ func mixedRows(n int) []types.Row {
 
 var mixedCols = []string{"c0", "c1", "c2", "c3"}
 
-// assertSameRows requires positionally identical output (the row and
-// batch operators are engineered to produce identical orders).
-func assertSameRows(t *testing.T, label string, got, want []types.Row) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("%s row %d: width %d vs %d", label, i, len(got[i]), len(want[i]))
-		}
-		for j := range want[i] {
-			a, b := got[i][j], want[i][j]
-			if a.IsNull() != b.IsNull() || (!a.IsNull() && a.Compare(b) != 0) {
-				t.Fatalf("%s row %d col %d: %v vs %v", label, i, j, a, b)
-			}
-		}
-	}
-}
-
-// runBoth executes the same plan shape in row and batch mode over rows.
-func runBoth(t *testing.T, label string, rows []types.Row, cols []string,
-	rowOp func(Operator) Operator, batchOp func(BatchOperator) BatchOperator) {
-	t.Helper()
-	want, err := Collect(rowOp(NewRowsSource(cols, rows)))
-	if err != nil {
-		t.Fatalf("%s row mode: %v", label, err)
-	}
-	got, err := CollectBatch(batchOp(NewBatchRowsSource(cols, rows)))
-	if err != nil {
-		t.Fatalf("%s batch mode: %v", label, err)
-	}
-	assertSameRows(t, label, got, want)
-}
+// Model-side accessors for mixedRows' columns: a comparison involving
+// NULL is never true.
+func c0(r types.Row, ok func(int64) bool) bool   { return !r[0].IsNull() && ok(r[0].I) }
+func c1(r types.Row, ok func(float64) bool) bool { return !r[1].IsNull() && ok(r[1].F) }
 
 func TestBatchFilterEquivalence(t *testing.T) {
 	rows := mixedRows(3000)
-	preds := map[string]sql.Expr{
-		"int-eq":       bin("=", col(0), lit(types.Int(3))),
-		"int-ne":       bin("<>", col(0), lit(types.Int(3))),
-		"int-lt-float": bin("<", col(0), lit(types.Float(3.5))),
-		"float-ge":     bin(">=", col(1), lit(types.Float(30))),
-		"float-le-int": bin("<=", col(1), lit(types.Int(40))),
-		"str-eq":       bin("=", col(2), lit(types.Str("s3"))),
-		"str-gt":       bin(">", col(2), lit(types.Str("s2"))),
-		"lit-left":     bin(">", lit(types.Int(4)), col(0)),
-		"and-chain": bin("AND", bin(">", col(3), lit(types.Int(10))),
-			bin("<=", col(0), lit(types.Int(5)))),
-		"between":     &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Int(5))},
-		"not-between": &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Int(5)), Not: true},
-		"between-null-lo": &sql.Between{E: col(0), Lo: lit(types.Null()), Hi: lit(types.Int(5))},
-		"between-null-hi": &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Null())},
-		"is-null":         &sql.IsNull{E: col(0)},
-		"is-not-null":     &sql.IsNull{E: col(0), Not: true},
-		"null-literal":    bin("=", col(0), lit(types.Null())),
-		"col-col":         bin("<", col(0), col(3)), // residual path
-		"or-residual": bin("OR", bin("=", col(0), lit(types.Int(1))),
-			bin("=", col(2), lit(types.Str("s4")))),
+	cases := []struct {
+		name string
+		pred sql.Expr
+		keep rowPred
+	}{
+		{"int-eq", bin("=", col(0), lit(types.Int(3))),
+			func(r types.Row) bool { return c0(r, func(v int64) bool { return v == 3 }) }},
+		{"int-ne", bin("<>", col(0), lit(types.Int(3))),
+			func(r types.Row) bool { return c0(r, func(v int64) bool { return v != 3 }) }},
+		{"int-lt-float", bin("<", col(0), lit(types.Float(3.5))),
+			func(r types.Row) bool { return c0(r, func(v int64) bool { return float64(v) < 3.5 }) }},
+		{"float-ge", bin(">=", col(1), lit(types.Float(30))),
+			func(r types.Row) bool { return c1(r, func(v float64) bool { return v >= 30 }) }},
+		{"float-le-int", bin("<=", col(1), lit(types.Int(40))),
+			func(r types.Row) bool { return c1(r, func(v float64) bool { return v <= 40 }) }},
+		{"str-eq", bin("=", col(2), lit(types.Str("s3"))),
+			func(r types.Row) bool { return r[2].S == "s3" }},
+		{"str-gt", bin(">", col(2), lit(types.Str("s2"))),
+			func(r types.Row) bool { return r[2].S > "s2" }},
+		{"lit-left", bin(">", lit(types.Int(4)), col(0)),
+			func(r types.Row) bool { return c0(r, func(v int64) bool { return 4 > v }) }},
+		{"and-chain", bin("AND", bin(">", col(3), lit(types.Int(10))), bin("<=", col(0), lit(types.Int(5)))),
+			func(r types.Row) bool { return r[3].I > 10 && c0(r, func(v int64) bool { return v <= 5 }) }},
+		{"between", &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Int(5))},
+			func(r types.Row) bool { return c0(r, func(v int64) bool { return v >= 2 && v <= 5 }) }},
+		// NOT BETWEEN negates a two-valued BETWEEN: a NULL operand passes.
+		{"not-between", &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Int(5)), Not: true},
+			func(r types.Row) bool { return !c0(r, func(v int64) bool { return v >= 2 && v <= 5 }) }},
+		// BETWEEN bounds compare with NULL sorting first: a NULL low
+		// bound is always met, a NULL high bound never.
+		{"between-null-lo", &sql.Between{E: col(0), Lo: lit(types.Null()), Hi: lit(types.Int(5))},
+			func(r types.Row) bool { return c0(r, func(v int64) bool { return v <= 5 }) }},
+		{"between-null-hi", &sql.Between{E: col(0), Lo: lit(types.Int(2)), Hi: lit(types.Null())},
+			func(types.Row) bool { return false }},
+		{"is-null", &sql.IsNull{E: col(0)},
+			func(r types.Row) bool { return r[0].IsNull() }},
+		{"is-not-null", &sql.IsNull{E: col(0), Not: true},
+			func(r types.Row) bool { return !r[0].IsNull() }},
+		{"null-literal", bin("=", col(0), lit(types.Null())),
+			func(types.Row) bool { return false }},
+		{"col-col", bin("<", col(0), col(3)), // residual path
+			func(r types.Row) bool { return c0(r, func(v int64) bool { return v < r[3].I }) }},
+		{"or-residual", bin("OR", bin("=", col(0), lit(types.Int(1))), bin("=", col(2), lit(types.Str("s4")))),
+			func(r types.Row) bool { return c0(r, func(v int64) bool { return v == 1 }) || r[2].S == "s4" }},
 	}
-	for name, pred := range preds {
-		runBoth(t, "filter/"+name, rows, mixedCols,
-			func(in Operator) Operator { return &Filter{Input: in, Pred: pred} },
-			func(in BatchOperator) BatchOperator { return &BatchFilter{Input: in, Pred: pred} })
+	for _, tc := range cases {
+		run(t, "filter/"+tc.name,
+			&BatchFilter{Input: NewBatchRowsSource(mixedCols, rows), Pred: tc.pred},
+			modelFilter(rows, tc.keep))
 	}
+	// A filter over an already-filtered batch refines its selection.
+	run(t, "filter/stacked",
+		&BatchFilter{Pred: cases[0].pred,
+			Input: &BatchFilter{Input: NewBatchRowsSource(mixedCols, rows), Pred: cases[3].pred}},
+		modelFilter(modelFilter(rows, cases[3].keep), cases[0].keep))
 }
 
 func TestBatchProjectEquivalence(t *testing.T) {
 	rows := mixedRows(2000)
-	runBoth(t, "project/exprs", rows, mixedCols,
-		func(in Operator) Operator {
-			return &Project{Input: in,
-				Exprs: []sql.Expr{bin("*", col(1), col(3)), bin("+", col(3), lit(types.Int(1))), col(2)},
-				Names: []string{"p", "q", "c2"}}
-		},
-		func(in BatchOperator) BatchOperator {
-			return &BatchProject{Input: in,
-				Exprs: []sql.Expr{bin("*", col(1), col(3)), bin("+", col(3), lit(types.Int(1))), col(2)},
-				Names: []string{"p", "q", "c2"}}
-		})
-	// All-column-ref projections take the zero-copy view path.
-	runBoth(t, "project/colrefs", rows, mixedCols,
-		func(in Operator) Operator {
-			return &Project{Input: in, Exprs: []sql.Expr{col(2), col(0)}, Names: []string{"c2", "c0"}}
-		},
-		func(in BatchOperator) BatchOperator {
-			return &BatchProject{Input: in, Exprs: []sql.Expr{col(2), col(0)}, Names: []string{"c2", "c0"}}
-		})
+	run(t, "project/exprs",
+		&BatchProject{Input: NewBatchRowsSource(mixedCols, rows),
+			Exprs: []sql.Expr{bin("*", col(1), col(3)), bin("+", col(3), lit(types.Int(1))), col(2)},
+			Names: []string{"p", "q", "c2"}},
+		modelProject(rows,
+			func(r types.Row) types.Value {
+				if r[1].IsNull() {
+					return types.Null()
+				}
+				return types.Float(r[1].F * float64(r[3].I))
+			},
+			func(r types.Row) types.Value { return types.Int(r[3].I + 1) },
+			at(2)))
+	// All-column-ref projections take the zero-copy view path; under a
+	// filter the view shares the selection vector.
+	keep := func(r types.Row) bool { return c0(r, func(v int64) bool { return v == 3 }) }
+	run(t, "project/colrefs",
+		&BatchProject{Exprs: []sql.Expr{col(2), col(0)}, Names: []string{"c2", "c0"},
+			Input: &BatchFilter{Input: NewBatchRowsSource(mixedCols, rows), Pred: bin("=", col(0), lit(types.Int(3)))}},
+		modelProject(modelFilter(rows, keep), at(2), at(0)))
 }
 
 func TestBatchSortLimitEquivalence(t *testing.T) {
-	rows := mixedRows(2500)
-	keys := []SortKey{{Expr: col(0)}, {Expr: col(1), Desc: true}}
-	runBoth(t, "sort", rows, mixedCols,
-		func(in Operator) Operator { return &Sort{Input: in, Keys: keys} },
-		func(in BatchOperator) BatchOperator { return &BatchSort{Input: in, Keys: keys} })
+	rows := mixedRows(2500) // c0 has 7 values + NULL, c1 50: ties everywhere
+	run(t, "sort",
+		&BatchSort{Input: NewBatchRowsSource(mixedCols, rows),
+			Keys: []SortKey{{Expr: col(0)}, {Expr: col(1), Desc: true}}},
+		modelSort(rows, modelKey{fn: at(0)}, modelKey{fn: at(1), desc: true}))
 	for _, n := range []int{0, 1, 1000, 1024, 1500, 5000} {
-		runBoth(t, fmt.Sprintf("limit-%d", n), rows, mixedCols,
-			func(in Operator) Operator { return &Limit{Input: in, N: n} },
-			func(in BatchOperator) BatchOperator { return &BatchLimit{Input: in, N: n} })
+		run(t, fmt.Sprintf("limit-%d", n),
+			&BatchLimit{Input: NewBatchRowsSource(mixedCols, rows), N: n}, modelLimit(rows, n))
 	}
+	// Limit cutting inside a filtered batch truncates its selection.
+	keep := func(r types.Row) bool { return c0(r, func(v int64) bool { return v == 3 }) }
+	run(t, "limit-after-filter",
+		&BatchLimit{N: 100, Input: &BatchFilter{Input: NewBatchRowsSource(mixedCols, rows),
+			Pred: bin("=", col(0), lit(types.Int(3)))}},
+		modelLimit(modelFilter(rows, keep), 100))
+}
+
+// joinRight is a small build side with NULL, duplicate and unmatched
+// keys.
+func joinRight() []types.Row {
+	var right []types.Row
+	for i := 0; i < 40; i++ {
+		k := types.Int(int64(i % 9)) // keys 7,8 never match mixedRows' c0
+		if i%10 == 0 {
+			k = types.Null()
+		}
+		right = append(right, types.Row{k, types.Int(int64(i * 40))})
+	}
+	return right
 }
 
 func TestBatchHashJoinEquivalence(t *testing.T) {
 	left := mixedRows(1700) // NULL keys at i%11
-	var right []types.Row
-	for i := 0; i < 40; i++ {
-		k := types.Int(int64(i % 9)) // keys 7,8 never match left's c0
-		if i%10 == 0 {
-			k = types.Null()
-		}
-		right = append(right, types.Row{k, types.Str(fmt.Sprintf("r%d", i))})
-	}
+	right := joinRight()
 	rcols := []string{"k", "v"}
-	cases := []struct {
-		name     string
-		outer    bool
-		residual sql.Expr
-	}{
-		{"inner", false, nil},
-		{"outer", true, nil},
-		{"inner-residual", false, bin(">", col(3), col(5))}, // l.c3 > r pos in joined layout
-		{"outer-residual", true, bin(">", col(3), col(5))},
+	residual := bin(">", col(3), col(5)) // l.c3 > r.v in the joined layout
+	residualModel := func(j types.Row) bool { return j[3].I > j[5].I }
+	for _, outer := range []bool{false, true} {
+		run(t, fmt.Sprintf("join/outer=%v", outer),
+			&BatchHashJoin{Left: NewBatchRowsSource(mixedCols, left), Right: NewBatchRowsSource(rcols, right),
+				LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}, Outer: outer},
+			modelJoin(left, right, 2, outer, equi(at(0), at(4), nil)))
+		run(t, fmt.Sprintf("join/residual/outer=%v", outer),
+			&BatchHashJoin{Left: NewBatchRowsSource(mixedCols, left), Right: NewBatchRowsSource(rcols, right),
+				LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}, Residual: residual, Outer: outer},
+			modelJoin(left, right, 2, outer, equi(at(0), at(4), residualModel)))
 	}
-	for _, tc := range cases {
-		want, err := Collect(&HashJoin{
-			Left: NewRowsSource(mixedCols, left), Right: NewRowsSource(rcols, right),
-			LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)},
-			Residual: tc.residual, Outer: tc.outer})
-		if err != nil {
-			t.Fatalf("join/%s row mode: %v", tc.name, err)
-		}
-		got, err := CollectBatch(&BatchHashJoin{
-			Left: NewBatchRowsSource(mixedCols, left), Right: NewBatchRowsSource(rcols, right),
-			LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)},
-			Residual: tc.residual, Outer: tc.outer})
-		if err != nil {
-			t.Fatalf("join/%s batch mode: %v", tc.name, err)
-		}
-		assertSameRows(t, "join/"+tc.name, got, want)
-	}
-	// Expression keys (non-colref) exercise the scratch-eval probe path.
-	want, err := Collect(&HashJoin{
-		Left: NewRowsSource(mixedCols, left), Right: NewRowsSource(rcols, right),
-		LeftKeys:  []sql.Expr{bin("+", col(0), lit(types.Int(1)))},
-		RightKeys: []sql.Expr{bin("+", col(0), lit(types.Int(1)))}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CollectBatch(&BatchHashJoin{
-		Left: NewBatchRowsSource(mixedCols, left), Right: NewBatchRowsSource(rcols, right),
-		LeftKeys:  []sql.Expr{bin("+", col(0), lit(types.Int(1)))},
-		RightKeys: []sql.Expr{bin("+", col(0), lit(types.Int(1)))}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "join/expr-keys", got, want)
+	// Expression keys (non-colref) exercise the scratch-eval probe path;
+	// k+1 = k'+1 matches exactly when k = k'.
+	plus1 := []sql.Expr{bin("+", col(0), lit(types.Int(1)))}
+	run(t, "join/expr-keys",
+		&BatchHashJoin{Left: NewBatchRowsSource(mixedCols, left), Right: NewBatchRowsSource(rcols, right),
+			LeftKeys: plus1, RightKeys: plus1},
+		modelJoin(left, right, 2, false, equi(at(0), at(4), nil)))
 }
 
-func TestBatchHashAggEquivalence(t *testing.T) {
-	rows := mixedRows(3100)
-	aggs := []AggSpec{
+func TestBatchNestedLoopJoin(t *testing.T) {
+	left := mixedRows(1300) // two left batches
+	right := joinRight()
+	rcols := []string{"k", "v"}
+	on := bin("<", col(0), col(4)) // l.c0 < r.k: NULL on either side never matches
+	onModel := func(j types.Row) bool { return !j[0].IsNull() && !j[4].IsNull() && j[0].I < j[4].I }
+	all := func(types.Row) bool { return true }
+	for _, outer := range []bool{false, true} {
+		label := fmt.Sprintf("nl/outer=%v", outer)
+		nl := func(l, r []types.Row, on sql.Expr) *BatchNestedLoopJoin {
+			return &BatchNestedLoopJoin{Left: NewBatchRowsSource(mixedCols, l),
+				Right: NewBatchRowsSource(rcols, r), On: on, Outer: outer}
+		}
+		run(t, label, nl(left, right, on), modelJoin(left, right, 2, outer, onModel))
+		run(t, label+"/empty-right", nl(left, nil, on), modelJoin(left, nil, 2, outer, onModel))
+		run(t, label+"/empty-left", nl(nil, right, on), nil)
+		run(t, label+"/cross", nl(left[:100], right, nil), modelJoin(left[:100], right, 2, outer, all))
+	}
+	// No output batch outgrows DefaultSize pairs by more than one left
+	// row's matches, however large the product.
+	j := &BatchNestedLoopJoin{Left: NewBatchRowsSource(mixedCols, left), Right: NewBatchRowsSource(rcols, right)}
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	total := 0
+	for {
+		b, err := j.NextBatch()
+		if errors.Is(err, ErrEOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := b.NumRows(); n > vector.DefaultSize+len(right) {
+			t.Fatalf("output batch of %d rows", n)
+		}
+		total += b.NumRows()
+		b.Release()
+	}
+	if total != len(left)*len(right) {
+		t.Fatalf("cross product %d rows, want %d", total, len(left)*len(right))
+	}
+}
+
+var (
+	mixedAggs = []AggSpec{
 		{Func: "COUNT", Star: true},
 		{Func: "COUNT", Arg: col(1)},
 		{Func: "SUM", Arg: col(1)},
@@ -206,97 +237,95 @@ func TestBatchHashAggEquivalence(t *testing.T) {
 		{Func: "MAX", Arg: col(1)},
 		{Func: "MIN", Arg: col(2)},
 		{Func: "SUM", Arg: bin("*", col(1), col(3))}, // complex arg
+		{Func: "COUNT", Arg: col(2), Distinct: true},
 	}
-	names := []string{"cnt", "cnt1", "s1", "s3", "a1", "mn", "mx", "mns", "sexpr"}
-	// Grouped (NULL group key included) and global (fused kernels).
-	for _, group := range [][]sql.Expr{{col(0), col(2)}, nil} {
-		label := "agg/grouped"
-		gnames := append([]string{"g0", "g1"}, names...)
-		if group == nil {
-			label = "agg/global"
-			gnames = names
-		}
-		runBoth(t, label, rows, mixedCols,
-			func(in Operator) Operator {
-				return &HashAgg{Input: in, GroupBy: group, Aggs: aggs, Mode: AggComplete, Names: gnames}
-			},
-			func(in BatchOperator) BatchOperator {
-				return &BatchHashAgg{Input: in, GroupBy: group, Aggs: aggs, Mode: AggComplete, Names: gnames}
-			})
+	mixedModelAggs = []modelAgg{
+		{fn: "COUNT"},
+		{fn: "COUNT", arg: at(1)},
+		{fn: "SUM", arg: at(1)},
+		{fn: "SUM", arg: at(3)},
+		{fn: "AVG", arg: at(1)},
+		{fn: "MIN", arg: at(3)},
+		{fn: "MAX", arg: at(1)},
+		{fn: "MIN", arg: at(2)},
+		{fn: "SUM", arg: func(r types.Row) types.Value {
+			if r[1].IsNull() {
+				return types.Null()
+			}
+			return types.Float(r[1].F * float64(r[3].I))
+		}},
+		{fn: "COUNT", arg: at(2), distinct: true},
 	}
+)
+
+// TestBatchHashAggEquivalence: float sums fold in row order, so the
+// engine's sums equal the model's bit for bit; groups (NULL key
+// included) emit in key order.
+func TestBatchHashAggEquivalence(t *testing.T) {
+	rows := mixedRows(3100)
+	shards := [][]types.Row{rows}
+	run(t, "agg/grouped",
+		&BatchHashAgg{Input: NewBatchRowsSource(mixedCols, rows),
+			GroupBy: []sql.Expr{col(0), col(2)}, Aggs: mixedAggs},
+		modelAggregate(shards, []rowFn{at(0), at(2)}, mixedModelAggs))
+	// Expression group keys evaluate on the scratch row.
+	run(t, "agg/expr-group",
+		&BatchHashAgg{Input: NewBatchRowsSource(mixedCols, rows),
+			GroupBy: []sql.Expr{bin("+", col(0), lit(types.Int(1)))}, Aggs: mixedAggs},
+		modelAggregate(shards, []rowFn{func(r types.Row) types.Value {
+			if r[0].IsNull() {
+				return types.Null()
+			}
+			return types.Int(r[0].I + 1)
+		}}, mixedModelAggs))
+	// Global aggregates: DISTINCT takes the boxed path, the rest the
+	// fused kernels.
+	run(t, "agg/global", &BatchHashAgg{Input: NewBatchRowsSource(mixedCols, rows), Aggs: mixedAggs},
+		modelAggregate(shards, nil, mixedModelAggs))
+	run(t, "agg/global-fused", &BatchHashAgg{Input: NewBatchRowsSource(mixedCols, rows), Aggs: mixedAggs[:8]},
+		modelAggregate(shards, nil, mixedModelAggs[:8]))
 	// Empty input: the global group must still emit one row.
-	runBoth(t, "agg/empty-global", nil, mixedCols,
-		func(in Operator) Operator {
-			return &HashAgg{Input: in, Aggs: aggs, Mode: AggComplete, Names: names}
-		},
-		func(in BatchOperator) BatchOperator {
-			return &BatchHashAgg{Input: in, Aggs: aggs, Mode: AggComplete, Names: names}
-		})
+	run(t, "agg/empty-global", &BatchHashAgg{Input: NewBatchRowsSource(mixedCols, nil), Aggs: mixedAggs},
+		modelAggregate(nil, nil, mixedModelAggs))
 }
 
 // TestBatchTwoPhaseAggEquivalence chains partial fragments into a final
-// merge in both modes — the MPP shape.
+// merge — the MPP shape. Float sums fold within each shard, then across
+// shards in gather order.
 func TestBatchTwoPhaseAggEquivalence(t *testing.T) {
 	rows := mixedRows(2600)
 	shards := [][]types.Row{rows[:900], rows[900:1800], rows[1800:]}
 	group := []sql.Expr{col(0)}
-	aggs := []AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: col(1)}, {Func: "AVG", Arg: col(3)}}
-	finalGroup := []sql.Expr{&sql.ColumnRef{Column: "g0", Index: 0}}
-	names := []string{"g0", "cnt", "s", "a"}
-
-	var rowPartials []Operator
-	for _, sh := range shards {
-		rowPartials = append(rowPartials, &HashAgg{
-			Input: NewRowsSource(mixedCols, sh), GroupBy: group, Aggs: aggs, Mode: AggPartial})
+	aggs := mixedAggs[:9] // DISTINCT does not split into phases
+	for _, g := range []struct {
+		label string
+		exprs []sql.Expr
+		fns   []rowFn
+		final []sql.Expr
+	}{
+		{"two-phase/grouped", group, []rowFn{at(0)}, group},
+		{"two-phase/global", nil, nil, nil},
+	} {
+		run(t, g.label,
+			&BatchHashAgg{Input: &BatchGather{Inputs: partials(shards, 4, g.exprs, aggs)},
+				GroupBy: g.final, Aggs: aggs, Mode: AggFinal},
+			modelAggregate(shards, g.fns, mixedModelAggs[:9]))
 	}
-	want, err := Collect(&HashAgg{
-		Input:   &Gather{Cols: nil, Inputs: rowPartials},
-		GroupBy: finalGroup, Aggs: aggs, Mode: AggFinal, Names: names})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batchPartials []BatchOperator
-	for _, sh := range shards {
-		batchPartials = append(batchPartials, &BatchHashAgg{
-			Input: NewBatchRowsSource(mixedCols, sh), GroupBy: group, Aggs: aggs, Mode: AggPartial})
-	}
-	got, err := CollectBatch(&BatchHashAgg{
-		Input:   &BatchGather{Inputs: batchPartials},
-		GroupBy: finalGroup, Aggs: aggs, Mode: AggFinal, Names: names})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "two-phase", got, want)
 }
 
 // TestRunBatchFragmentsEquivalence pushes fragments through scheduled
 // exchange queues (tiny high-water mark to force backpressure parking)
-// and checks the gathered stream matches row-mode fragments.
+// and checks the gathered stream is the shards in assignment order.
 func TestRunBatchFragmentsEquivalence(t *testing.T) {
 	sched := htap.NewScheduler(htap.Config{})
 	defer sched.Stop()
-	rows := mixedRows(2200)
+	rows := mixedRows(4200)
 	shards := [][]types.Row{rows[:800], rows[800:1600], rows[1600:]}
-
-	var rowAssign []FragmentAssignment
+	var assign []BatchFragmentAssignment
 	for _, sh := range shards {
-		rowAssign = append(rowAssign, FragmentAssignment{Op: NewRowsSource(mixedCols, sh), Sched: sched})
+		assign = append(assign, BatchFragmentAssignment{Op: NewBatchRowsSource(mixedCols, sh), Sched: sched})
 	}
-	rg := RunFragments(htap.GroupAP, rowAssign)
-	rg.Cols = mixedCols
-	want, err := Collect(rg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batchAssign []BatchFragmentAssignment
-	for _, sh := range shards {
-		batchAssign = append(batchAssign, BatchFragmentAssignment{Op: NewBatchRowsSource(mixedCols, sh), Sched: sched})
-	}
-	got, err := CollectBatch(RunBatchFragments(htap.GroupAP, batchAssign, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "fragments", got, want)
+	run(t, "fragments", RunBatchFragments(htap.GroupAP, assign, 1), rows)
 }
 
 func TestBatchQueueBackpressure(t *testing.T) {
@@ -343,49 +372,64 @@ func TestBatchQueueBackpressure(t *testing.T) {
 	}
 }
 
-func TestRowQueueBackpressure(t *testing.T) {
-	q := NewRowQueueBounded(2)
-	row := types.Row{types.Int(1)}
-	for i := 0; i < 2; i++ {
-		if ok, _ := q.TryPush(row); !ok {
-			t.Fatalf("push %d blocked below high water", i)
+// oneRow is a single-row batch carrying v.
+func oneRow(v int64) *vector.Batch { return vector.FromRows(intRows([]int64{v}), 1) }
+
+func TestBatchQueueOrderAndClose(t *testing.T) {
+	q := NewBatchQueue(0)
+	for i := int64(0); i < 5; i++ {
+		q.Push(oneRow(i))
+	}
+	q.CloseWith(nil)
+	for i := int64(0); i < 5; i++ {
+		b, err := q.Pop()
+		if err != nil || b.Row(0)[0].AsInt() != i {
+			t.Fatalf("pop %d = %v, %v", i, b, err)
 		}
 	}
-	ok, wait := q.TryPush(row)
-	if ok || wait == nil {
-		t.Fatal("third push should block with a wake channel")
+	if _, err := q.Pop(); !errors.Is(err, ErrEOF) {
+		t.Fatalf("err = %v", err)
 	}
-	if _, err := q.Pop(); err != nil {
-		t.Fatal(err)
+}
+
+func TestBatchQueueErrorPropagation(t *testing.T) {
+	q := NewBatchQueue(0)
+	want := errors.New("fragment failed")
+	q.CloseWith(want)
+	if _, err := q.Pop(); !errors.Is(err, want) {
+		t.Fatalf("err = %v", err)
 	}
-	select {
-	case <-wait:
-	case <-time.After(time.Second):
-		t.Fatal("pop did not wake blocked producer")
+	// Push after close is dropped.
+	q.Push(oneRow(1))
+	if q.Len() != 0 {
+		t.Fatal("push after close buffered")
 	}
+}
+
+// TestBatchQueueBlockingPush: Push on a full queue blocks until the
+// consumer drains, then completes.
+func TestBatchQueueBlockingPush(t *testing.T) {
+	q := NewBatchQueue(1)
+	q.Push(oneRow(0))
 	done := make(chan struct{})
-	go func() { q.Push(row); q.Push(row); close(done) }() // second blocks until drained
-	time.Sleep(10 * time.Millisecond)
-	if _, err := q.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Pop(); err != nil {
-		t.Fatal(err)
+	go func() { q.Push(oneRow(1)); q.Push(oneRow(2)); close(done) }()
+	for i := int64(0); i < 3; i++ {
+		if i < 2 { // the last push needs this pop and the one before
+			select {
+			case <-done:
+				t.Fatalf("pushes completed with %d batches still to pop from a queue of 1", 3-i)
+			default:
+			}
+		}
+		b, err := q.Pop()
+		if err != nil || b.Row(0)[0].AsInt() != i {
+			t.Fatalf("pop %d = %v, %v", i, b, err)
+		}
 	}
 	select {
 	case <-done:
-	case <-time.After(time.Second):
+	case <-time.After(10 * time.Second):
 		t.Fatal("blocking Push never completed")
 	}
 	q.CloseWith(nil)
-}
-
-// TestBatchToRowRoundTrip sanity-checks the bridging adapters.
-func TestBatchToRowRoundTrip(t *testing.T) {
-	rows := mixedRows(1300)
-	got, err := Collect(&BatchToRow{Op: &RowToBatch{Op: NewRowsSource(mixedCols, rows)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "roundtrip", got, rows)
 }

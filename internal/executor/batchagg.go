@@ -10,18 +10,20 @@ import (
 	"repro/internal/vector"
 )
 
-// BatchHashAgg is the batch-mode hash aggregate. It reuses aggState, so
-// Complete/Partial/Final semantics (and AVG's two-column partial state)
-// are identical to HashAgg; groups emit in sorted encoded-key order like
-// the row path. The batch win: group keys box only the key columns and
-// encode into a reused buffer (no per-row sql.Eval, no allocation on
-// group hits), aggregate arguments read straight from vectors, and
-// global aggregates over typed vectors run fused update kernels.
+// BatchHashAgg groups its input on GroupBy expressions and computes
+// Aggs in Complete, Partial or Final mode (AVG's partial state is two
+// columns: sum, count). Output layout: group columns first (in GroupBy
+// order), then aggregate columns (state columns in Partial mode).
+// Groups are emitted in sorted encoded-key order for determinism. Group
+// keys box only the key columns and encode into a reused buffer (no
+// per-row sql.Eval, no allocation on group hits), aggregate arguments
+// read straight from vectors, and global aggregates over typed vectors
+// run fused update kernels.
 //
 // Float SUM/AVG accumulation folds strictly in row order — including
-// inside the fused kernels — so results are bit-identical to row mode
-// (float addition is not associative; equivalence demands the same
-// fold order, not just the same set of addends).
+// inside the fused kernels — so a result is a left fold over the input
+// order (float addition is not associative; the tests' model demands
+// the same fold order, not just the same set of addends).
 type BatchHashAgg struct {
 	Input   BatchOperator
 	GroupBy []sql.Expr
@@ -42,12 +44,23 @@ type BatchHashAgg struct {
 	scratch types.Row
 }
 
-// Columns implements BatchOperator (same naming scheme as HashAgg).
+// Columns implements BatchOperator.
 func (h *BatchHashAgg) Columns() []string {
 	if h.Names != nil {
 		return h.Names
 	}
-	return (&HashAgg{GroupBy: h.GroupBy, Aggs: h.Aggs, Mode: h.Mode}).Columns()
+	var out []string
+	for i := range h.GroupBy {
+		out = append(out, fmt.Sprintf("group%d", i))
+	}
+	for i, a := range h.Aggs {
+		if h.Mode == AggPartial && a.Func == "AVG" {
+			out = append(out, fmt.Sprintf("agg%d_sum", i), fmt.Sprintf("agg%d_cnt", i))
+		} else {
+			out = append(out, fmt.Sprintf("agg%d", i))
+		}
+	}
+	return out
 }
 
 // Open implements BatchOperator.
@@ -213,7 +226,7 @@ func forSel(v *vector.Vector, sel []int, fn func(i int)) {
 // promotion semantics: the integer fast path only runs while the
 // accumulator is still integral (or empty) over an int column; any
 // float anywhere switches to the in-order float fold so the result is
-// bit-identical to the row path's left fold.
+// bit-identical to a left fold with Value.Add.
 func sumKernel(st *aggState, v *vector.Vector, sel []int) {
 	if v.Encoded() {
 		if !sumEncoded(st, v, sel) {
@@ -299,7 +312,7 @@ func sumKernel(st *aggState, v *vector.Vector, sel []int) {
 		}
 		return
 	}
-	// Boxed/string columns: defer to the row-path accumulator.
+	// Boxed/string columns: defer to the boxed accumulator.
 	forSel(v, sel, func(i int) { st.add(v.Value(i)) })
 }
 

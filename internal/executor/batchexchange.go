@@ -17,7 +17,7 @@ import (
 // without letting a fast producer balloon memory.
 const DefaultQueueHighWater = 8
 
-// BatchQueue is the batch-mode exchange buffer between fragments: one
+// BatchQueue is the exchange buffer between fragments: one
 // queue operation moves ~1024 rows, and the queue is bounded — a
 // producer that reaches the high-water mark blocks (or, on the htap
 // scheduler, parks with JobBlocked) until the consumer drains.
@@ -175,13 +175,21 @@ func ExchangeWaitStats() (waits int64, total time.Duration) {
 type BatchQueueSource struct {
 	Cols []string
 	Q    *BatchQueue
+	// start, when non-nil, launches the queue's producer on Open.
+	start func()
 }
 
 // Columns implements BatchOperator.
 func (s *BatchQueueSource) Columns() []string { return s.Cols }
 
 // Open implements BatchOperator.
-func (s *BatchQueueSource) Open() error { return nil }
+func (s *BatchQueueSource) Open() error {
+	if s.start != nil {
+		s.start()
+		s.start = nil
+	}
+	return nil
+}
 
 // NextBatch implements BatchOperator.
 func (s *BatchQueueSource) NextBatch() (*vector.Batch, error) { return s.Q.Pop() }
@@ -192,8 +200,8 @@ func (s *BatchQueueSource) Close() error {
 	return nil
 }
 
-// BatchGather merges several batch inputs by draining each in turn —
-// the same order Gather uses, so row and batch mode merge identically.
+// BatchGather merges several batch inputs by draining each in turn, in
+// input order — the MPP exchange consumer.
 type BatchGather struct {
 	Cols   []string
 	Inputs []BatchOperator
@@ -299,7 +307,10 @@ type BatchFragmentAssignment struct {
 
 // RunBatchFragments executes batch fragments in parallel (one bounded
 // exchange queue each) and returns a BatchGather over their outputs.
-// queueHigh <= 0 uses DefaultQueueHighWater.
+// The fragments start when the gather is opened, not before: whatever
+// the caller reads while it is still building the plan (point lookups
+// under the same transaction) is finished before any fragment's scan is
+// in flight. queueHigh <= 0 uses DefaultQueueHighWater.
 func RunBatchFragments(group htap.Group, assignments []BatchFragmentAssignment, queueHigh int) *BatchGather {
 	return RunBatchFragmentsUntil(group, assignments, queueHigh, nil, time.Time{})
 }
@@ -313,30 +324,31 @@ func RunBatchFragmentsUntil(group htap.Group, assignments []BatchFragmentAssignm
 		q := NewBatchQueue(queueHigh)
 		q.ArmDeadline(clock, deadline)
 		job := &BatchFragmentJob{Op: a.Op, Out: q}
-		inputs[i] = &BatchQueueSource{Cols: a.Op.Columns(), Q: q}
-		if a.Sched != nil {
-			a.Sched.Submit(group, job)
-		} else {
-			// No scheduler (plain TP path): run on a goroutine, honoring
-			// backpressure by sleeping on the wake channel.
-			go func() {
-				for {
-					state, wake, _ := job.Run(time.Hour)
-					switch state {
-					case htap.JobDone:
-						return
-					case htap.JobBlocked:
-						if wake != nil {
-							<-wake
-						}
-					}
-				}
-			}()
+		start := func() { go runToCompletion(job) }
+		if sched := a.Sched; sched != nil {
+			start = func() { sched.Submit(group, job) }
 		}
+		inputs[i] = &BatchQueueSource{Cols: a.Op.Columns(), Q: q, start: start}
 	}
 	var cols []string
 	if len(assignments) > 0 {
 		cols = assignments[0].Op.Columns()
 	}
 	return &BatchGather{Cols: cols, Inputs: inputs}
+}
+
+// runToCompletion drives a fragment with no scheduler, honoring
+// backpressure by sleeping on the wake channel.
+func runToCompletion(job *BatchFragmentJob) {
+	for {
+		state, wake, _ := job.Run(time.Hour)
+		switch state {
+		case htap.JobDone:
+			return
+		case htap.JobBlocked:
+			if wake != nil {
+				<-wake
+			}
+		}
+	}
 }

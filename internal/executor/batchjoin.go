@@ -8,12 +8,15 @@ import (
 	"repro/internal/vector"
 )
 
-// BatchHashJoin is the batch-mode equi-join. Semantics match HashJoin
-// exactly (right side builds, left side probes in order, matches emit
-// in build insertion order, NULL keys never match, LEFT OUTER emits
-// null-extended rows, residual filters the joined layout) — the batch
-// win is amortized probing: keys encode into a reused buffer straight
-// from column vectors and output rows append into pooled vectors.
+// BatchHashJoin is an equi-join. The RIGHT input is the build side
+// (hashed on RightKeys); the LEFT input streams and probes, which
+// preserves left order and makes LEFT OUTER natural (Outer emits
+// NULL-extended rows for unmatched left rows). Matches emit in build
+// insertion order, NULL keys never match, and Residual filters the
+// joined layout (left columns then right columns). The optimizer places
+// the smaller input on the right. Probing is amortized: keys encode
+// into a reused buffer straight from column vectors and output rows
+// append into pooled vectors.
 type BatchHashJoin struct {
 	Left, Right BatchOperator
 	// LeftKeys/RightKeys are bound against the respective child layouts.
@@ -131,8 +134,7 @@ func (j *BatchHashJoin) build() error {
 }
 
 // NextBatch implements BatchOperator. Each input batch probes into one
-// output batch (sized by the match cardinality), preserving row-mode
-// emission order.
+// output batch (sized by the match cardinality), in probe order.
 func (j *BatchHashJoin) NextBatch() (*vector.Batch, error) {
 	if !j.built {
 		if err := j.build(); err != nil {
@@ -172,7 +174,7 @@ func (j *BatchHashJoin) NextBatch() (*vector.Batch, error) {
 			}
 			if j.Outer && j.Residual != nil {
 				// Residual-filtered LEFT OUTER: null-extend when no match
-				// survives the residual (same as the row path).
+				// survives the residual.
 				emitted := false
 				for _, m := range matches {
 					pass, err := j.residualPass(m)
@@ -211,16 +213,34 @@ func (j *BatchHashJoin) NextBatch() (*vector.Batch, error) {
 			b.Release()
 			continue
 		}
-		out := vector.NewBatch(lw + rw)
-		for c := 0; c < lw; c++ {
-			out.Vecs[c].AppendGather(b.Vecs[c], j.leftPos)
-		}
-		for c := 0; c < rw; c++ {
-			out.Vecs[lw+c].AppendRowsColumn(j.rightRows, c)
-		}
+		out := joinedBatch(b, lw, rw, j.leftPos, j.rightRows)
 		b.Release()
 		return out, nil
 	}
+}
+
+// joinedBatch emits one join output batch: output row k is left row
+// leftPos[k] (a physical position in left, gathered column by column)
+// followed by rightRows[k], or by NULLs where rightRows[k] is nil.
+func joinedBatch(left *vector.Batch, lw, rw int, leftPos []int, rightRows []types.Row) *vector.Batch {
+	out := vector.NewBatch(lw + rw)
+	for c := 0; c < lw; c++ {
+		out.Vecs[c].AppendGather(left.Vecs[c], leftPos)
+	}
+	for c := 0; c < rw; c++ {
+		out.Vecs[lw+c].AppendRowsColumn(rightRows, c)
+	}
+	return out
+}
+
+// closeBoth closes a join's inputs, reporting the left error first.
+func closeBoth(left, right BatchOperator) error {
+	errL := left.Close()
+	errR := right.Close()
+	if errL != nil {
+		return errL
+	}
+	return errR
 }
 
 // probe computes the probe key for logical row i (already materialized
@@ -265,10 +285,121 @@ func (j *BatchHashJoin) residualPass(match types.Row) (bool, error) {
 // Close implements BatchOperator.
 func (j *BatchHashJoin) Close() error {
 	j.table = nil
-	errL := j.Left.Close()
-	errR := j.Right.Close()
-	if errL != nil {
-		return errL
+	return closeBoth(j.Left, j.Right)
+}
+
+// BatchNestedLoopJoin handles non-equi joins: the right side is
+// materialized once and re-scanned per left row with the ON condition
+// (nil = cross join) evaluated on a scratch row in the combined layout.
+// Pairs emit in left order then right order; Outer null-extends a left
+// row that matched nothing. The optimizer only picks it when no
+// equi-keys exist.
+type BatchNestedLoopJoin struct {
+	Left, Right BatchOperator
+	On          sql.Expr
+	Outer       bool
+
+	cols    []string
+	built   bool
+	right   []types.Row
+	scratch types.Row // joined layout (left ++ right)
+
+	cur *vector.Batch // left batch being joined
+	li  int           // next logical row of cur
+
+	// Emission plan of the output batch under construction, as in
+	// BatchHashJoin: rightRows[k] nil = outer-join null extension.
+	leftPos   []int
+	rightRows []types.Row
+}
+
+// Columns implements BatchOperator.
+func (j *BatchNestedLoopJoin) Columns() []string {
+	if j.cols == nil {
+		j.cols = append(append([]string{}, j.Left.Columns()...), j.Right.Columns()...)
 	}
-	return errR
+	return j.cols
+}
+
+// Open implements BatchOperator.
+func (j *BatchNestedLoopJoin) Open() error {
+	j.built, j.right = false, nil
+	j.scratch = make(types.Row, len(j.Columns()))
+	if err := j.Left.Open(); err != nil {
+		return err
+	}
+	return j.Right.Open()
+}
+
+// NextBatch implements BatchOperator. An output batch closes at the
+// first left-row boundary past DefaultSize pairs, so its size is bounded
+// by DefaultSize plus the right side's cardinality however large the
+// cross product.
+func (j *BatchNestedLoopJoin) NextBatch() (*vector.Batch, error) {
+	if !j.built {
+		var err error
+		if j.right, err = drainRows(j.Right); err != nil {
+			return nil, err
+		}
+		j.built = true
+	}
+	lw := len(j.Left.Columns())
+	rw := len(j.Right.Columns())
+	for {
+		if j.cur == nil {
+			b, err := j.Left.NextBatch()
+			if err != nil {
+				return nil, err // includes ErrEOF
+			}
+			j.cur, j.li = b, 0
+		}
+		b := j.cur
+		j.leftPos = j.leftPos[:0]
+		j.rightRows = j.rightRows[:0]
+		for n := b.NumRows(); j.li < n && len(j.leftPos) < vector.DefaultSize; j.li++ {
+			b.RowInto(j.scratch[:lw], j.li)
+			p := b.RowIdx(j.li)
+			matched := false
+			for _, r := range j.right {
+				if j.On != nil {
+					copy(j.scratch[lw:], r)
+					v, err := sql.Eval(j.On, j.scratch)
+					if err != nil {
+						return nil, err
+					}
+					if !v.IsTruthy() {
+						continue
+					}
+				}
+				matched = true
+				j.leftPos = append(j.leftPos, p)
+				j.rightRows = append(j.rightRows, r)
+			}
+			if j.Outer && !matched {
+				j.leftPos = append(j.leftPos, p)
+				j.rightRows = append(j.rightRows, nil)
+			}
+		}
+		var out *vector.Batch
+		if len(j.leftPos) > 0 {
+			out = joinedBatch(b, lw, rw, j.leftPos, j.rightRows)
+		}
+		if j.li >= b.NumRows() {
+			b.Release()
+			j.cur = nil
+		}
+		if out != nil {
+			return out, nil
+		}
+	}
+}
+
+// Close implements BatchOperator.
+func (j *BatchNestedLoopJoin) Close() error {
+	if j.cur != nil {
+		j.cur.Release()
+		j.cur = nil
+	}
+	j.right = nil
+	return closeBoth(j.Left, j.Right)
 }

@@ -2,22 +2,27 @@ package executor
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/htap"
 	"repro/internal/sql"
 	"repro/internal/types"
+	"repro/internal/vector"
 )
 
+// Small hand-checkable cases, one per operator behaviour: each runs the
+// operator, compares with the model, and spot-checks a literal value so
+// the model itself is pinned. batch_test.go repeats the comparison on
+// larger mixed-type data that crosses batch boundaries.
+
 // col builds a bound column reference.
-func col(idx int) sql.Expr { return &sql.ColumnRef{Column: fmt.Sprintf("c%d", idx), Index: idx} }
+func col(idx int) sql.Expr { return &sql.ColumnRef{Column: "c", Index: idx} }
 
 func lit(v types.Value) sql.Expr { return &sql.Literal{Val: v} }
 
 func bin(op string, l, r sql.Expr) sql.Expr { return &sql.BinaryOp{Op: op, L: l, R: r} }
 
-// rows builds test rows of ints.
+// intRows builds test rows of ints.
 func intRows(vals ...[]int64) []types.Row {
 	out := make([]types.Row, len(vals))
 	for i, rv := range vals {
@@ -30,298 +35,223 @@ func intRows(vals ...[]int64) []types.Row {
 	return out
 }
 
+// src is a batch source over rows, ncols wide.
+func src(ncols int, rows []types.Row) *BatchesSource {
+	return NewBatchRowsSource(make([]string, ncols), rows)
+}
+
+// intLess is the model predicate c[a] < c[b] over non-NULL ints.
+func intLess(a, b int) rowPred {
+	return func(r types.Row) bool { return !r[a].IsNull() && !r[b].IsNull() && r[a].I < r[b].I }
+}
+
 func TestRowsSourceAndCollect(t *testing.T) {
-	src := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{2}))
-	got, err := Collect(src)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("collect = %v, %v", got, err)
+	// 1300 rows columnarize into two batches and come back unchanged.
+	rows := mixedRows(1300)
+	s := NewBatchRowsSource(mixedCols, rows)
+	if len(s.Batches) != 2 || s.Batches[0].NumRows() != vector.DefaultSize {
+		t.Fatalf("want a full batch and a remainder, got %d batches", len(s.Batches))
 	}
+	run(t, "source", s, rows)
 }
 
 func TestFilter(t *testing.T) {
-	src := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{5}, []int64{10}))
-	f := &Filter{Input: src, Pred: bin(">", col(0), lit(types.Int(4)))}
-	got, err := Collect(f)
-	if err != nil || len(got) != 2 || got[0][0].AsInt() != 5 {
-		t.Fatalf("filter = %v, %v", got, err)
+	rows := []types.Row{{types.Int(1)}, {types.Null()}, {types.Int(5)}, {types.Int(10)}}
+	got := run(t, "filter",
+		&BatchFilter{Input: src(1, rows), Pred: bin(">", col(0), lit(types.Int(4)))},
+		modelFilter(rows, func(r types.Row) bool { return !r[0].IsNull() && r[0].I > 4 }))
+	if len(got) != 2 || got[0][0].AsInt() != 5 {
+		t.Fatalf("filter = %v", got)
 	}
 }
 
 func TestProject(t *testing.T) {
-	src := NewRowsSource([]string{"a", "b"}, intRows([]int64{3, 4}))
-	p := &Project{Input: src,
+	rows := intRows([]int64{3, 4})
+	p := &BatchProject{Input: src(2, rows),
 		Exprs: []sql.Expr{bin("*", col(0), col(1)), col(0)},
 		Names: []string{"prod", "a"}}
-	got, err := Collect(p)
-	if err != nil || got[0][0].AsInt() != 12 || got[0][1].AsInt() != 3 {
-		t.Fatalf("project = %v, %v", got, err)
-	}
-	if p.Columns()[0] != "prod" {
-		t.Fatal("names")
+	got := run(t, "project", p, modelProject(rows,
+		func(r types.Row) types.Value { return types.Int(r[0].I * r[1].I) }, at(0)))
+	if got[0][0].AsInt() != 12 || got[0][1].AsInt() != 3 || p.Columns()[0] != "prod" {
+		t.Fatalf("project = %v, names %v", got, p.Columns())
 	}
 }
 
 func TestLimit(t *testing.T) {
-	src := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{2}, []int64{3}))
-	got, _ := Collect(&Limit{Input: src, N: 2})
-	if len(got) != 2 {
-		t.Fatalf("limit = %d rows", len(got))
-	}
-	src2 := NewRowsSource([]string{"a"}, intRows([]int64{1}))
-	got2, _ := Collect(&Limit{Input: src2, N: -1})
-	if len(got2) != 1 {
-		t.Fatal("negative limit should pass through")
+	rows := intRows([]int64{1}, []int64{2}, []int64{3})
+	for _, n := range []int{0, 2, 3, 7, -1} { // -1 = unlimited
+		got := run(t, "limit", &BatchLimit{Input: src(1, rows), N: n}, modelLimit(rows, n))
+		if n == 2 && len(got) != 2 {
+			t.Fatalf("limit 2 = %d rows", len(got))
+		}
 	}
 }
 
 func TestSortMultiKey(t *testing.T) {
-	src := NewRowsSource([]string{"a", "b"},
-		intRows([]int64{1, 9}, []int64{2, 1}, []int64{1, 3}))
-	s := &Sort{Input: src, Keys: []SortKey{
-		{Expr: col(0)}, {Expr: col(1), Desc: true},
-	}}
-	got, err := Collect(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][2]int64{{1, 9}, {1, 3}, {2, 1}}
-	for i, w := range want {
-		if got[i][0].AsInt() != w[0] || got[i][1].AsInt() != w[1] {
-			t.Fatalf("sort[%d] = %v", i, got[i])
-		}
-	}
+	// The trailing column tells tied rows apart: ties keep input order.
+	rows := intRows([]int64{1, 9, 0}, []int64{2, 1, 1}, []int64{1, 3, 2}, []int64{1, 9, 3})
+	got := run(t, "sort",
+		&BatchSort{Input: src(3, rows), Keys: []SortKey{{Expr: col(0)}, {Expr: col(1), Desc: true}}},
+		modelSort(rows, modelKey{fn: at(0)}, modelKey{fn: at(1), desc: true}))
+	assertSameRows(t, "sort literal", got,
+		intRows([]int64{1, 9, 0}, []int64{1, 9, 3}, []int64{1, 3, 2}, []int64{2, 1, 1}))
 }
 
 func TestHashJoinInner(t *testing.T) {
-	left := NewRowsSource([]string{"l.id", "l.v"},
-		intRows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30}))
-	right := NewRowsSource([]string{"r.id", "r.w"},
-		intRows([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}))
-	j := &HashJoin{Left: left, Right: right,
-		LeftKeys:  []sql.Expr{col(0)},
-		RightKeys: []sql.Expr{col(0)},
-	}
-	got, err := Collect(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("join rows = %d", len(got))
-	}
-	// Row layout: l.id, l.v, r.id, r.w.
-	if got[0][0].AsInt() != 2 || got[0][3].AsInt() != 200 {
-		t.Fatalf("join[0] = %v", got[0])
-	}
-	if len(j.Columns()) != 4 {
-		t.Fatal("join layout")
+	left := intRows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
+	right := intRows([]int64{2, 200}, []int64{3, 300}, []int64{3, 301}) // duplicate key 3
+	j := &BatchHashJoin{Left: src(2, left), Right: src(2, right),
+		LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}}
+	got := run(t, "inner join", j, modelJoin(left, right, 2, false, equi(at(0), at(2), nil)))
+	// Row layout: l.id, l.v, r.id, r.w; matches in build order.
+	if len(got) != 3 || got[0][3].AsInt() != 200 || got[2][3].AsInt() != 301 || len(j.Columns()) != 4 {
+		t.Fatalf("join = %v", got)
 	}
 }
 
 func TestHashJoinLeftOuter(t *testing.T) {
-	left := NewRowsSource([]string{"l.id"}, intRows([]int64{1}, []int64{2}))
-	right := NewRowsSource([]string{"r.id"}, intRows([]int64{2}))
-	j := &HashJoin{Left: left, Right: right,
-		LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}, Outer: true}
-	got, err := Collect(j)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("outer join = %v, %v", got, err)
-	}
-	if !got[0][1].IsNull() {
-		t.Fatalf("unmatched row not null-extended: %v", got[0])
+	left, right := intRows([]int64{1}, []int64{2}), intRows([]int64{2})
+	got := run(t, "outer join",
+		&BatchHashJoin{Left: src(1, left), Right: src(1, right),
+			LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}, Outer: true},
+		modelJoin(left, right, 1, true, equi(at(0), at(1), nil)))
+	if len(got) != 2 || !got[0][1].IsNull() {
+		t.Fatalf("unmatched row not null-extended: %v", got)
 	}
 }
 
 func TestHashJoinNullKeysNeverMatch(t *testing.T) {
-	left := NewRowsSource([]string{"l.id"}, []types.Row{{types.Null()}})
-	right := NewRowsSource([]string{"r.id"}, []types.Row{{types.Null()}})
-	j := &HashJoin{Left: left, Right: right,
-		LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}}
-	got, _ := Collect(j)
-	if len(got) != 0 {
-		t.Fatalf("NULL keys joined: %v", got)
+	rows := []types.Row{{types.Null()}}
+	for _, outer := range []bool{false, true} {
+		got := run(t, "null keys",
+			&BatchHashJoin{Left: src(1, rows), Right: src(1, rows),
+				LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)}, Outer: outer},
+			modelJoin(rows, rows, 1, outer, equi(at(0), at(1), nil)))
+		if !outer && len(got) != 0 {
+			t.Fatalf("NULL keys joined: %v", got)
+		}
 	}
 }
 
 func TestHashJoinResidual(t *testing.T) {
-	left := NewRowsSource([]string{"l.id", "l.v"}, intRows([]int64{1, 5}, []int64{1, 50}))
-	right := NewRowsSource([]string{"r.id", "r.w"}, intRows([]int64{1, 10}))
-	// Join on id with residual l.v < r.w.
-	j := &HashJoin{Left: left, Right: right,
-		LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)},
-		Residual: bin("<", col(1), col(3))}
-	got, err := Collect(j)
-	if err != nil || len(got) != 1 || got[0][1].AsInt() != 5 {
-		t.Fatalf("residual join = %v, %v", got, err)
+	left, right := intRows([]int64{1, 5}, []int64{1, 50}), intRows([]int64{1, 10})
+	// Join on id with residual l.v < r.w; the outer form null-extends
+	// the row whose only match the residual rejected.
+	for _, outer := range []bool{false, true} {
+		got := run(t, "residual join",
+			&BatchHashJoin{Left: src(2, left), Right: src(2, right),
+				LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)},
+				Residual: bin("<", col(1), col(3)), Outer: outer},
+			modelJoin(left, right, 2, outer, equi(at(0), at(2), intLess(1, 3))))
+		if got[0][1].AsInt() != 5 || (outer && !got[1][3].IsNull()) {
+			t.Fatalf("residual join = %v", got)
+		}
 	}
 }
 
 func TestNestedLoopJoinNonEqui(t *testing.T) {
-	left := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{5}))
-	right := NewRowsSource([]string{"b"}, intRows([]int64{3}, []int64{4}))
-	j := &NestedLoopJoin{Left: left, Right: right,
-		On: bin("<", col(0), col(1))}
-	got, err := Collect(j)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("nl join = %v, %v", got, err)
-	}
-	// Outer variant keeps unmatched left rows.
-	left2 := NewRowsSource([]string{"a"}, intRows([]int64{1}, []int64{9}))
-	right2 := NewRowsSource([]string{"b"}, intRows([]int64{3}))
-	j2 := &NestedLoopJoin{Left: left2, Right: right2,
-		On: bin("<", col(0), col(1)), Outer: true}
-	got2, _ := Collect(j2)
-	if len(got2) != 2 || !got2[1][1].IsNull() {
-		t.Fatalf("outer nl join = %v", got2)
+	left, right := intRows([]int64{1}, []int64{5}, []int64{9}), intRows([]int64{3}, []int64{4})
+	on := bin("<", col(0), col(1))
+	for _, outer := range []bool{false, true} {
+		got := run(t, "nl join",
+			&BatchNestedLoopJoin{Left: src(1, left), Right: src(1, right), On: on, Outer: outer},
+			modelJoin(left, right, 1, outer, intLess(0, 1)))
+		if !outer && len(got) != 2 {
+			t.Fatalf("nl join = %v", got)
+		}
+		if outer && (len(got) != 4 || !got[3][1].IsNull()) {
+			t.Fatalf("outer nl join = %v", got)
+		}
 	}
 }
 
+var fiveAggs = []AggSpec{
+	{Func: "COUNT", Star: true},
+	{Func: "SUM", Arg: col(1)},
+	{Func: "AVG", Arg: col(1)},
+	{Func: "MIN", Arg: col(1)},
+	{Func: "MAX", Arg: col(1)},
+}
+
+var fiveModelAggs = []modelAgg{
+	{fn: "COUNT"}, {fn: "SUM", arg: at(1)}, {fn: "AVG", arg: at(1)}, {fn: "MIN", arg: at(1)}, {fn: "MAX", arg: at(1)},
+}
+
 func TestHashAggComplete(t *testing.T) {
-	src := NewRowsSource([]string{"g", "v"},
-		intRows([]int64{1, 10}, []int64{2, 5}, []int64{1, 20}, []int64{2, 7}))
-	agg := &HashAgg{Input: src,
-		GroupBy: []sql.Expr{col(0)},
-		Aggs: []AggSpec{
-			{Func: "COUNT", Star: true},
-			{Func: "SUM", Arg: col(1)},
-			{Func: "AVG", Arg: col(1)},
-			{Func: "MIN", Arg: col(1)},
-			{Func: "MAX", Arg: col(1)},
-		}}
-	got, err := Collect(agg)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("agg = %v, %v", got, err)
-	}
-	// Group 1: count 2, sum 30, avg 15, min 10, max 20.
+	rows := intRows([]int64{2, 5}, []int64{1, 10}, []int64{1, 20}, []int64{2, 7})
+	got := run(t, "agg",
+		&BatchHashAgg{Input: src(2, rows), GroupBy: []sql.Expr{col(0)}, Aggs: fiveAggs},
+		modelAggregate([][]types.Row{rows}, []rowFn{at(0)}, fiveModelAggs))
+	// Groups in key order. Group 1: count 2, sum 30, avg 15, min 10, max 20.
 	g1 := got[0]
-	if g1[0].AsInt() != 1 || g1[1].AsInt() != 2 || g1[2].AsInt() != 30 ||
+	if len(got) != 2 || g1[0].AsInt() != 1 || g1[1].AsInt() != 2 || g1[2].AsInt() != 30 ||
 		g1[3].AsFloat() != 15 || g1[4].AsInt() != 10 || g1[5].AsInt() != 20 {
-		t.Fatalf("group1 = %v", g1)
+		t.Fatalf("agg = %v", got)
 	}
 }
 
 func TestHashAggGlobalEmptyInput(t *testing.T) {
-	src := NewRowsSource([]string{"v"}, nil)
-	agg := &HashAgg{Input: src, Aggs: []AggSpec{
-		{Func: "COUNT", Star: true}, {Func: "SUM", Arg: col(0)},
-	}}
-	got, err := Collect(agg)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("global agg = %v, %v", got, err)
+	got := run(t, "empty global agg",
+		&BatchHashAgg{Input: src(1, nil), Aggs: []AggSpec{{Func: "COUNT", Star: true}, {Func: "SUM", Arg: col(0)}}},
+		modelAggregate(nil, nil, []modelAgg{{fn: "COUNT"}, {fn: "SUM", arg: at(0)}}))
+	if len(got) != 1 || got[0][0].AsInt() != 0 || !got[0][1].IsNull() {
+		t.Fatalf("empty aggregates = %v", got)
 	}
-	if got[0][0].AsInt() != 0 || !got[0][1].IsNull() {
-		t.Fatalf("empty aggregates = %v", got[0])
-	}
+	// A grouped aggregate over no rows has no groups.
+	run(t, "empty grouped agg",
+		&BatchHashAgg{Input: src(1, nil), GroupBy: []sql.Expr{col(0)}, Aggs: []AggSpec{{Func: "COUNT", Star: true}}},
+		modelAggregate(nil, []rowFn{at(0)}, []modelAgg{{fn: "COUNT"}}))
 }
 
 func TestHashAggDistinct(t *testing.T) {
-	src := NewRowsSource([]string{"v"},
-		intRows([]int64{5}, []int64{5}, []int64{7}))
-	agg := &HashAgg{Input: src, Aggs: []AggSpec{
-		{Func: "COUNT", Arg: col(0), Distinct: true},
-		{Func: "SUM", Arg: col(0), Distinct: true},
-	}}
-	got, err := Collect(agg)
-	if err != nil || got[0][0].AsInt() != 2 || got[0][1].AsInt() != 12 {
-		t.Fatalf("distinct agg = %v, %v", got, err)
+	rows := []types.Row{{types.Int(5)}, {types.Int(5)}, {types.Null()}, {types.Int(7)}, {types.Null()}}
+	got := run(t, "distinct agg",
+		&BatchHashAgg{Input: src(1, rows), Aggs: []AggSpec{
+			{Func: "COUNT", Arg: col(0), Distinct: true},
+			{Func: "SUM", Arg: col(0), Distinct: true},
+			{Func: "AVG", Arg: col(0), Distinct: true},
+		}},
+		modelAggregate([][]types.Row{rows}, nil, []modelAgg{
+			{fn: "COUNT", arg: at(0), distinct: true},
+			{fn: "SUM", arg: at(0), distinct: true},
+			{fn: "AVG", arg: at(0), distinct: true},
+		}))
+	if got[0][0].AsInt() != 2 || got[0][1].AsInt() != 12 || got[0][2].AsFloat() != 6 {
+		t.Fatalf("distinct agg = %v", got)
 	}
 }
 
-// TestPartialFinalAggEquivalence is the MPP invariant: splitting an
-// aggregation into per-fragment partials plus a final merge must equal
-// the single-phase result.
+// partials builds one Partial-mode aggregate per shard.
+func partials(shards [][]types.Row, ncols int, group []sql.Expr, aggs []AggSpec) []BatchOperator {
+	var out []BatchOperator
+	for _, sh := range shards {
+		out = append(out, &BatchHashAgg{Input: src(ncols, sh), GroupBy: group, Aggs: aggs, Mode: AggPartial})
+	}
+	return out
+}
+
+// TestPartialFinalAggEquivalence is the MPP invariant: per-fragment
+// partials plus a final merge equal the model's shard-by-shard merge,
+// and (on ints, where fold order cannot matter) the single-phase result.
 func TestPartialFinalAggEquivalence(t *testing.T) {
 	all := intRows(
 		[]int64{1, 10}, []int64{2, 5}, []int64{1, 20},
 		[]int64{2, 7}, []int64{1, 12}, []int64{3, 100})
-	aggs := []AggSpec{
-		{Func: "COUNT", Star: true},
-		{Func: "SUM", Arg: col(1)},
-		{Func: "AVG", Arg: col(1)},
-		{Func: "MIN", Arg: col(1)},
-		{Func: "MAX", Arg: col(1)},
-	}
-	// Single phase.
-	complete := &HashAgg{Input: NewRowsSource([]string{"g", "v"}, all),
-		GroupBy: []sql.Expr{col(0)}, Aggs: aggs}
-	want, err := Collect(complete)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Two phase over three "fragments".
-	var partials []types.Row
-	for i := 0; i < 3; i++ {
-		var part []types.Row
-		for j, r := range all {
-			if j%3 == i {
-				part = append(part, r)
-			}
-		}
-		p := &HashAgg{Input: NewRowsSource([]string{"g", "v"}, part),
-			GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggPartial}
-		rows, err := Collect(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		partials = append(partials, rows...)
-	}
-	final := &HashAgg{Input: NewRowsSource(nil, partials),
-		GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggFinal}
-	got, err := Collect(final)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("groups: got %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		for c := range want[i] {
-			if want[i][c].Compare(got[i][c]) != 0 {
-				t.Fatalf("row %d col %d: got %v want %v", i, c, got[i][c], want[i][c])
-			}
-		}
-	}
-}
-
-func TestRowQueueOrderAndClose(t *testing.T) {
-	q := NewRowQueue()
-	for i := int64(0); i < 5; i++ {
-		q.Push(types.Row{types.Int(i)})
-	}
-	q.CloseWith(nil)
-	for i := int64(0); i < 5; i++ {
-		r, err := q.Pop()
-		if err != nil || r[0].AsInt() != i {
-			t.Fatalf("pop %d = %v, %v", i, r, err)
-		}
-	}
-	if _, err := q.Pop(); !errors.Is(err, ErrEOF) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestRowQueueErrorPropagation(t *testing.T) {
-	q := NewRowQueue()
-	want := errors.New("fragment failed")
-	q.CloseWith(want)
-	if _, err := q.Pop(); !errors.Is(err, want) {
-		t.Fatalf("err = %v", err)
-	}
-	// Push after close is dropped.
-	q.Push(types.Row{types.Int(1)})
-	if q.Len() != 0 {
-		t.Fatal("push after close buffered")
-	}
+	shards := [][]types.Row{{all[0], all[3]}, {all[1], all[4]}, {all[2], all[5]}}
+	group := []sql.Expr{col(0)}
+	got := run(t, "partial→final",
+		&BatchHashAgg{Input: &BatchGather{Inputs: partials(shards, 2, group, fiveAggs)},
+			GroupBy: group, Aggs: fiveAggs, Mode: AggFinal},
+		modelAggregate(shards, []rowFn{at(0)}, fiveModelAggs))
+	assertSameRows(t, "two-phase vs single-phase", got,
+		modelAggregate([][]types.Row{all}, []rowFn{at(0)}, fiveModelAggs))
 }
 
 func TestGatherMergesInputs(t *testing.T) {
-	a := NewRowsSource([]string{"v"}, intRows([]int64{1}, []int64{2}))
-	b := NewRowsSource([]string{"v"}, intRows([]int64{3}))
-	g := &Gather{Cols: []string{"v"}, Inputs: []Operator{a, b}}
-	got, err := Collect(g)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("gather = %v, %v", got, err)
-	}
+	a, b := intRows([]int64{1}, []int64{2}), intRows([]int64{3})
+	run(t, "gather",
+		&BatchGather{Cols: []string{"v"}, Inputs: []BatchOperator{src(1, a), src(1, nil), src(1, b)}},
+		append(append([]types.Row{}, a...), b...))
 }
 
 func TestFragmentsOnScheduler(t *testing.T) {
@@ -330,99 +260,50 @@ func TestFragmentsOnScheduler(t *testing.T) {
 	// Three scan fragments with partial aggregation, gathered and
 	// final-aggregated — a miniature MPP plan.
 	aggs := []AggSpec{{Func: "SUM", Arg: col(1)}, {Func: "COUNT", Star: true}}
-	var assignments []FragmentAssignment
-	for i := 0; i < 3; i++ {
-		rows := intRows([]int64{1, int64(i + 1)}, []int64{2, int64(10 * (i + 1))})
-		frag := &HashAgg{Input: NewRowsSource([]string{"g", "v"}, rows),
-			GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggPartial}
-		assignments = append(assignments, FragmentAssignment{Op: frag, Sched: sched})
+	group := []sql.Expr{col(0)}
+	var shards [][]types.Row
+	for i := int64(1); i <= 3; i++ {
+		shards = append(shards, intRows([]int64{1, i}, []int64{2, 10 * i}))
 	}
-	gather := RunFragments(htap.GroupAP, assignments)
-	final := &HashAgg{Input: gather, GroupBy: []sql.Expr{col(0)}, Aggs: aggs, Mode: AggFinal}
-	got, err := Collect(final)
-	if err != nil {
-		t.Fatal(err)
+	var assignments []BatchFragmentAssignment
+	for _, frag := range partials(shards, 2, group, aggs) {
+		assignments = append(assignments, BatchFragmentAssignment{Op: frag, Sched: sched})
 	}
-	if len(got) != 2 {
-		t.Fatalf("groups = %d", len(got))
-	}
+	got := run(t, "mpp agg",
+		&BatchHashAgg{Input: RunBatchFragments(htap.GroupAP, assignments, 0),
+			GroupBy: group, Aggs: aggs, Mode: AggFinal},
+		modelAggregate(shards, []rowFn{at(0)}, []modelAgg{{fn: "SUM", arg: at(1)}, {fn: "COUNT"}}))
 	// Group 1: 1+2+3 = 6; group 2: 10+20+30 = 60. Counts 3 each.
-	if got[0][1].AsInt() != 6 || got[0][2].AsInt() != 3 ||
-		got[1][1].AsInt() != 60 || got[1][2].AsInt() != 3 {
-		t.Fatalf("mpp agg = %v", got)
-	}
+	assertSameRows(t, "mpp agg literal", got, intRows([]int64{1, 6, 3}, []int64{2, 60, 3}))
 }
 
 func TestFragmentsWithoutScheduler(t *testing.T) {
-	src := NewRowsSource([]string{"v"}, intRows([]int64{1}, []int64{2}))
-	gather := RunFragments(htap.GroupTP, []FragmentAssignment{{Op: src}})
-	got, err := Collect(gather)
-	if err != nil || len(got) != 2 {
-		t.Fatalf("no-scheduler fragments = %v, %v", got, err)
-	}
+	rows := intRows([]int64{1}, []int64{2})
+	run(t, "no-scheduler fragments",
+		RunBatchFragments(htap.GroupTP, []BatchFragmentAssignment{{Op: src(1, rows)}}, 0), rows)
 }
 
 func TestFragmentErrorSurfacesThroughGather(t *testing.T) {
-	bad := &CallbackSource{Cols: []string{"v"}, Fetch: func() ([]types.Row, error) {
-		return nil, errors.New("shard unreachable")
-	}}
-	gather := RunFragments(htap.GroupTP, []FragmentAssignment{{Op: bad}})
-	if _, err := Collect(gather); err == nil {
-		t.Fatal("fragment error swallowed")
+	want := errors.New("shard unreachable")
+	bad := &BatchCallbackSource{Cols: []string{"v"}, Fetch: func() (*vector.Batch, error) { return nil, want }}
+	gather := RunBatchFragments(htap.GroupTP, []BatchFragmentAssignment{{Op: bad}}, 0)
+	if _, err := CollectBatch(gather); !errors.Is(err, want) {
+		t.Fatalf("fragment error swallowed: %v", err)
 	}
 }
 
 func TestCallbackSourceBatches(t *testing.T) {
-	calls := 0
-	src := &CallbackSource{Cols: []string{"v"}, Fetch: func() ([]types.Row, error) {
+	calls := int64(0)
+	fetch := func() (*vector.Batch, error) {
 		calls++
-		if calls > 3 {
-			return nil, nil
+		switch {
+		case calls > 4:
+			return nil, nil // drained
+		case calls == 2:
+			return vector.NewBatch(1), nil // empty batches are skipped
 		}
-		return intRows([]int64{int64(calls)}, []int64{int64(calls * 10)}), nil
-	}}
-	got, err := Collect(src)
-	if err != nil || len(got) != 6 {
-		t.Fatalf("callback source = %v, %v", got, err)
+		return vector.FromRows(intRows([]int64{calls}, []int64{calls * 10}), 1), nil
 	}
-}
-
-func BenchmarkHashJoin(b *testing.B) {
-	const n = 10000
-	leftRows := make([]types.Row, n)
-	rightRows := make([]types.Row, n)
-	for i := 0; i < n; i++ {
-		leftRows[i] = types.Row{types.Int(int64(i)), types.Int(int64(i * 2))}
-		rightRows[i] = types.Row{types.Int(int64(i)), types.Int(int64(i * 3))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := &HashJoin{
-			Left:     NewRowsSource([]string{"a", "b"}, leftRows),
-			Right:    NewRowsSource([]string{"c", "d"}, rightRows),
-			LeftKeys: []sql.Expr{col(0)}, RightKeys: []sql.Expr{col(0)},
-		}
-		rows, err := Collect(j)
-		if err != nil || len(rows) != n {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHashAgg(b *testing.B) {
-	const n = 10000
-	rows := make([]types.Row, n)
-	for i := 0; i < n; i++ {
-		rows[i] = types.Row{types.Int(int64(i % 16)), types.Int(int64(i))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agg := &HashAgg{Input: NewRowsSource([]string{"g", "v"}, rows),
-			GroupBy: []sql.Expr{col(0)},
-			Aggs:    []AggSpec{{Func: "SUM", Arg: col(1)}, {Func: "COUNT", Star: true}}}
-		out, err := Collect(agg)
-		if err != nil || len(out) != 16 {
-			b.Fatal(err)
-		}
-	}
+	run(t, "callback source", &BatchCallbackSource{Cols: []string{"v"}, Fetch: fetch},
+		intRows([]int64{1}, []int64{10}, []int64{3}, []int64{30}, []int64{4}, []int64{40}))
 }

@@ -4,51 +4,14 @@ import (
 	"errors"
 
 	"repro/internal/obs"
-	"repro/internal/types"
 	"repro/internal/vector"
 )
 
-// Instrumented wraps an Operator and accumulates per-call rows-out and
-// wall time into Stats — the EXPLAIN ANALYZE measurement point. The
-// wrapper exists only when analysis is requested, so uninstrumented
-// plans pay nothing.
-type Instrumented struct {
-	Op    Operator
-	Stats *obs.OpStats
-	clock obs.Clock
-}
-
-// Instrument wraps op so every Next call records into stats.
-func Instrument(op Operator, stats *obs.OpStats) *Instrumented {
-	return &Instrumented{Op: op, Stats: stats, clock: obs.Wall}
-}
-
-// Columns implements Operator.
-func (w *Instrumented) Columns() []string { return w.Op.Columns() }
-
-// Open implements Operator.
-func (w *Instrumented) Open() error { return w.Op.Open() }
-
-// Next implements Operator.
-func (w *Instrumented) Next() (types.Row, error) {
-	start := w.clock.Now()
-	row, err := w.Op.Next()
-	d := w.clock.Since(start)
-	if err != nil {
-		if errors.Is(err, ErrEOF) {
-			w.Stats.Record(0, d)
-		}
-		return nil, err
-	}
-	w.Stats.Record(1, d)
-	return row, nil
-}
-
-// Close implements Operator.
-func (w *Instrumented) Close() error { return w.Op.Close() }
-
-// InstrumentedBatch is Instrumented for the vectorized path: rows-out is
-// the selected row count of each produced batch.
+// InstrumentedBatch wraps a BatchOperator and accumulates per-call
+// rows-out (the selected row count of each produced batch) and wall
+// time into Stats — the EXPLAIN ANALYZE measurement point. The wrapper
+// exists only when analysis is requested, so uninstrumented plans pay
+// nothing.
 type InstrumentedBatch struct {
 	Op    BatchOperator
 	Stats *obs.OpStats

@@ -1,7 +1,7 @@
 package executor
 
 import (
-	"errors"
+	"sort"
 
 	"repro/internal/sql"
 	"repro/internal/types"
@@ -10,7 +10,7 @@ import (
 
 // simpleBPred is one compiled col-op-literal conjunct evaluated with a
 // typed kernel over a column vector. The comparison ops carry exactly
-// the row-mode semantics: NULL operands never match, values compare via
+// sql.Eval's semantics: NULL operands never match, values compare via
 // types.Value.Compare.
 type simpleBPred struct {
 	col int
@@ -128,7 +128,7 @@ func flipCmp(op string) string {
 
 // apply refines sel against one column, appending survivors to out.
 // Typed fast paths cover the common vector/literal pairings; everything
-// else boxes per position with Value.Compare, which keeps row-mode
+// else boxes per position with Value.Compare, which keeps sql.Eval's
 // semantics for cross-class comparisons.
 func (p simpleBPred) apply(vec *vector.Vector, sel, out []int) []int {
 	switch p.op {
@@ -516,8 +516,14 @@ func (l *BatchLimit) NextBatch() (*vector.Batch, error) {
 // Close implements BatchOperator.
 func (l *BatchLimit) Close() error { return l.Input.Close() }
 
-// BatchSort materializes, orders with the row comparator (identical
-// ordering to Sort by construction) and re-batches.
+// SortKey is one ORDER BY key over the input layout.
+type SortKey struct {
+	Expr sql.Expr
+	Desc bool
+}
+
+// BatchSort materializes its input, orders it stably with sortRows and
+// re-batches.
 type BatchSort struct {
 	Input BatchOperator
 	Keys  []SortKey
@@ -538,17 +544,9 @@ func (s *BatchSort) Open() error {
 // NextBatch implements BatchOperator.
 func (s *BatchSort) NextBatch() (*vector.Batch, error) {
 	if !s.done {
-		var rows []types.Row
-		for {
-			b, err := s.Input.NextBatch()
-			if errors.Is(err, ErrEOF) {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			rows = b.AppendRows(rows)
-			b.Release()
+		rows, err := drainRows(s.Input)
+		if err != nil {
+			return nil, err
 		}
 		if err := sortRows(rows, s.Keys); err != nil {
 			return nil, err
@@ -563,4 +561,33 @@ func (s *BatchSort) NextBatch() (*vector.Batch, error) {
 func (s *BatchSort) Close() error {
 	s.out = nil
 	return s.Input.Close()
+}
+
+// sortRows stably orders rows by the given keys.
+func sortRows(rows []types.Row, keys []SortKey) error {
+	var evalErr error
+	sort.SliceStable(rows, func(i, j int) bool {
+		for _, k := range keys {
+			a, err := sql.Eval(k.Expr, rows[i])
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			b, err := sql.Eval(k.Expr, rows[j])
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			c := a.Compare(b)
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+	return evalErr
 }

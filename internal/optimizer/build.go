@@ -38,8 +38,10 @@ type Options struct {
 	HasColumnIndex func(table string) bool
 	// MPPAvailable enables multi-CN fragment plans for AP queries.
 	MPPAvailable bool
-	// BatchAvailable enables vectorized batch execution for AP plans
-	// (row mode remains the TP path and the equivalence baseline).
+	// BatchAvailable is read by nothing: every plan runs on the batch
+	// engine. The field stays only because the standing benchmark's
+	// source sets it (benchmark/layers.go); it leaves with the next
+	// [benchmark] PR.
 	BatchAvailable bool
 }
 

@@ -117,9 +117,6 @@ func (o *Optimizer) applyAPChoices(p *Plan) {
 	}
 	visit(p.Root)
 	p.MPP = o.opts.MPPAvailable && multiShard
-	// AP plans default to the vectorized batch engine (§VI-C/§VI-E);
-	// per-row overheads dominate exactly the scans that made them AP.
-	p.Vectorized = o.opts.BatchAvailable
 	// Re-cost with the store choices applied.
 	p.Cost = costOf(p.Root)
 }
