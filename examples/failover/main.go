@@ -50,22 +50,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A client endpoint committing through the leader.
+	// A client endpoint committing through the leader: one write that
+	// opens the branch with its snapshot, then a one-phase commit.
 	net.Register("client", simnet.DC1, func(string, any) (any, error) { return nil, nil })
 	clock := hlc.NewClock(nil)
-	commit := func(target string, txnID uint64, k int64, v string) error {
-		if _, err := net.Call("client", target, dn.BeginReq{TxnID: txnID, SnapshotTS: clock.Now()}); err != nil {
+	commit := func(from, target string, snap hlc.Timestamp, txnID uint64, k int64, v string) error {
+		if _, err := net.Call(from, target, dn.MultiWriteReq{TxnID: txnID, SnapshotTS: snap,
+			Writes: []dn.WriteItem{{Table: 1, Op: dn.OpInsert, Row: types.Row{types.Int(k), types.Str(v)}}}}); err != nil {
 			return err
 		}
-		if _, err := net.Call("client", target, dn.WriteReq{TxnID: txnID, Table: 1, Op: dn.OpInsert,
-			Row: types.Row{types.Int(k), types.Str(v)}}); err != nil {
-			return err
-		}
-		_, err := net.Call("client", target, dn.CommitReq{TxnID: txnID})
+		_, err := net.Call(from, target, dn.CommitReq{TxnID: txnID})
 		return err
 	}
 	for i := int64(0); i < 10; i++ {
-		if err := commit("dn-dc1", uint64(100+i), i, fmt.Sprintf("v%d", i)); err != nil {
+		if err := commit("client", "dn-dc1", clock.Now(), uint64(100+i), i, fmt.Sprintf("v%d", i)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -98,14 +96,7 @@ func main() {
 	// Clients in surviving DCs keep writing through the new leader.
 	net.Register("client2", simnet.DC2, func(string, any) (any, error) { return nil, nil })
 	clock2 := hlc.NewClock(nil)
-	if _, err := net.Call("client2", newLeader.Name(), dn.BeginReq{TxnID: 900, SnapshotTS: clock2.Now()}); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := net.Call("client2", newLeader.Name(), dn.WriteReq{TxnID: 900, Table: 1, Op: dn.OpInsert,
-		Row: types.Row{types.Int(100), types.Str("post-failover")}}); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := net.Call("client2", newLeader.Name(), dn.CommitReq{TxnID: 900}); err != nil {
+	if err := commit("client2", newLeader.Name(), clock2.Now(), 900, 100, "post-failover"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("write committed on the new leader during the DC1 outage")

@@ -698,7 +698,7 @@ func (cn *CN) createIndex(s *Session, st *sql.CreateIndex) (*Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			rows, err := tx.Scan(dnName, t.PhysicalTableID(shard), "", nil, nil, 0)
+			rows, err := tx.Scan(dnName, dn.ScanReq{Table: t.PhysicalTableID(shard)})
 			if err != nil {
 				return 0, err
 			}

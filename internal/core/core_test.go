@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/advisor"
+	"repro/internal/dn"
 	"repro/internal/simnet"
 )
 
@@ -150,6 +151,41 @@ func TestUpdateAndDelete(t *testing.T) {
 	if left.Rows[0][0].AsInt() != 40 {
 		t.Fatalf("remaining = %v", left.Rows[0])
 	}
+
+	// A column-vs-column WHERE over every shard: the scan ships the bound
+	// filter to the DNs, and the matched rows and the final table must
+	// agree with a map model.
+	mustExec(t, s, "CREATE TABLE kv (k BIGINT, v BIGINT, PRIMARY KEY (k)) PARTITIONS 4")
+	model := map[int64]int64{}
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO kv (k, v) VALUES ")
+	for k := int64(0); k < 40; k++ {
+		model[k] = k * 7 % 23
+		if k > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d)", k, model[k])
+	}
+	mustExec(t, s, sb.String())
+	matched := 0
+	for k, v := range model {
+		if v > k {
+			model[k] = v + 100
+			matched++
+		}
+	}
+	if res := mustExec(t, s, "UPDATE kv SET v = v + 100 WHERE v > k"); res.Affected != matched || matched == 0 {
+		t.Fatalf("non-PK update affected = %d, model matches %d", res.Affected, matched)
+	}
+	rows := mustExec(t, s, "SELECT k, v FROM kv ORDER BY k").Rows
+	if len(rows) != len(model) {
+		t.Fatalf("%d rows, model has %d", len(rows), len(model))
+	}
+	for _, r := range rows {
+		if want := model[r[0].AsInt()]; r[1].AsInt() != want {
+			t.Fatalf("k=%d: v = %d, model has %d", r[0].AsInt(), r[1].AsInt(), want)
+		}
+	}
 }
 
 func TestExplicitTransactionAtomicity(t *testing.T) {
@@ -237,7 +273,7 @@ func TestGlobalSecondaryIndexMaintained(t *testing.T) {
 		total := 0
 		for shard := 0; shard < gi.Shards; shard++ {
 			dnName, _ := c.GMS.DNForShard("users", shard)
-			rows, err := tx.Scan(dnName, gi.PhysicalTableID(shard), "", nil, nil, 0)
+			rows, err := tx.Scan(dnName, dn.ScanReq{Table: gi.PhysicalTableID(shard)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -171,7 +171,8 @@ func (s *Session) matchRows(tx *txn.Tx, t *partition.Table, where sql.Expr) ([]t
 	var out []types.Row
 	if points != nil && !t.PartitionedByPK() {
 		// Cannot infer shards from the PK; fall back to the scan path
-		// with the whole WHERE re-attached as a filter.
+		// with the whole WHERE re-attached as a filter (analyzeWhere
+		// bound it in place, so the DN can evaluate it).
 		filter, points = where, nil
 	}
 	if points != nil {
@@ -197,33 +198,11 @@ func (s *Session) matchRows(tx *txn.Tx, t *partition.Table, where sql.Expr) ([]t
 		if err != nil {
 			return nil, err
 		}
-		rows, err := s.scanShard(tx, dnName, t.PhysicalTableID(shard), filter)
+		rows, err := tx.Scan(dnName, dn.ScanReq{Table: t.PhysicalTableID(shard), Filter: filter})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, rows...)
-	}
-	return out, nil
-}
-
-// scanShard runs a filtered shard scan inside the transaction.
-func (s *Session) scanShard(tx *txn.Tx, dnName string, physTable uint32, filter sql.Expr) ([]types.Row, error) {
-	rows, err := tx.Scan(dnName, physTable, "", nil, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	if filter == nil {
-		return rows, nil
-	}
-	var out []types.Row
-	for _, row := range rows {
-		v, err := sql.Eval(filter, row)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsTruthy() {
-			out = append(out, row)
-		}
 	}
 	return out, nil
 }

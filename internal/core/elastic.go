@@ -20,8 +20,8 @@ import (
 	"repro/internal/gms"
 	"repro/internal/obs"
 	"repro/internal/retry"
+	"repro/internal/simnet"
 	"repro/internal/storage"
-	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -110,7 +110,7 @@ func (c *Cluster) MigrateShard(step gms.MigrationStep) error {
 	}
 	for _, pt := range pts {
 		pt := pt
-		if err := c.dnRetry.DoDest(obs.Wall, migRetry, step.To, time.Time{}, txn.Retryable, func() error {
+		if err := c.dnRetry.DoDest(obs.Wall, migRetry, step.To, time.Time{}, simnet.IsTransient, func() error {
 			_, err := c.Net.Call(migratorName, step.To,
 				dn.CreateTableReq{ID: pt.id, Schema: pt.schema})
 			if errors.Is(err, storage.ErrTableExists) {
@@ -162,7 +162,7 @@ func (c *Cluster) syncShardTables(step gms.MigrationStep, pts []physTable) error
 		// landed just makes the next diff empty), so transient transport
 		// faults retry the table under the destination's breaker/budget.
 		pt := pt
-		if err := c.dnRetry.DoDest(obs.Wall, migRetry, step.To, time.Time{}, txn.Retryable, func() error {
+		if err := c.dnRetry.DoDest(obs.Wall, migRetry, step.To, time.Time{}, simnet.IsTransient, func() error {
 			return c.syncOneTable(step, pt)
 		}); err != nil {
 			return err
@@ -176,12 +176,12 @@ func (c *Cluster) syncOneTable(step gms.MigrationStep, pt physTable) error {
 	if err != nil {
 		return err
 	}
-	srcRows, err := tx.Scan(step.From, pt.id, "", nil, nil, 0)
+	srcRows, err := tx.Scan(step.From, dn.ScanReq{Table: pt.id})
 	if err != nil {
 		_ = tx.Abort()
 		return err
 	}
-	dstRows, err := tx.Scan(step.To, pt.id, "", nil, nil, 0)
+	dstRows, err := tx.Scan(step.To, dn.ScanReq{Table: pt.id})
 	if err != nil {
 		_ = tx.Abort()
 		return err

@@ -302,9 +302,9 @@ func TestRandomizedQueriesMatchModel(t *testing.T) {
 	}
 
 	// 9. A multi-shard scan joined to point lookups under one
-	// transaction, repeatedly: the scan is lowered first, and the IN
-	// list's first-contact reads must be over before the scan fragments'
-	// RPCs are in flight.
+	// transaction, repeatedly: the scan is lowered first, and on each DN
+	// either the IN list's MultiGet or a fragment's scan may be the
+	// branch's first contact.
 	in := func(l row, r drow) bool {
 		return !r.aNull && l.a == r.a && (l.id == 3 || l.id == 77 || l.id == 150 || l.id == 299)
 	}

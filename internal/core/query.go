@@ -427,7 +427,7 @@ func (rt readTarget) scan(req dn.ROScanReq) (dn.ScanResp, error) {
 		return dn.ScanResp{}, err
 	}
 	defer rt.release(tx)
-	rows, err := tx.ScanReq(rt.dn, dn.ScanReq{
+	rows, err := tx.Scan(rt.dn, dn.ScanReq{
 		Table: req.Table, Start: req.Start, End: req.End,
 		Filter: req.Filter, Projection: req.Projection,
 	})

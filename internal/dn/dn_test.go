@@ -49,6 +49,40 @@ func (c *client) call(t *testing.T, to string, msg any) any {
 	return reply
 }
 
+// inserts stages rows of table 1 as one batched write.
+func inserts(rows ...types.Row) []WriteItem {
+	out := make([]WriteItem, len(rows))
+	for k, r := range rows {
+		out[k] = WriteItem{Table: 1, Op: OpInsert, Row: r}
+	}
+	return out
+}
+
+// commitRows inserts rows in a fresh branch, opened by the write itself
+// at snap, and commits it one-phase.
+func (c *client) commitRows(t *testing.T, to string, snap hlc.Timestamp, rows ...types.Row) CommitResp {
+	t.Helper()
+	w := nextTxnID()
+	c.call(t, to, MultiWriteReq{TxnID: w, SnapshotTS: snap, Writes: inserts(rows...)})
+	return c.call(t, to, CommitReq{TxnID: w}).(CommitResp)
+}
+
+// get reads one key of table 1 in branch txnID, opening it at snap on
+// first contact.
+func (c *client) get(t *testing.T, to string, txnID uint64, snap hlc.Timestamp, pk []byte) ReadResp {
+	t.Helper()
+	return c.call(t, to, MultiGetReq{TxnID: txnID, SnapshotTS: snap,
+		Gets: []PointGet{{Table: 1, PK: pk}}}).(MultiGetResp).Results[0]
+}
+
+// roGet reads one key of table 1 on an RO replica once it has applied
+// redo up to minLSN.
+func (c *client) roGet(t *testing.T, to string, snap hlc.Timestamp, minLSN wal.LSN, pk []byte) ReadResp {
+	t.Helper()
+	return c.call(t, to, ROMultiGetReq{Gets: []PointGet{{Table: 1, PK: pk}},
+		SnapshotTS: snap, MinLSN: minLSN}).(MultiGetResp).Results[0]
+}
+
 // singleInstance builds a 1-member DN group.
 func singleInstance(t *testing.T) (*Instance, *client, *simnet.Network) {
 	t.Helper()
@@ -90,17 +124,13 @@ func TestSingleInstanceWriteCommitRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := hlc.NewClock(nil)
-	txnID := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: txnID, SnapshotTS: clock.Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: txnID, Table: 1, Op: OpInsert, Row: userRow(1, "alice", 100)})
-	resp := cl.call(t, "dn1", CommitReq{TxnID: txnID}).(CommitResp)
+	resp := cl.commitRows(t, "dn1", clock.Now(), userRow(1, "alice", 100))
 	if resp.CommitTS.IsZero() {
 		t.Fatal("1PC commit did not choose a timestamp")
 	}
 
 	rID := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: rID, SnapshotTS: inst.Clock().Now()})
-	rr := cl.call(t, "dn1", ReadReq{TxnID: rID, Table: 1, PK: pkOf(1)}).(ReadResp)
+	rr := cl.get(t, "dn1", rID, inst.Clock().Now(), pkOf(1))
 	if !rr.OK || rr.Row[1].AsString() != "alice" {
 		t.Fatalf("read = %+v", rr)
 	}
@@ -113,8 +143,7 @@ func TestTwoPhaseCommitFlow(t *testing.T) {
 	clock := hlc.NewClock(nil)
 	snapshot := clock.Now()
 	txnID := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: txnID, SnapshotTS: snapshot})
-	cl.call(t, "dn1", WriteReq{TxnID: txnID, Table: 1, Op: OpInsert, Row: userRow(1, "a", 1)})
+	cl.call(t, "dn1", MultiWriteReq{TxnID: txnID, SnapshotTS: snapshot, Writes: inserts(userRow(1, "a", 1))})
 	prep := cl.call(t, "dn1", PrepareReq{TxnID: txnID}).(PrepareResp)
 	if prep.PrepareTS <= snapshot {
 		t.Fatalf("prepare_ts %v <= snapshot %v: HLC update rule broken", prep.PrepareTS, snapshot)
@@ -123,9 +152,7 @@ func TestTwoPhaseCommitFlow(t *testing.T) {
 	cl.call(t, "dn1", CommitReq{TxnID: txnID, CommitTS: commitTS})
 
 	rID := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: rID, SnapshotTS: inst.Clock().Now()})
-	rr := cl.call(t, "dn1", ReadReq{TxnID: rID, Table: 1, PK: pkOf(1)}).(ReadResp)
-	if !rr.OK {
+	if rr := cl.get(t, "dn1", rID, inst.Clock().Now(), pkOf(1)); !rr.OK {
 		t.Fatal("2PC-committed row invisible")
 	}
 	cl.call(t, "dn1", AbortReq{TxnID: rID})
@@ -136,45 +163,43 @@ func TestAbortDiscardsBranch(t *testing.T) {
 	inst.CreateTable(1, 0, usersSchema())
 	clock := hlc.NewClock(nil)
 	txnID := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: txnID, SnapshotTS: clock.Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: txnID, Table: 1, Op: OpInsert, Row: userRow(1, "a", 1)})
+	cl.call(t, "dn1", MultiWriteReq{TxnID: txnID, SnapshotTS: clock.Now(), Writes: inserts(userRow(1, "a", 1))})
 	cl.call(t, "dn1", AbortReq{TxnID: txnID})
 
-	rID := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: rID, SnapshotTS: inst.Clock().Now()})
-	rr := cl.call(t, "dn1", ReadReq{TxnID: rID, Table: 1, PK: pkOf(1)}).(ReadResp)
-	if rr.OK {
+	if rr := cl.get(t, "dn1", nextTxnID(), inst.Clock().Now(), pkOf(1)); rr.OK {
 		t.Fatal("aborted write visible")
 	}
-	// Branch is gone.
-	if _, err := cl.net.Call(cl.name, "dn1", WriteReq{TxnID: txnID, Table: 1, Op: OpInsert, Row: userRow(2, "b", 1)}); err == nil {
-		t.Fatal("write on aborted branch succeeded")
+	// Branch is gone: prepare needs an open one.
+	if _, err := cl.net.Call(cl.name, "dn1", PrepareReq{TxnID: txnID}); !errors.Is(err, ErrUnknownTxn) {
+		t.Fatalf("prepare on aborted branch: err = %v", err)
 	}
 }
 
+// TestUnknownBranchErrors: every in-branch request opens its branch on
+// first contact, so the requests that refuse an unknown branch are the
+// 2PC ones, which need a branch an earlier request opened.
 func TestUnknownBranchErrors(t *testing.T) {
 	inst, cl, _ := singleInstance(t)
 	inst.CreateTable(1, 0, usersSchema())
-	_, err := cl.net.Call(cl.name, "dn1", ReadReq{TxnID: 999999, Table: 1, PK: pkOf(1)})
-	if err == nil || !strings.Contains(err.Error(), "unknown transaction") {
-		t.Fatalf("err = %v", err)
+	for _, msg := range []any{PrepareReq{TxnID: 999999}, CommitReq{TxnID: 999999}} {
+		if _, err := cl.net.Call(cl.name, "dn1", msg); !errors.Is(err, ErrUnknownTxn) {
+			t.Fatalf("%T: err = %v", msg, err)
+		}
 	}
 }
 
 func TestScanThroughRPC(t *testing.T) {
 	inst, cl, _ := singleInstance(t)
 	inst.CreateTable(1, 0, usersSchema())
-	clock := hlc.NewClock(nil)
-	w := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
+	var rows []types.Row
 	for i := int64(0); i < 20; i++ {
-		cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(i, fmt.Sprintf("u%d", i), i)})
+		rows = append(rows, userRow(i, fmt.Sprintf("u%d", i), i))
 	}
-	cl.call(t, "dn1", CommitReq{TxnID: w})
+	cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), rows...)
 
+	// The scan is its branch's first contact: it carries the snapshot.
 	r := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: r, SnapshotTS: inst.Clock().Now()})
-	sr := cl.call(t, "dn1", ScanReq{TxnID: r, Table: 1,
+	sr := cl.call(t, "dn1", ScanReq{TxnID: r, SnapshotTS: inst.Clock().Now(), Table: 1,
 		Start: pkOf(5), End: pkOf(15), Limit: 5}).(ScanResp)
 	if len(sr.Rows) != 5 || sr.Rows[0][0].AsInt() != 5 {
 		t.Fatalf("scan = %d rows, first %v", len(sr.Rows), sr.Rows[0])
@@ -189,17 +214,11 @@ func TestROServesReadsWithSessionConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := hlc.NewClock(nil)
-	w := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(1, "alice", 100)})
-	resp := cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp)
+	resp := cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), userRow(1, "alice", 100))
 
 	// Session-consistent read: MinLSN = the commit's LSN forces the RO to
 	// wait until it has applied our write.
-	rr := cl.call(t, "dn1-ro1", ROReadReq{
-		Table: 1, PK: pkOf(1), SnapshotTS: inst.Clock().Now(), MinLSN: resp.LSN,
-	}).(ReadResp)
+	rr := cl.roGet(t, "dn1-ro1", inst.Clock().Now(), resp.LSN, pkOf(1))
 	if !rr.OK || rr.Row[2].AsInt() != 100 {
 		t.Fatalf("RO read = %+v", rr)
 	}
@@ -212,13 +231,11 @@ func TestROScan(t *testing.T) {
 	inst, cl, _ := singleInstance(t)
 	inst.CreateTable(1, 0, usersSchema())
 	inst.AddRO("dn1-ro1")
-	clock := hlc.NewClock(nil)
-	w := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
+	var rows []types.Row
 	for i := int64(0); i < 10; i++ {
-		cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(i, "u", i)})
+		rows = append(rows, userRow(i, "u", i))
 	}
-	resp := cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp)
+	resp := cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), rows...)
 
 	sr := cl.call(t, "dn1-ro1", ROScanReq{
 		Table: 1, SnapshotTS: inst.Clock().Now(), MinLSN: resp.LSN,
@@ -231,17 +248,11 @@ func TestROScan(t *testing.T) {
 func TestROAddedAfterDataStillCatchesUp(t *testing.T) {
 	inst, cl, _ := singleInstance(t)
 	inst.CreateTable(1, 0, usersSchema())
-	clock := hlc.NewClock(nil)
-	w := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(1, "early", 1)})
-	resp := cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp)
+	resp := cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), userRow(1, "early", 1))
 
 	// RO added after the write: it must replay from the log base.
 	inst.AddRO("dn1-ro-late")
-	rr := cl.call(t, "dn1-ro-late", ROReadReq{
-		Table: 1, PK: pkOf(1), SnapshotTS: inst.Clock().Now(), MinLSN: resp.LSN,
-	}).(ReadResp)
+	rr := cl.roGet(t, "dn1-ro-late", inst.Clock().Now(), resp.LSN, pkOf(1))
 	if !rr.OK || rr.Row[1].AsString() != "early" {
 		t.Fatalf("late RO read = %+v", rr)
 	}
@@ -266,11 +277,7 @@ func TestLaggingROEviction(t *testing.T) {
 
 	clock := hlc.NewClock(nil)
 	for i := int64(0); i < 50; i++ {
-		w := nextTxnID()
-		cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-		cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert,
-			Row: userRow(i, strings.Repeat("x", 100), i)})
-		cl.call(t, "dn1", CommitReq{TxnID: w})
+		cl.commitRows(t, "dn1", clock.Now(), userRow(i, strings.Repeat("x", 100), i))
 	}
 	waitFor(t, 5*time.Second, "RO eviction", func() bool {
 		return len(inst.EvictedROs()) == 1
@@ -313,10 +320,7 @@ func TestMultiDCReplicationAndFollowerRO(t *testing.T) {
 	insts[1].AddRO("dn-dc2-ro1")
 
 	clock := hlc.NewClock(nil)
-	w := nextTxnID()
-	cl.call(t, "dn-dc1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-	cl.call(t, "dn-dc1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(1, "geo", 42)})
-	resp := cl.call(t, "dn-dc1", CommitReq{TxnID: w}).(CommitResp)
+	resp := cl.commitRows(t, "dn-dc1", clock.Now(), userRow(1, "geo", 42))
 
 	// Follower engines converge.
 	for _, f := range insts[1:] {
@@ -328,33 +332,26 @@ func TestMultiDCReplicationAndFollowerRO(t *testing.T) {
 	}
 	// The follower's RO serves the row (reads in remote DCs without
 	// crossing DC boundaries — the §II-A locality claim).
-	rr := cl.call(t, "dn-dc2-ro1", ROReadReq{
-		Table: 1, PK: pkOf(1), SnapshotTS: leader.Clock().Now(), MinLSN: resp.LSN,
-	}).(ReadResp)
+	rr := cl.roGet(t, "dn-dc2-ro1", leader.Clock().Now(), resp.LSN, pkOf(1))
 	if !rr.OK || rr.Row[1].AsString() != "geo" {
 		t.Fatalf("follower RO read = %+v", rr)
 	}
-	// Writes rejected on followers.
-	if err := insts[1].handleBegin(BeginReq{TxnID: nextTxnID(), SnapshotTS: clock.Now()}); !errors.Is(err, ErrNotLeader) {
-		t.Fatalf("follower begin err = %v", err)
+	// Followers refuse to open branches.
+	if _, err := insts[1].branchOrBegin(nextTxnID(), clock.Now()); !errors.Is(err, ErrNotLeader) {
+		t.Fatalf("follower branch open err = %v", err)
 	}
 }
 
 func TestWriteConflictSurfacesThroughRPC(t *testing.T) {
 	inst, cl, _ := singleInstance(t)
 	inst.CreateTable(1, 0, usersSchema())
-	clock := hlc.NewClock(nil)
-	seed := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: seed, SnapshotTS: clock.Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: seed, Table: 1, Op: OpInsert, Row: userRow(1, "a", 1)})
-	cl.call(t, "dn1", CommitReq{TxnID: seed})
+	cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), userRow(1, "a", 1))
 
-	t1 := nextTxnID()
-	t2 := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: t1, SnapshotTS: inst.Clock().Now()})
-	cl.call(t, "dn1", BeginReq{TxnID: t2, SnapshotTS: inst.Clock().Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: t1, Table: 1, Op: OpUpdate, Row: userRow(1, "a", 2)})
-	_, err := cl.net.Call(cl.name, "dn1", WriteReq{TxnID: t2, Table: 1, Op: OpUpdate, Row: userRow(1, "a", 3)})
+	t1, t2 := nextTxnID(), nextTxnID()
+	snap := inst.Clock().Now()
+	update := func(bal int64) []WriteItem { return []WriteItem{{Table: 1, Op: OpUpdate, Row: userRow(1, "a", bal)}} }
+	cl.call(t, "dn1", MultiWriteReq{TxnID: t1, SnapshotTS: snap, Writes: update(2)})
+	_, err := cl.net.Call(cl.name, "dn1", MultiWriteReq{TxnID: t2, SnapshotTS: snap, Writes: update(3)})
 	if err == nil || !strings.Contains(err.Error(), "conflict") {
 		t.Fatalf("err = %v", err)
 	}
@@ -379,11 +376,7 @@ func TestCreateIndexReplicatedToROs(t *testing.T) {
 	if err := inst.CreateIndex(1, "by_name", []string{"name"}); err != nil {
 		t.Fatal(err)
 	}
-	clock := hlc.NewClock(nil)
-	w := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(1, "zoe", 5)})
-	resp := cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp)
+	resp := cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), userRow(1, "zoe", 5))
 	sr := cl.call(t, "dn1-ro1", ROScanReq{
 		Table: 1, Index: "by_name", SnapshotTS: inst.Clock().Now(), MinLSN: resp.LSN,
 	}).(ScanResp)
@@ -419,10 +412,7 @@ func TestMinROAckBoundsLogPurge(t *testing.T) {
 	clock := hlc.NewClock(nil)
 	var lastLSN wal.LSN
 	for i := int64(0); i < 5; i++ {
-		w := nextTxnID()
-		cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-		cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(i, "x", i)})
-		lastLSN = cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp).LSN
+		lastLSN = cl.commitRows(t, "dn1", clock.Now(), userRow(i, "x", i)).LSN
 	}
 	waitFor(t, 2*time.Second, "RO ack convergence", func() bool {
 		return inst.MinROAck() >= lastLSN
@@ -442,10 +432,7 @@ func TestROColumnIndexScanAndAggPushdown(t *testing.T) {
 	clock := hlc.NewClock(nil)
 	var last wal.LSN
 	for i := int64(0); i < 20; i++ {
-		w := nextTxnID()
-		cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-		cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(i, "u", i*10)})
-		last = cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp).LSN
+		last = cl.commitRows(t, "dn1", clock.Now(), userRow(i, "u", i*10)).LSN
 	}
 	// Plain column-index scan.
 	sr := cl.call(t, "dn1-ro1", ROScanReq{
@@ -472,16 +459,11 @@ func TestROColumnIndexScanAndAggPushdown(t *testing.T) {
 func TestROColumnIndexBackfillExistingData(t *testing.T) {
 	inst, cl, _ := singleInstance(t)
 	inst.CreateTable(1, 0, usersSchema())
-	clock := hlc.NewClock(nil)
-	w := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(1, "pre", 7)})
-	last := cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp).LSN
+	last := cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), userRow(1, "pre", 7)).LSN
 
 	ro, _ := inst.AddRO("dn1-ro1")
 	// Wait for the replica to apply, then enable with backfill.
-	cl.call(t, "dn1-ro1", ROReadReq{Table: 1, PK: pkOf(1),
-		SnapshotTS: inst.Clock().Now(), MinLSN: last})
+	cl.roGet(t, "dn1-ro1", inst.Clock().Now(), last, pkOf(1))
 	if err := ro.EnableColumnIndex([]uint32{1}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -500,11 +482,7 @@ func TestRedoPurgeAfterConsumersCatchUp(t *testing.T) {
 	clock := hlc.NewClock(nil)
 	var last wal.LSN
 	for i := int64(0); i < 30; i++ {
-		w := nextTxnID()
-		cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-		cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert,
-			Row: userRow(i, strings.Repeat("p", 64), i)})
-		last = cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp).LSN
+		last = cl.commitRows(t, "dn1", clock.Now(), userRow(i, strings.Repeat("p", 64), i)).LSN
 	}
 	// Once the RO has applied everything and pages are flushed, the
 	// flusher loop purges the redo prefix (§II-C step 8).
@@ -512,12 +490,8 @@ func TestRedoPurgeAfterConsumersCatchUp(t *testing.T) {
 		return inst.Paxos().Log().BaseLSN() >= last/2 // most of the log gone
 	})
 	// The system still works after purging: reads, writes, RO reads.
-	w := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(100, "post", 1)})
-	resp := cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp)
-	rr := cl.call(t, "dn1-ro1", ROReadReq{Table: 1, PK: pkOf(100),
-		SnapshotTS: inst.Clock().Now(), MinLSN: resp.LSN}).(ReadResp)
+	resp := cl.commitRows(t, "dn1", clock.Now(), userRow(100, "post", 1))
+	rr := cl.roGet(t, "dn1-ro1", inst.Clock().Now(), resp.LSN, pkOf(100))
 	if !rr.OK || rr.Row[1].AsString() != "post" {
 		t.Fatalf("post-purge RO read = %+v", rr)
 	}
@@ -526,17 +500,13 @@ func TestRedoPurgeAfterConsumersCatchUp(t *testing.T) {
 func TestBackgroundVacuumTrimsVersions(t *testing.T) {
 	inst, cl, _ := singleInstance(t)
 	inst.CreateTable(1, 0, usersSchema())
-	clock := hlc.NewClock(nil)
 	// Overwrite one row many times; background vacuum (with no open
 	// snapshots pinning history) reclaims the chain.
-	w := nextTxnID()
-	cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: clock.Now()})
-	cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(1, "v", 0)})
-	cl.call(t, "dn1", CommitReq{TxnID: w})
+	cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), userRow(1, "v", 0))
 	for i := int64(1); i <= 50; i++ {
 		u := nextTxnID()
-		cl.call(t, "dn1", BeginReq{TxnID: u, SnapshotTS: inst.Clock().Now()})
-		cl.call(t, "dn1", WriteReq{TxnID: u, Table: 1, Op: OpUpdate, Row: userRow(1, "v", i)})
+		cl.call(t, "dn1", MultiWriteReq{TxnID: u, SnapshotTS: inst.Clock().Now(),
+			Writes: []WriteItem{{Table: 1, Op: OpUpdate, Row: userRow(1, "v", i)}}})
 		cl.call(t, "dn1", CommitReq{TxnID: u})
 	}
 	// The row remains readable at its newest version after vacuuming.
@@ -581,13 +551,8 @@ func TestRONeverServesUndurableData(t *testing.T) {
 	cl := newClient(t, net, "cnu", simnet.DC1)
 
 	// A durable write reaches the RO.
-	w := nextTxnID()
-	cl.call(t, "dn-a", BeginReq{TxnID: w, SnapshotTS: hlc.NewClock(nil).Now()})
-	cl.call(t, "dn-a", WriteReq{TxnID: w, Table: 1, Op: OpInsert, Row: userRow(1, "durable", 1)})
-	resp := cl.call(t, "dn-a", CommitReq{TxnID: w}).(CommitResp)
-	rr := cl.call(t, "dn-a-ro", ROReadReq{Table: 1, PK: pkOf(1),
-		SnapshotTS: leader.Clock().Now(), MinLSN: resp.LSN}).(ReadResp)
-	if !rr.OK {
+	resp := cl.commitRows(t, "dn-a", hlc.NewClock(nil).Now(), userRow(1, "durable", 1))
+	if rr := cl.roGet(t, "dn-a-ro", leader.Clock().Now(), resp.LSN, pkOf(1)); !rr.OK {
 		t.Fatal("durable write not on RO")
 	}
 	durableLSN := ro.AppliedLSN()

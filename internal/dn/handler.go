@@ -45,12 +45,6 @@ func (i *Instance) handle(from string, msg any) (any, error) {
 		}
 	}
 	switch m := msg.(type) {
-	case BeginReq:
-		return nil, i.handleBegin(m)
-	case WriteReq:
-		return nil, i.handleWrite(m)
-	case ReadReq:
-		return i.handleRead(m)
 	case MultiGetReq:
 		return i.handleMultiGet(m)
 	case MultiWriteReq:
@@ -79,8 +73,8 @@ func (i *Instance) handle(from string, msg any) (any, error) {
 	}
 }
 
-// branch resolves (or lazily creates) the local branch of a distributed
-// transaction.
+// branch resolves the local branch of a distributed transaction for the
+// 2PC requests, which need one that an in-branch request opened.
 func (i *Instance) branch(txnID uint64) (*txnEntry, error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -91,34 +85,14 @@ func (i *Instance) branch(txnID uint64) (*txnEntry, error) {
 	return e, nil
 }
 
-// handleBegin opens a branch. HLC-SI step 3: fold the coordinator's
-// snapshot_ts into the local clock so node.hlc >= snapshot_ts, which the
-// §IV proof relies on.
-func (i *Instance) handleBegin(m BeginReq) error {
-	if !i.IsLeader() {
-		return fmt.Errorf("%w: %s", ErrNotLeader, i.cfg.Name)
-	}
-	i.clock.Update(m.SnapshotTS)
-	txn := i.eng.Begin(m.SnapshotTS)
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.stopped {
-		return ErrStopped
-	}
-	if _, dup := i.txns[m.TxnID]; dup {
-		// Duplicate or retried BeginReq (lost reply): the branch exists,
-		// which is exactly what the coordinator asked for.
-		_ = i.eng.Abort(txn)
-		return nil
-	}
-	i.txns[m.TxnID] = &txnEntry{txn: txn, startedAt: i.timeSrc.Now()}
-	return nil
-}
-
-// branchOrBegin resolves the local branch, opening it implicitly when a
-// batched request is the branch's first contact with this DN. Folding
-// the begin into the batched request is what keeps a multi-point
-// statement at exactly one round trip per touched DN.
+// branchOrBegin resolves the local branch of an in-branch request
+// (MultiGetReq, MultiWriteReq, ScanReq), opening it when the request is
+// the transaction's first contact with this DN. Opening folds the
+// coordinator's snapshot_ts into the local clock first — HLC-SI step 3,
+// node.hlc >= snapshot_ts, which the §IV proof relies on. Because every
+// in-branch request carries the snapshot, concurrent first requests of
+// one transaction need no ordering, and a statement pays exactly one
+// round trip per touched DN.
 func (i *Instance) branchOrBegin(txnID uint64, snap hlc.Timestamp) (*txnEntry, error) {
 	i.mu.Lock()
 	if e, ok := i.txns[txnID]; ok {
@@ -148,15 +122,6 @@ func (i *Instance) branchOrBegin(txnID uint64, snap hlc.Timestamp) (*txnEntry, e
 	return e, nil
 }
 
-func (i *Instance) handleWrite(m WriteReq) error {
-	e, err := i.branch(m.TxnID)
-	if err != nil {
-		return err
-	}
-	i.stats.writes.Add(1)
-	return i.applyWrite(e, m.Table, m.Op, m.Row, m.PK)
-}
-
 func (i *Instance) applyWrite(e *txnEntry, table uint32, op WriteOp, row types.Row, pk []byte) error {
 	switch op {
 	case OpInsert:
@@ -183,20 +148,6 @@ func (i *Instance) readGuard() error {
 		return fmt.Errorf("%w: %s: %v", ErrNotLeader, i.cfg.Name, err)
 	}
 	return nil
-}
-
-func (i *Instance) handleRead(m ReadReq) (ReadResp, error) {
-	e, err := i.branch(m.TxnID)
-	if err != nil {
-		return ReadResp{}, err
-	}
-	if err := i.readGuard(); err != nil {
-		return ReadResp{}, err
-	}
-	i.stats.pointReads.Add(1)
-	i.svc.serve(pointCost)
-	row, ok, err := i.eng.Get(e.txn, m.Table, m.PK)
-	return ReadResp{Row: row, OK: ok}, err
 }
 
 func (i *Instance) handleMultiGet(m MultiGetReq) (MultiGetResp, error) {
@@ -234,20 +185,20 @@ func (i *Instance) handleMultiWrite(m MultiWriteReq) error {
 	return nil
 }
 
-// rpcStats counts hot-path request types so benchmarks and tests can
-// assert RPC budgets (batched paths must cost one multi-get per DN, not
-// one point read per key).
+// rpcStats counts batched request types so benchmarks and tests can
+// assert RPC budgets (a multi-point statement costs one multi-get per
+// touched DN).
 type rpcStats struct {
-	pointReads  atomic.Uint64
 	multiGets   atomic.Uint64
-	writes      atomic.Uint64
 	multiWrites atomic.Uint64
 }
 
-// RPCStats returns cumulative per-type request counts.
+// RPCStats returns cumulative per-type request counts. pointReads and
+// writes are always 0: the single-key read and write requests they
+// counted are gone. The two slots stay only because benchmark/layers.go
+// destructures four results; they leave with the next [benchmark] PR.
 func (i *Instance) RPCStats() (pointReads, multiGets, writes, multiWrites uint64) {
-	return i.stats.pointReads.Load(), i.stats.multiGets.Load(),
-		i.stats.writes.Load(), i.stats.multiWrites.Load()
+	return 0, i.stats.multiGets.Load(), 0, i.stats.multiWrites.Load()
 }
 
 // Service-cost constants: a scanned row costs one row-unit, a point
@@ -258,7 +209,7 @@ const (
 )
 
 func (i *Instance) handleScan(m ScanReq) (ScanResp, error) {
-	e, err := i.branch(m.TxnID)
+	e, err := i.branchOrBegin(m.TxnID, m.SnapshotTS)
 	if err != nil {
 		return ScanResp{}, err
 	}
@@ -287,11 +238,7 @@ func (i *Instance) handleScan(m ScanReq) (ScanResp, error) {
 		examined++
 		return countingCollect(pk, row)
 	}
-	if m.Index != "" {
-		err = i.eng.IndexScan(e.txn, m.Table, m.Index, m.Start, m.End, collect)
-	} else {
-		err = i.eng.ScanRange(e.txn, m.Table, m.Start, m.End, collect)
-	}
+	err = i.eng.ScanRange(e.txn, m.Table, m.Start, m.End, collect)
 	if err == nil {
 		err = evalErr
 	}

@@ -313,8 +313,6 @@ func (r *RO) handle(from string, msg any) (any, error) {
 	case roAppendMsg:
 		r.ingest(from, m)
 		return nil, nil
-	case ROReadReq:
-		return r.read(m, deadline)
 	case ROMultiGetReq:
 		return r.multiGet(m, deadline)
 	case ROScanReq:
@@ -427,15 +425,6 @@ func (r *RO) waitApplied(lsn wal.LSN, deadline time.Time) error {
 			return fmt.Errorf("dn: ro %s at lsn %d, read needs %d: %w", r.name, applied, lsn, obs.ErrDeadlineExceeded)
 		}
 	}
-}
-
-func (r *RO) read(m ROReadReq, deadline time.Time) (ReadResp, error) {
-	if err := r.waitApplied(m.MinLSN, deadline); err != nil {
-		return ReadResp{}, err
-	}
-	r.svc.serve(pointCost)
-	row, ok, err := r.eng.GetAt(m.Table, m.PK, m.SnapshotTS)
-	return ReadResp{Row: row, OK: ok}, err
 }
 
 // multiGet serves a batch of session-consistent point reads in one

@@ -67,8 +67,7 @@ func TestROAppliedLSNMonotonicUnderCommitStorm(t *testing.T) {
 				id := ids.Add(1)
 				key := int64(c*perCommitter + i)
 				for _, msg := range []any{
-					BeginReq{TxnID: id, SnapshotTS: clock.Now()},
-					WriteReq{TxnID: id, Table: 1, Op: OpInsert, Row: userRow(key, "u", key)},
+					MultiWriteReq{TxnID: id, SnapshotTS: clock.Now(), Writes: inserts(userRow(key, "u", key))},
 					CommitReq{TxnID: id},
 				} {
 					if _, err := net.Call(name, "dn1", msg); err != nil {
@@ -120,15 +119,11 @@ func TestROReadWaitIsBounded(t *testing.T) {
 	}
 	ro.SetApplyDelay(time.Minute) // never applies within the test
 	commit := func(id int64) wal.LSN {
-		w := nextTxnID()
-		cl.call(t, "dn1", BeginReq{TxnID: w, SnapshotTS: inst.Clock().Now()})
-		cl.call(t, "dn1", WriteReq{TxnID: w, Table: 1, Op: OpInsert,
-			Row: userRow(id, strings.Repeat("x", 100), id)})
-		return cl.call(t, "dn1", CommitReq{TxnID: w}).(CommitResp).LSN
+		return cl.commitRows(t, "dn1", inst.Clock().Now(), userRow(id, strings.Repeat("x", 100), id)).LSN
 	}
 	read := func(minLSN wal.LSN, deadline time.Time) error {
-		_, err := net.Call("cn1", "dn1-ro1", WithDeadline(ROReadReq{
-			Table: 1, PK: pkOf(0), SnapshotTS: inst.Clock().Now(), MinLSN: minLSN,
+		_, err := net.Call("cn1", "dn1-ro1", WithDeadline(ROMultiGetReq{
+			Gets: []PointGet{{Table: 1, PK: pkOf(0)}}, SnapshotTS: inst.Clock().Now(), MinLSN: minLSN,
 		}, deadline))
 		return err
 	}

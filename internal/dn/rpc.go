@@ -6,8 +6,10 @@
 // writes, and every instance can host RO nodes for local reads.
 //
 // The CN layer talks to DN instances over simnet using the request types
-// in this file: transaction branches (begin/write/read/prepare/commit/
-// abort per §IV's 2PC flow) and RO reads with session consistency.
+// in this file: transaction branches (batched reads and writes and range
+// scans, each carrying the snapshot so the first one to arrive opens the
+// branch, then prepare/commit/abort per §IV's 2PC flow) and RO reads
+// with session consistency.
 package dn
 
 import (
@@ -43,7 +45,7 @@ func WithDeadline(req any, deadline time.Time) any {
 	return Deadlined{Deadline: deadline, Req: req}
 }
 
-// WriteOp selects the mutation kind in a WriteReq.
+// WriteOp selects the mutation kind in a WriteItem.
 type WriteOp uint8
 
 // Write operations.
@@ -52,30 +54,6 @@ const (
 	OpUpdate
 	OpDelete
 )
-
-// BeginReq opens a transaction branch. Carrying SnapshotTS implements
-// HLC-SI step 2-3: the participant folds the coordinator's snapshot into
-// its clock (ClockUpdate) so its later prepare_ts exceeds it.
-type BeginReq struct {
-	TxnID      uint64
-	SnapshotTS hlc.Timestamp
-}
-
-// WriteReq applies one mutation in an open branch.
-type WriteReq struct {
-	TxnID uint64
-	Table uint32
-	Op    WriteOp
-	Row   types.Row // insert/update
-	PK    []byte    // delete
-}
-
-// ReadReq is a snapshot point read inside a branch.
-type ReadReq struct {
-	TxnID uint64
-	Table uint32
-	PK    []byte
-}
 
 // ReadResp returns the row, if visible.
 type ReadResp struct {
@@ -93,8 +71,9 @@ type PointGet struct {
 // MultiGetReq reads many rows of one branch in a single round trip —
 // the CN fast path for multi-point statements (sysbench's 10 point
 // reads pay one RPC per touched DN instead of one per key). Carrying
-// SnapshotTS lets the DN open the branch implicitly on first contact,
-// so no separate BeginReq round trip is needed either.
+// SnapshotTS implements HLC-SI steps 2–3: whichever in-branch request
+// reaches the DN first opens the branch, folding the snapshot into the
+// DN's clock (ClockUpdate) so its later prepare_ts exceeds it.
 type MultiGetReq struct {
 	TxnID      uint64
 	SnapshotTS hlc.Timestamp
@@ -116,7 +95,8 @@ type WriteItem struct {
 
 // MultiWriteReq applies many mutations of one branch in a single round
 // trip (multi-row INSERT and secondary-index maintenance batching).
-// Like MultiGetReq it carries SnapshotTS for implicit branch begin.
+// Like MultiGetReq it carries SnapshotTS and opens the branch on first
+// contact.
 // Items are applied in order; the first failure aborts the request (the
 // CN then aborts the whole transaction branch).
 type MultiWriteReq struct {
@@ -127,22 +107,24 @@ type MultiWriteReq struct {
 
 // ROMultiGetReq is the RO-replica analogue of MultiGetReq: a batch of
 // session-consistent point reads served in one round trip. The replica
-// waits for MinLSN once, then answers every key at SnapshotTS.
+// waits until it has applied redo up to MinLSN (session consistency,
+// §II-C) once, then answers every key at SnapshotTS.
 type ROMultiGetReq struct {
 	Gets       []PointGet
 	SnapshotTS hlc.Timestamp
 	MinLSN     wal.LSN
 }
 
-// ScanReq is a snapshot range scan inside a branch. Limit <= 0 means
-// unbounded. Index, when set, scans a local secondary index.
+// ScanReq is a snapshot range scan inside a branch; like MultiGetReq it
+// carries SnapshotTS and opens the branch on first contact. Limit <= 0
+// means unbounded.
 type ScanReq struct {
-	TxnID uint64
-	Table uint32
-	Index string
-	Start []byte
-	End   []byte
-	Limit int
+	TxnID      uint64
+	SnapshotTS hlc.Timestamp
+	Table      uint32
+	Start      []byte
+	End        []byte
+	Limit      int
 	// Filter, when non-nil, is evaluated DN-side against each row
 	// (operator pushdown, §VI-B: "push specific portions of the query
 	// ... to corresponding storage nodes for near-data computing").
@@ -214,17 +196,7 @@ type ResolveTxnResp struct {
 	CommitTS  hlc.Timestamp
 }
 
-// ROReadReq is a point read served by an RO node. MinLSN implements
-// session consistency (§II-C): the RO waits until it has applied redo up
-// to MinLSN before reading. SnapshotTS fixes the MVCC snapshot.
-type ROReadReq struct {
-	Table      uint32
-	PK         []byte
-	SnapshotTS hlc.Timestamp
-	MinLSN     wal.LSN
-}
-
-// ROScanReq is the scan analogue of ROReadReq.
+// ROScanReq is the scan analogue of ROMultiGetReq.
 type ROScanReq struct {
 	Table      uint32
 	Index      string

@@ -307,10 +307,10 @@ type BatchFragmentAssignment struct {
 
 // RunBatchFragments executes batch fragments in parallel (one bounded
 // exchange queue each) and returns a BatchGather over their outputs.
-// The fragments start when the gather is opened, not before: whatever
-// the caller reads while it is still building the plan (point lookups
-// under the same transaction) is finished before any fragment's scan is
-// in flight. queueHigh <= 0 uses DefaultQueueHighWater.
+// The fragments start when the gather is opened, not before, so a
+// caller whose plan building fails after this call leaves no fragment
+// running that nobody will drain. queueHigh <= 0 uses
+// DefaultQueueHighWater.
 func RunBatchFragments(group htap.Group, assignments []BatchFragmentAssignment, queueHigh int) *BatchGather {
 	return RunBatchFragmentsUntil(group, assignments, queueHigh, nil, time.Time{})
 }

@@ -1,7 +1,6 @@
 package mt
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -13,20 +12,12 @@ import (
 	"repro/internal/simnet"
 )
 
-// IsTransient classifies errors a tenant transfer can safely retry:
-// simnet-level faults (timeouts, partitions, endpoints mid-restart) are
-// weather, not verdicts — the move itself is still valid.
-func IsTransient(err error) bool {
-	return errors.Is(err, simnet.ErrTimeout) ||
-		errors.Is(err, simnet.ErrPartitioned) ||
-		errors.Is(err, simnet.ErrEndpointDown)
-}
-
 // TransferWithRetry runs Transfer with bounded retry/backoff for
-// transient faults, resuming half-applied moves idempotently: if a prior
-// attempt crashed after the rebind (step 4) but before the destination
-// opened the tenant (step 5), the wrapper finishes the open instead of
-// re-running the protocol. Retries and terminal failures are counted on
+// transient faults (simnet.IsTransient: the move itself is still valid),
+// resuming half-applied moves idempotently: if a prior attempt crashed
+// after the rebind (step 4) but before the destination opened the
+// tenant (step 5), the wrapper finishes the open instead of re-running
+// the protocol. Retries and terminal failures are counted on
 // the autopilot.migration_retries / autopilot.migration_failures
 // counters (SetMetrics).
 func (c *Cluster) TransferWithRetry(tenant TenantID, from, to string, tries int, backoff time.Duration) (TransferStats, error) {
@@ -42,7 +33,7 @@ func (c *Cluster) TransferWithRetry(tenant TenantID, from, to string, tries int,
 	pol := retry.Policy{Attempts: tries, Base: backoff, Cap: 8 * backoff, Jitter: 0.5}
 	var stats TransferStats
 	err := retry.Do(obs.Wall, pol, func(e error) bool {
-		if !IsTransient(e) {
+		if !simnet.IsTransient(e) {
 			return false
 		}
 		c.mRetries.Inc()
@@ -64,7 +55,7 @@ func (c *Cluster) TransferWithRetry(tenant TenantID, from, to string, tries int,
 		return stats, nil
 	}
 	c.mFailures.Inc()
-	if !IsTransient(err) {
+	if !simnet.IsTransient(err) {
 		return stats, err
 	}
 	return stats, fmt.Errorf("mt: transfer of tenant %d gave up after %d attempts: %w", tenant, tries, err)

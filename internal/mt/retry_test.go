@@ -2,29 +2,12 @@ package mt
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/simnet"
 )
-
-func TestIsTransient(t *testing.T) {
-	for _, err := range []error{
-		simnet.ErrTimeout, simnet.ErrPartitioned, simnet.ErrEndpointDown,
-		fmt.Errorf("wrapped: %w", simnet.ErrTimeout),
-	} {
-		if !IsTransient(err) {
-			t.Errorf("IsTransient(%v) = false", err)
-		}
-	}
-	for _, err := range []error{nil, errors.New("disk on fire"), ErrNotBound} {
-		if IsTransient(err) {
-			t.Errorf("IsTransient(%v) = true", err)
-		}
-	}
-}
 
 // Transient faults mid-transfer are retried with backoff and counted on
 // the autopilot.migration_retries counter; the move still lands.

@@ -26,6 +26,15 @@ import (
 // message from a slow peer, exactly like a real RPC timeout).
 var ErrTimeout = errors.New("simnet: call timed out")
 
+// IsTransient classifies an error as a fabric fault (timeout, partition,
+// peer down): weather that may heal, so the operation is worth retrying.
+// Anything else is a handler verdict — retrying it repeats the answer.
+func IsTransient(err error) bool {
+	return errors.Is(err, ErrTimeout) ||
+		errors.Is(err, ErrPartitioned) ||
+		errors.Is(err, ErrEndpointDown)
+}
+
 // LinkFaults describes message-level faults on one directed link. Each
 // Call leg (request and reply) and each Send rolls independently.
 type LinkFaults struct {

@@ -2,10 +2,27 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+func TestIsTransient(t *testing.T) {
+	for _, err := range []error{
+		ErrTimeout, ErrPartitioned, ErrEndpointDown,
+		fmt.Errorf("wrapped: %w", ErrTimeout),
+	} {
+		if !IsTransient(err) {
+			t.Errorf("IsTransient(%v) = false", err)
+		}
+	}
+	for _, err := range []error{nil, errors.New("disk on fire"), ErrUnknownEndpoint} {
+		if IsTransient(err) {
+			t.Errorf("IsTransient(%v) = true", err)
+		}
+	}
+}
 
 // faultPair wires two endpoints; the destination counts deliveries.
 func faultPair(t *testing.T) (*Network, *atomic.Int64) {

@@ -54,10 +54,10 @@ func seedPair(t *testing.T, c *cluster, coord *Coordinator) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seed.Insert("dn1", 1, userRow(1, "a", 100)); err != nil {
+	if err := put(seed, "dn1", dn.OpInsert, userRow(1, "a", 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := seed.Insert("dn2", 1, userRow(2, "b", 200)); err != nil {
+	if err := put(seed, "dn2", dn.OpInsert, userRow(2, "b", 200)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := seed.Commit(); err != nil {
@@ -74,10 +74,10 @@ func crashedUpdate(t *testing.T, c *cluster, coord *Coordinator, match func(to s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("dn1", 1, userRow(1, "a", 111)); err != nil {
+	if err := put(tx, "dn1", dn.OpUpdate, userRow(1, "a", 111)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("dn2", 1, userRow(2, "b", 222)); err != nil {
+	if err := put(tx, "dn2", dn.OpUpdate, userRow(2, "b", 222)); err != nil {
 		t.Fatal(err)
 	}
 	c.net.CrashAfterSend("cn1", match)
@@ -122,8 +122,8 @@ func readPair(t *testing.T, c *cluster, w *Coordinator) (int64, int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, ok1, err1 := tx.Get("dn1", 1, pkOf(1))
-		r2, ok2, err2 := tx.Get("dn2", 1, pkOf(2))
+		r1, ok1, err1 := get(tx, "dn1", 1)
+		r2, ok2, err2 := get(tx, "dn2", 2)
 		tx.Abort()
 		if err1 == nil && err2 == nil && ok1 && ok2 {
 			return r1[2].AsInt(), r2[2].AsInt()
@@ -244,10 +244,10 @@ func TestDuplicatedCommitPointIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("dn1", 1, userRow(1, "a", 123)); err != nil {
+	if err := put(tx, "dn1", dn.OpUpdate, userRow(1, "a", 123)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Update("dn2", 1, userRow(2, "b", 234)); err != nil {
+	if err := put(tx, "dn2", dn.OpUpdate, userRow(2, "b", 234)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tx.Commit(); err != nil {

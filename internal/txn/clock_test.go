@@ -37,7 +37,7 @@ func TestCallRetryBackoffDeterministic(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.callRetry("dn", "ping")
+		_, err := c.callRetryUntil("dn", "ping", time.Time{})
 		done <- err
 	}()
 
@@ -62,47 +62,5 @@ func TestCallRetryBackoffDeterministic(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("callRetry did not finish after final backoff was released")
-	}
-}
-
-// TestEnsureBranchBackoffDeterministic: after a failed branch open the
-// next attempt waits out the open backoff on the injected clock.
-func TestEnsureBranchBackoffDeterministic(t *testing.T) {
-	net := simnet.New(simnet.ZeroTopology())
-	net.Register("cn", simnet.DC1, nil)
-	net.Register("dn", simnet.DC1, func(string, any) (any, error) { return nil, nil })
-	net.SetDown("dn", true)
-
-	c := NewCoordinator(net, "cn", NewHLCOracle(hlc.NewClock(nil)))
-	fc := obs.NewFakeClock(time.Unix(0, 0))
-	c.SetClock(fc)
-
-	tx, err := c.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.ensureBranch("dn"); !errors.Is(err, simnet.ErrEndpointDown) {
-		t.Fatalf("first open err = %v, want ErrEndpointDown", err)
-	}
-
-	// The second attempt must park on the open backoff rather than
-	// hammering the down leader.
-	done := make(chan error, 1)
-	go func() { done <- tx.ensureBranch("dn") }()
-	waitSleepers(t, fc, 1)
-	select {
-	case err := <-done:
-		t.Fatalf("second open returned during backoff: %v", err)
-	default:
-	}
-	net.SetDown("dn", false) // leader healed while we waited
-	fc.Advance(openBackoffBase)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("second open after heal: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("ensureBranch never returned after backoff released")
 	}
 }

@@ -83,23 +83,6 @@ func NewCoordinator(net *simnet.Network, self string, oracle Oracle) *Coordinato
 // Oracle returns the coordinator's timestamp oracle.
 func (c *Coordinator) Oracle() Oracle { return c.oracle }
 
-// branch tracks one DN's branch-open state. The open RPC runs outside
-// the Tx mutex (so parallel fan-out to different DNs is never
-// serialized); ready is closed once the attempt settles, and err
-// records a failed open (the entry is also removed, allowing retries).
-type branch struct {
-	ready chan struct{}
-	err   error
-}
-
-// openedBranch is the pre-settled state used by the batched RPCs, which
-// open the branch implicitly DN-side (no BeginReq).
-var openedBranch = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
 // Tx is one distributed transaction: a set of branches on DN leaders.
 type Tx struct {
 	ID       uint64
@@ -107,8 +90,9 @@ type Tx struct {
 
 	coord *Coordinator
 	mu    sync.Mutex
-	// branches maps DN endpoint -> branch-open state.
-	branches map[string]*branch
+	// branches is the set of DN endpoints this transaction has sent an
+	// in-branch request to; Commit and Abort release every member.
+	branches map[string]struct{}
 	// wrote tracks which branches performed writes (read-only branches
 	// skip phase one).
 	wrote map[string]bool
@@ -116,9 +100,7 @@ type Tx struct {
 	// entry is the transaction's primary branch, where the commit-point
 	// decision is made durable (§IV).
 	writeOrder []string
-	// openFail tracks failed branch opens per DN for retry backoff.
-	openFail map[string]*openBackoff
-	done     bool
+	done       bool
 	// lastLSN is the max commit LSN observed, used for RO session
 	// consistency by the caller.
 	lastLSN wal.LSN
@@ -215,8 +197,8 @@ func (c *Coordinator) callUntil(to string, msg any, deadline time.Time) (any, er
 	return res, c.deadlineVerdict(to, err, deadline)
 }
 
-// callRetryTraced is callRetry as a timed span under parent — the 2PC
-// phases use it so prepare/commit-point/commit render per DN.
+// callRetryTraced is callRetryUntil as a timed span under parent — the
+// 2PC phases use it so prepare/commit-point/commit render per DN.
 func (t *Tx) callRetryTraced(parent *obs.Span, spanName, to string, msg any) (any, error) {
 	s := t.spanUnder(parent, spanName+" dn="+to)
 	reply, err := t.coord.callRetryUntil(to, msg, t.Deadline())
@@ -237,93 +219,24 @@ func (c *Coordinator) Begin() (*Tx, error) {
 		ID:        c.idBase + c.seq.Add(1),
 		Snapshot:  snap,
 		coord:     c,
-		branches:  make(map[string]*branch),
+		branches:  make(map[string]struct{}),
 		wrote:     make(map[string]bool),
-		openFail:  make(map[string]*openBackoff),
 		branchLSN: make(map[string]wal.LSN),
 	}, nil
 }
 
-// openBackoff tracks a DN whose branch open failed: the next attempt
-// waits out an exponential delay instead of hammering the endpoint with
-// an immediate retry per statement.
-type openBackoff struct {
-	attempts int
-	retryAt  time.Time
-}
-
-// Branch-open retry backoff bounds.
-const (
-	openBackoffBase = 5 * time.Millisecond
-	openBackoffCap  = 500 * time.Millisecond
-)
-
-// ensureBranch lazily opens the branch on a DN leader, carrying the
-// snapshot timestamp (§IV step 2). Concurrent callers targeting the
-// same DN wait for one BeginReq; callers targeting different DNs
-// proceed in parallel. After a failed open, the next attempt on the same
-// DN sleeps out an exponential backoff first (a down leader heals by
-// re-election, not by being hammered).
-func (t *Tx) ensureBranch(dnName string) error {
-	for {
-		t.mu.Lock()
-		if t.done {
-			t.mu.Unlock()
-			return ErrTxDone
-		}
-		if b, ok := t.branches[dnName]; ok {
-			t.mu.Unlock()
-			<-b.ready
-			return b.err
-		}
-		if f, ok := t.openFail[dnName]; ok {
-			if wait := t.coord.clock.Until(f.retryAt); wait > 0 {
-				t.mu.Unlock()
-				t.coord.clock.Sleep(wait)
-				continue // re-check: another caller may have opened it meanwhile
-			}
-		}
-		b := &branch{ready: make(chan struct{})}
-		t.branches[dnName] = b
-		t.mu.Unlock()
-		_, err := t.call("rpc begin", dnName,
-			dn.BeginReq{TxnID: t.ID, SnapshotTS: t.Snapshot})
-		t.mu.Lock()
-		if err != nil {
-			b.err = err
-			delete(t.branches, dnName) // allow a later retry
-			f := t.openFail[dnName]
-			if f == nil {
-				f = &openBackoff{}
-				t.openFail[dnName] = f
-			}
-			f.attempts++
-			backoff := openBackoffBase << (f.attempts - 1)
-			if backoff > openBackoffCap || backoff <= 0 {
-				backoff = openBackoffCap
-			}
-			f.retryAt = t.coord.clock.Now().Add(backoff)
-		} else {
-			delete(t.openFail, dnName)
-		}
-		t.mu.Unlock()
-		close(b.ready)
-		return err
-	}
-}
-
-// registerBranch records dnName as open without sending a BeginReq: the
-// batched requests carry SnapshotTS, and the DN opens the branch on
-// first contact (branchOrBegin). Commit/Abort then release it normally.
+// registerBranch adds dnName to the branch set before an in-branch
+// request leaves. Every such request carries SnapshotTS, and the DN opens
+// the branch on first contact, folding the snapshot into its clock first
+// (§IV steps 2–3), so concurrent first requests to one DN need no
+// ordering and no separate open round trip. Commit/Abort release it.
 func (t *Tx) registerBranch(dnName string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
 		return ErrTxDone
 	}
-	if _, ok := t.branches[dnName]; !ok {
-		t.branches[dnName] = &branch{ready: openedBranch}
-	}
+	t.branches[dnName] = struct{}{}
 	return nil
 }
 
@@ -336,63 +249,10 @@ func (t *Tx) markWrote(dnName string) {
 	t.mu.Unlock()
 }
 
-// Insert adds a row on the given DN.
-func (t *Tx) Insert(dnName string, table uint32, row types.Row) error {
-	if err := t.ensureBranch(dnName); err != nil {
-		return err
-	}
-	_, err := t.call("rpc insert", dnName,
-		dn.WriteReq{TxnID: t.ID, Table: table, Op: dn.OpInsert, Row: row})
-	if err == nil {
-		t.markWrote(dnName)
-	}
-	return err
-}
-
-// Update replaces a row on the given DN.
-func (t *Tx) Update(dnName string, table uint32, row types.Row) error {
-	if err := t.ensureBranch(dnName); err != nil {
-		return err
-	}
-	_, err := t.call("rpc update", dnName,
-		dn.WriteReq{TxnID: t.ID, Table: table, Op: dn.OpUpdate, Row: row})
-	if err == nil {
-		t.markWrote(dnName)
-	}
-	return err
-}
-
-// Delete removes a row on the given DN.
-func (t *Tx) Delete(dnName string, table uint32, pk []byte) error {
-	if err := t.ensureBranch(dnName); err != nil {
-		return err
-	}
-	_, err := t.call("rpc delete", dnName,
-		dn.WriteReq{TxnID: t.ID, Table: table, Op: dn.OpDelete, PK: pk})
-	if err == nil {
-		t.markWrote(dnName)
-	}
-	return err
-}
-
-// Get reads a row by primary key on the given DN at the tx snapshot.
-func (t *Tx) Get(dnName string, table uint32, pk []byte) (types.Row, bool, error) {
-	if err := t.ensureBranch(dnName); err != nil {
-		return nil, false, err
-	}
-	reply, err := t.call("rpc get", dnName,
-		dn.ReadReq{TxnID: t.ID, Table: table, PK: pk})
-	if err != nil {
-		return nil, false, err
-	}
-	resp := reply.(dn.ReadResp)
-	return resp.Row, resp.OK, nil
-}
-
 // MultiGet reads many rows on one DN in a single round trip (the CN
-// fast path for multi-point statements). The branch is opened implicitly
-// by the request itself, so a fresh transaction touching N DNs pays
-// exactly N RPCs for the reads, not 2N.
+// fast path for multi-point statements). The request opens the branch on
+// first contact, so a fresh transaction touching N DNs pays exactly N
+// RPCs for the reads, not 2N.
 func (t *Tx) MultiGet(dnName string, gets []dn.PointGet) ([]dn.ReadResp, error) {
 	if len(gets) == 0 {
 		return nil, nil
@@ -426,13 +286,16 @@ func (t *Tx) MultiWrite(dnName string, writes []dn.WriteItem) error {
 	return err
 }
 
-// Scan reads a key range (optionally via a named local index).
-func (t *Tx) Scan(dnName string, table uint32, index string, start, end []byte, limit int) ([]types.Row, error) {
-	if err := t.ensureBranch(dnName); err != nil {
+// Scan runs a pushdown-capable range scan in this transaction's branch on
+// a DN (filter/projection evaluated DN-side, §VI-B). TxnID and SnapshotTS
+// are filled in from the transaction; like MultiGet, the request opens
+// the branch on first contact.
+func (t *Tx) Scan(dnName string, req dn.ScanReq) ([]types.Row, error) {
+	if err := t.registerBranch(dnName); err != nil {
 		return nil, err
 	}
-	reply, err := t.call("rpc scan", dnName,
-		dn.ScanReq{TxnID: t.ID, Table: table, Index: index, Start: start, End: end, Limit: limit})
+	req.TxnID, req.SnapshotTS = t.ID, t.Snapshot
+	reply, err := t.call("rpc scan", dnName, req)
 	if err != nil {
 		return nil, err
 	}
@@ -513,7 +376,7 @@ func (t *Tx) commit(cs *obs.Span) (hlc.Timestamp, error) {
 		primary = t.writeOrder[0]
 	}
 	t.mu.Unlock()
-	writers, readers := t.settledBranches()
+	writers, readers := t.splitBranches()
 
 	// Release read-only branches. This never adds latency to the
 	// prepare phase: releaseReaders hands the aborts to bounded
@@ -672,24 +535,12 @@ func (t *Tx) commit(cs *obs.Span) (hlc.Timestamp, error) {
 	return commitTS, nil
 }
 
-// settledBranches waits for any in-flight branch opens to settle, then
-// partitions successfully opened branches into writers and readers.
-func (t *Tx) settledBranches() (writers, readers []string) {
-	t.mu.Lock()
-	entries := make(map[string]*branch, len(t.branches))
-	for name, b := range t.branches {
-		entries[name] = b
-	}
-	t.mu.Unlock()
-	for _, b := range entries {
-		<-b.ready
-	}
+// splitBranches partitions the transaction's branches into writers and
+// readers.
+func (t *Tx) splitBranches() (writers, readers []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for name, b := range entries {
-		if b.err != nil {
-			continue // never opened DN-side
-		}
+	for name := range t.branches {
 		if t.wrote[name] {
 			writers = append(writers, name)
 		} else {
@@ -747,7 +598,7 @@ func (t *Tx) Abort() error {
 	t.done = true
 	t.mu.Unlock()
 	s := t.spanUnder(nil, "abort")
-	writers, readers := t.settledBranches()
+	writers, readers := t.splitBranches()
 	t.abortBranches(append(writers, readers...))
 	s.End()
 	t.coord.mAbort.Inc()
@@ -766,25 +617,11 @@ func (t *Tx) abortBranches(branches []string) {
 	wg.Wait()
 }
 
-// ReadRO performs a session-consistent point read on an RO replica.
-// Like every RO call it is bounded by the statement deadline (zero =
-// none), which also rides the request so the replica's wait for minLSN
-// ends with it.
-func (c *Coordinator) ReadRO(roName string, table uint32, pk []byte,
-	snapshot hlc.Timestamp, minLSN wal.LSN, deadline time.Time) (types.Row, bool, error) {
-	reply, err := c.callUntil(roName, dn.ROReadReq{
-		Table: table, PK: pk, SnapshotTS: snapshot, MinLSN: minLSN,
-	}, deadline)
-	if err != nil {
-		return nil, false, err
-	}
-	resp := reply.(dn.ReadResp)
-	return resp.Row, resp.OK, nil
-}
-
 // MultiGetRO performs a batch of session-consistent point reads on an
 // RO replica in one round trip (the RO waits for MinLSN once, then
-// answers every key at the snapshot).
+// answers every key at the snapshot). Like every RO call it is bounded
+// by the statement deadline (zero = none), which also rides the request
+// so the replica's wait for minLSN ends with it.
 func (c *Coordinator) MultiGetRO(roName string, gets []dn.PointGet,
 	snapshot hlc.Timestamp, minLSN wal.LSN, deadline time.Time) ([]dn.ReadResp, error) {
 	if len(gets) == 0 {
@@ -797,21 +634,6 @@ func (c *Coordinator) MultiGetRO(roName string, gets []dn.PointGet,
 		return nil, err
 	}
 	return reply.(dn.MultiGetResp).Results, nil
-}
-
-// ScanReq runs a pushdown-capable scan in this transaction's branch on a
-// DN (filter/projection evaluated DN-side, §VI-B). The TxnID is filled
-// in from the transaction.
-func (t *Tx) ScanReq(dnName string, req dn.ScanReq) ([]types.Row, error) {
-	if err := t.ensureBranch(dnName); err != nil {
-		return nil, err
-	}
-	req.TxnID = t.ID
-	reply, err := t.call("rpc scan", dnName, req)
-	if err != nil {
-		return nil, err
-	}
-	return reply.(dn.ScanResp).Rows, nil
 }
 
 // ScanRO runs a pushdown-capable scan against an RO replica (including

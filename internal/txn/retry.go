@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/dn"
 	"repro/internal/obs"
 	"repro/internal/retry"
 	"repro/internal/simnet"
@@ -22,47 +21,23 @@ var defaultRetry = retry.Policy{
 	Jitter:   -1,
 }
 
-// Retryable classifies an RPC error: transport-level failures (timeout,
-// partition, peer down) may heal and are worth retrying; anything else
-// is a handler verdict — deterministic, and retrying it just repeats the
-// answer.
-func Retryable(err error) bool {
-	return errors.Is(err, simnet.ErrTimeout) ||
-		errors.Is(err, simnet.ErrPartitioned) ||
-		errors.Is(err, simnet.ErrEndpointDown)
-}
-
 // inDoubt classifies a failed commit/commit-point RPC whose outcome is
 // unknown: transport failures (the reply may have been lost after the
 // DN decided) and deadline expiry (the call may have landed before the
 // statement gave up). Both forbid aborting; recovery resolves them.
 func inDoubt(err error) bool {
-	return Retryable(err) || errors.Is(err, obs.ErrDeadlineExceeded)
+	return simnet.IsTransient(err) || errors.Is(err, obs.ErrDeadlineExceeded)
 }
 
-// callRetry issues a Call under the default retry policy. It returns the
-// first fatal (non-retryable) error immediately, or the last transport
-// error once attempts are exhausted — in which case the outcome of the
-// final attempt is genuinely unknown to the caller.
-func (c *Coordinator) callRetry(to string, msg any) (any, error) {
-	return c.callRetryUntil(to, msg, time.Time{})
-}
-
-// callRetryUntil is callRetry bounded by a statement deadline: each
-// attempt uses the remaining time as its transport timeout, the
-// deadline rides the request as metadata (dn.WithDeadline), and the
-// backoff ladder stops rather than sleeping past the deadline. A zero
-// deadline keeps the legacy unbounded behavior exactly.
+// callRetryUntil issues a call under the default retry policy, bounded by
+// a statement deadline (zero = none). Each attempt is one callUntil, and
+// the backoff ladder stops rather than sleeping past the deadline. It
+// returns the first fatal (non-transient) error immediately, or the last
+// transport error once attempts are exhausted — in which case the
+// outcome of the final attempt is genuinely unknown to the caller.
 func (c *Coordinator) callRetryUntil(to string, msg any, deadline time.Time) (any, error) {
-	res, err := retry.DoValue(c.clock, defaultRetry, deadline, Retryable, func() (any, error) {
-		if deadline.IsZero() {
-			return c.net.Call(c.self, to, msg)
-		}
-		left := c.clock.Until(deadline)
-		if left <= 0 {
-			return nil, fmt.Errorf("txn: call %s: %w", to, obs.ErrDeadlineExceeded)
-		}
-		return c.net.CallTimeout(c.self, to, dn.WithDeadline(msg, deadline), left)
+	res, err := retry.DoValue(c.clock, defaultRetry, deadline, simnet.IsTransient, func() (any, error) {
+		return c.callUntil(to, msg, deadline)
 	})
 	return res, c.deadlineVerdict(to, err, deadline)
 }
@@ -74,7 +49,7 @@ func (c *Coordinator) callRetryUntil(to string, msg any, deadline time.Time) (an
 // statement look retryable when its time budget is gone. The transport
 // error is kept in the message for diagnosis.
 func (c *Coordinator) deadlineVerdict(to string, err error, deadline time.Time) error {
-	if err == nil || deadline.IsZero() || !Retryable(err) {
+	if err == nil || deadline.IsZero() || !simnet.IsTransient(err) {
 		return err
 	}
 	if c.clock.Until(deadline) > 0 {

@@ -30,6 +30,20 @@ func userRow(id int64, name string, bal int64) types.Row {
 
 func pkOf(id int64) []byte { return types.EncodeKey(nil, types.Int(id)) }
 
+// put applies one table-1 mutation on dnName as a batched write.
+func put(tx *Tx, dnName string, op dn.WriteOp, row types.Row) error {
+	return tx.MultiWrite(dnName, []dn.WriteItem{{Table: 1, Op: op, Row: row}})
+}
+
+// get reads one table-1 row by id on dnName as a batched read.
+func get(tx *Tx, dnName string, id int64) (types.Row, bool, error) {
+	rs, err := tx.MultiGet(dnName, []dn.PointGet{{Table: 1, PK: pkOf(id)}})
+	if err != nil {
+		return nil, false, err
+	}
+	return rs[0].Row, rs[0].OK, nil
+}
+
 // cluster is a test fixture: n single-member DN groups plus a CN endpoint.
 type cluster struct {
 	net  *simnet.Network
@@ -74,10 +88,10 @@ func TestDistributedCommitAtomicVisibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("dn1", 1, userRow(1, "alice", 100)); err != nil {
+	if err := put(tx, "dn1", dn.OpInsert, userRow(1, "alice", 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("dn2", 1, userRow(2, "bob", 200)); err != nil {
+	if err := put(tx, "dn2", dn.OpInsert, userRow(2, "bob", 200)); err != nil {
 		t.Fatal(err)
 	}
 	commitTS, err := tx.Commit()
@@ -94,8 +108,8 @@ func TestDistributedCommitAtomicVisibility(t *testing.T) {
 	if tx2.Snapshot < commitTS {
 		t.Fatalf("next snapshot %v below prior commit %v", tx2.Snapshot, commitTS)
 	}
-	r1, ok1, _ := tx2.Get("dn1", 1, pkOf(1))
-	r2, ok2, _ := tx2.Get("dn2", 1, pkOf(2))
+	r1, ok1, _ := get(tx2, "dn1", 1)
+	r2, ok2, _ := get(tx2, "dn2", 2)
 	if !ok1 || !ok2 {
 		t.Fatalf("committed rows invisible: %v %v", ok1, ok2)
 	}
@@ -110,20 +124,20 @@ func TestSnapshotDoesNotSeeConcurrentCommit(t *testing.T) {
 	coord := hlcCoord(c)
 
 	seed, _ := coord.Begin()
-	seed.Insert("dn1", 1, userRow(1, "a", 10))
-	seed.Insert("dn2", 1, userRow(2, "b", 20))
+	put(seed, "dn1", dn.OpInsert, userRow(1, "a", 10))
+	put(seed, "dn2", dn.OpInsert, userRow(2, "b", 20))
 	seed.Commit()
 
 	reader, _ := coord.Begin() // snapshot before the writer commits
 	writer, _ := coord.Begin()
-	writer.Update("dn1", 1, userRow(1, "a", 11))
-	writer.Update("dn2", 1, userRow(2, "b", 21))
+	put(writer, "dn1", dn.OpUpdate, userRow(1, "a", 11))
+	put(writer, "dn2", dn.OpUpdate, userRow(2, "b", 21))
 	if _, err := writer.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
-	r1, _, _ := reader.Get("dn1", 1, pkOf(1))
-	r2, _, _ := reader.Get("dn2", 1, pkOf(2))
+	r1, _, _ := get(reader, "dn1", 1)
+	r2, _, _ := get(reader, "dn2", 2)
 	if r1[2].AsInt() != 10 || r2[2].AsInt() != 20 {
 		t.Fatalf("reader saw torn/late values: %v %v", r1, r2)
 	}
@@ -134,7 +148,7 @@ func TestSinglePCFastPath(t *testing.T) {
 	c := newCluster(t, 2, simnet.ZeroTopology())
 	coord := hlcCoord(c)
 	tx, _ := coord.Begin()
-	tx.Insert("dn1", 1, userRow(1, "solo", 1))
+	put(tx, "dn1", dn.OpInsert, userRow(1, "solo", 1))
 	commitTS, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +158,7 @@ func TestSinglePCFastPath(t *testing.T) {
 	}
 	// Next snapshot from this CN covers the commit.
 	tx2, _ := coord.Begin()
-	if _, ok, _ := tx2.Get("dn1", 1, pkOf(1)); !ok {
+	if _, ok, _ := get(tx2, "dn1", 1); !ok {
 		t.Fatal("1PC row invisible to next txn")
 	}
 	tx2.Abort()
@@ -154,11 +168,11 @@ func TestReadOnlyTransactionCommitsWithoutPrepare(t *testing.T) {
 	c := newCluster(t, 2, simnet.ZeroTopology())
 	coord := hlcCoord(c)
 	seed, _ := coord.Begin()
-	seed.Insert("dn1", 1, userRow(1, "a", 1))
+	put(seed, "dn1", dn.OpInsert, userRow(1, "a", 1))
 	seed.Commit()
 
 	ro, _ := coord.Begin()
-	if _, ok, _ := ro.Get("dn1", 1, pkOf(1)); !ok {
+	if _, ok, _ := get(ro, "dn1", 1); !ok {
 		t.Fatal("read failed")
 	}
 	if _, err := ro.Commit(); err != nil {
@@ -170,13 +184,13 @@ func TestPrepareFailureAbortsEverywhere(t *testing.T) {
 	c := newCluster(t, 2, simnet.ZeroTopology())
 	coord := hlcCoord(c)
 	seed, _ := coord.Begin()
-	seed.Insert("dn1", 1, userRow(1, "a", 1))
-	seed.Insert("dn2", 1, userRow(2, "b", 2))
+	put(seed, "dn1", dn.OpInsert, userRow(1, "a", 1))
+	put(seed, "dn2", dn.OpInsert, userRow(2, "b", 2))
 	seed.Commit()
 
 	tx, _ := coord.Begin()
-	tx.Update("dn1", 1, userRow(1, "a", 100))
-	tx.Update("dn2", 1, userRow(2, "b", 200))
+	put(tx, "dn1", dn.OpUpdate, userRow(1, "a", 100))
+	put(tx, "dn2", dn.OpUpdate, userRow(2, "b", 200))
 	// Kill dn2 before commit: prepare there must fail, and the whole
 	// transaction must roll back on dn1 too.
 	c.net.SetDown("dn2", true)
@@ -186,7 +200,7 @@ func TestPrepareFailureAbortsEverywhere(t *testing.T) {
 	c.net.SetDown("dn2", false)
 
 	check, _ := coord.Begin()
-	r1, _, _ := check.Get("dn1", 1, pkOf(1))
+	r1, _, _ := get(check, "dn1", 1)
 	if r1[2].AsInt() != 1 {
 		t.Fatalf("dn1 kept aborted write: %v", r1)
 	}
@@ -197,15 +211,15 @@ func TestWriteConflictAborts(t *testing.T) {
 	c := newCluster(t, 1, simnet.ZeroTopology())
 	coord := hlcCoord(c)
 	seed, _ := coord.Begin()
-	seed.Insert("dn1", 1, userRow(1, "a", 1))
+	put(seed, "dn1", dn.OpInsert, userRow(1, "a", 1))
 	seed.Commit()
 
 	t1, _ := coord.Begin()
 	t2, _ := coord.Begin()
-	if err := t1.Update("dn1", 1, userRow(1, "a", 2)); err != nil {
+	if err := put(t1, "dn1", dn.OpUpdate, userRow(1, "a", 2)); err != nil {
 		t.Fatal(err)
 	}
-	err := t2.Update("dn1", 1, userRow(1, "a", 3))
+	err := put(t2, "dn1", dn.OpUpdate, userRow(1, "a", 3))
 	if err == nil || !strings.Contains(err.Error(), "conflict") {
 		t.Fatalf("err = %v", err)
 	}
@@ -219,12 +233,12 @@ func TestDoubleCommitAndUseAfterDone(t *testing.T) {
 	c := newCluster(t, 1, simnet.ZeroTopology())
 	coord := hlcCoord(c)
 	tx, _ := coord.Begin()
-	tx.Insert("dn1", 1, userRow(1, "a", 1))
+	put(tx, "dn1", dn.OpInsert, userRow(1, "a", 1))
 	tx.Commit()
 	if _, err := tx.Commit(); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("double commit err = %v", err)
 	}
-	if err := tx.Insert("dn1", 1, userRow(9, "x", 1)); !errors.Is(err, ErrTxDone) {
+	if err := put(tx, "dn1", dn.OpInsert, userRow(9, "x", 1)); !errors.Is(err, ErrTxDone) {
 		t.Fatalf("write after commit err = %v", err)
 	}
 	if err := tx.Abort(); !errors.Is(err, ErrTxDone) {
@@ -238,8 +252,8 @@ func TestTSOOracleEndToEnd(t *testing.T) {
 	coord := NewCoordinator(c.net, "cn1", NewTSOOracle(tso.NewClient(c.net, "cn1", "tso")))
 
 	tx, _ := coord.Begin()
-	tx.Insert("dn1", 1, userRow(1, "a", 1))
-	tx.Insert("dn2", 1, userRow(2, "b", 2))
+	put(tx, "dn1", dn.OpInsert, userRow(1, "a", 1))
+	put(tx, "dn2", dn.OpInsert, userRow(2, "b", 2))
 	commitTS, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +268,7 @@ func TestTSOOracleEndToEnd(t *testing.T) {
 	}
 
 	tx2, _ := coord.Begin()
-	if _, ok, _ := tx2.Get("dn1", 1, pkOf(1)); !ok {
+	if _, ok, _ := get(tx2, "dn1", 1); !ok {
 		t.Fatal("row invisible under TSO-SI")
 	}
 	tx2.Abort()
@@ -265,8 +279,8 @@ func TestHLCSendsNothingToTSO(t *testing.T) {
 	tso.NewServer(c.net, "tso", simnet.DC1) // present but unused
 	coord := hlcCoord(c)
 	tx, _ := coord.Begin()
-	tx.Insert("dn1", 1, userRow(1, "a", 1))
-	tx.Insert("dn2", 1, userRow(2, "b", 2))
+	put(tx, "dn1", dn.OpInsert, userRow(1, "a", 1))
+	put(tx, "dn2", dn.OpInsert, userRow(2, "b", 2))
 	tx.Commit()
 	if got := c.net.MessageCount("tso"); got != 0 {
 		t.Fatalf("HLC-SI sent %d messages to the TSO", got)
@@ -284,14 +298,14 @@ func TestTwoCoordinatorsConflictDetection(t *testing.T) {
 	coord2 := NewCoordinator(c.net, "cn2", NewHLCOracle(hlc.NewClock(nil)))
 
 	seed, _ := coord1.Begin()
-	seed.Insert("dn1", 1, userRow(1, "a", 100))
+	put(seed, "dn1", dn.OpInsert, userRow(1, "a", 100))
 	seed.Commit()
 
 	// Concurrent updates from two CNs: exactly one must win.
 	t1, _ := coord1.Begin()
 	t2, _ := coord2.Begin()
-	err1 := t1.Update("dn1", 1, userRow(1, "a", 111))
-	err2 := t2.Update("dn1", 1, userRow(1, "a", 222))
+	err1 := put(t1, "dn1", dn.OpUpdate, userRow(1, "a", 111))
+	err2 := put(t2, "dn1", dn.OpUpdate, userRow(1, "a", 222))
 	if (err1 == nil) == (err2 == nil) {
 		t.Fatalf("expected exactly one winner: err1=%v err2=%v", err1, err2)
 	}
@@ -314,7 +328,7 @@ func TestMoneyConservationAcrossShards(t *testing.T) {
 	for d := 0; d < 3; d++ {
 		for i := int64(0); i < perDN; i++ {
 			id := int64(d)*perDN + i
-			if err := seed.Insert(c.name[d], 1, userRow(id, "acct", initial)); err != nil {
+			if err := put(seed, c.name[d], dn.OpInsert, userRow(id, "acct", initial)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -339,8 +353,8 @@ func TestMoneyConservationAcrossShards(t *testing.T) {
 					continue
 				}
 				tx, _ := co.Begin()
-				fr, ok1, _ := tx.Get(dnOf(from), 1, pkOf(from))
-				tr, ok2, _ := tx.Get(dnOf(to), 1, pkOf(to))
+				fr, ok1, _ := get(tx, dnOf(from), from)
+				tr, ok2, _ := get(tx, dnOf(to), to)
 				if !ok1 || !ok2 {
 					tx.Abort()
 					continue
@@ -349,11 +363,11 @@ func TestMoneyConservationAcrossShards(t *testing.T) {
 				tr = tr.Clone()
 				fr[2] = types.Int(fr[2].AsInt() - 7)
 				tr[2] = types.Int(tr[2].AsInt() + 7)
-				if err := tx.Update(dnOf(from), 1, fr); err != nil {
+				if err := put(tx, dnOf(from), dn.OpUpdate, fr); err != nil {
 					tx.Abort()
 					continue
 				}
-				if err := tx.Update(dnOf(to), 1, tr); err != nil {
+				if err := put(tx, dnOf(to), dn.OpUpdate, tr); err != nil {
 					tx.Abort()
 					continue
 				}
@@ -368,7 +382,7 @@ func TestMoneyConservationAcrossShards(t *testing.T) {
 	check, _ := coord.Begin()
 	var total int64
 	for d := 0; d < 3; d++ {
-		rows, err := check.Scan(c.name[d], 1, "", nil, nil, 0)
+		rows, err := check.Scan(c.name[d], dn.ScanReq{Table: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,8 +433,8 @@ func TestMultiWriteMultiGetOneRPCPerDN(t *testing.T) {
 	c := newCluster(t, 2, simnet.ZeroTopology())
 	coord := hlcCoord(c)
 
-	// Batched writes: one MultiWrite per DN carries every row; the branch
-	// is opened implicitly by the request (no BeginReq).
+	// Batched writes: one MultiWrite per DN carries every row; the request
+	// itself opens the branch (no separate open round trip).
 	seed, _ := coord.Begin()
 	before1 := c.net.MessageCount("dn1")
 	err := seed.MultiWrite("dn1", []dn.WriteItem{
@@ -467,7 +481,134 @@ func TestMultiWriteMultiGetOneRPCPerDN(t *testing.T) {
 	if rs, err := tx.MultiGet("dn2", nil); rs != nil || err != nil {
 		t.Fatalf("empty MultiGet = %v, %v", rs, err)
 	}
+	// A scan opens its branch the same way: one RPC on first contact.
+	before2 := c.net.MessageCount("dn2")
+	rows, err := tx.Scan("dn2", dn.ScanReq{Table: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.net.MessageCount("dn2") - before2; got != 1 {
+		t.Fatalf("first-contact Scan cost %d RPCs to dn2, want 1", got)
+	}
+	if len(rows) != 1 || rows[0][1].AsString() != "c" {
+		t.Fatalf("Scan rows = %v", rows)
+	}
 	tx.Abort()
+}
+
+// TestConcurrentFirstContactOpensOneBranch races a fresh transaction's
+// first requests to one DN. A proxy in front of the DN holds every
+// MultiGet and MultiWrite until the concurrent Scans have returned, so a
+// Scan is the branch's first contact although the batched requests
+// registered the branch CN-side before it. Every in-branch request
+// carries the snapshot, so whichever arrives first opens the branch;
+// with a separate begin round trip the Scans found the branch registered,
+// skipped the begin, and failed with "unknown transaction branch". After
+// commit every write is visible, and every read saw the snapshot — not a
+// row another transaction committed after it.
+func TestConcurrentFirstContactOpensOneBranch(t *testing.T) {
+	const per = 4 // goroutines per request kind
+	c := newCluster(t, 1, simnet.ZeroTopology())
+	coord := hlcCoord(c)
+	seed, _ := coord.Begin()
+	for id := int64(0); id < per; id++ {
+		if err := put(seed, "dn1", dn.OpInsert, userRow(id, "seed", 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	held := make(chan struct{}, 2*per)
+	release := make(chan struct{})
+	c.net.Register("dn1-proxy", simnet.DC1, func(_ string, msg any) (any, error) {
+		switch msg.(type) {
+		case dn.MultiGetReq, dn.MultiWriteReq:
+			held <- struct{}{}
+			<-release
+		}
+		return c.net.Call("dn1-proxy", "dn1", msg)
+	})
+
+	tx, _ := coord.Begin()
+	later, _ := coord.Begin()
+	if err := put(later, "dn1", dn.OpUpdate, userRow(0, "later", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := later.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	errs := make(chan error, 3*per)
+	reads := make([]types.Row, per)
+	var batched sync.WaitGroup
+	for g := 0; g < per; g++ {
+		batched.Add(2)
+		go func(g int) {
+			defer batched.Done()
+			row, _, err := get(tx, "dn1-proxy", int64(g))
+			reads[g] = row
+			errs <- err
+		}(g)
+		go func(g int) {
+			defer batched.Done()
+			errs <- put(tx, "dn1-proxy", dn.OpInsert, userRow(int64(100+g), "new", 3))
+		}(g)
+	}
+	for i := 0; i < 2*per; i++ {
+		select {
+		case <-held:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d batched requests reached the proxy", i, 2*per)
+		}
+	}
+	scans := make([][]types.Row, per)
+	var scanners sync.WaitGroup
+	for g := 0; g < per; g++ {
+		scanners.Add(1)
+		go func(g int) {
+			defer scanners.Done()
+			rows, err := tx.Scan("dn1-proxy", dn.ScanReq{Table: 1})
+			scans[g] = rows
+			errs <- err
+		}(g)
+	}
+	scanners.Wait()
+	close(release)
+	batched.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	for g, rows := range scans {
+		if len(rows) != per {
+			t.Fatalf("scan %d saw %d rows, want the %d seeded", g, len(rows), per)
+		}
+		for _, r := range rows {
+			if r[1].AsString() != "seed" {
+				t.Fatalf("scan %d saw %v past its snapshot", g, r)
+			}
+		}
+	}
+	for g, r := range reads {
+		if r == nil || r[1].AsString() != "seed" {
+			t.Fatalf("MultiGet %d = %v, want the seeded row", g, r)
+		}
+	}
+	check, _ := coord.Begin()
+	defer check.Abort()
+	for g := 0; g < per; g++ {
+		if _, ok, err := get(check, "dn1", int64(100+g)); err != nil || !ok {
+			t.Fatalf("committed write %d invisible: ok=%v err=%v", 100+g, ok, err)
+		}
+	}
 }
 
 func TestMultiWriteAbortRollsBack(t *testing.T) {
@@ -488,10 +629,10 @@ func TestMultiWriteAbortRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	check, _ := coord.Begin()
-	if _, ok, _ := check.Get("dn1", 1, pkOf(1)); ok {
+	if _, ok, _ := get(check, "dn1", 1); ok {
 		t.Fatal("aborted batched write visible on dn1")
 	}
-	if _, ok, _ := check.Get("dn2", 1, pkOf(2)); ok {
+	if _, ok, _ := get(check, "dn2", 2); ok {
 		t.Fatal("aborted batched write visible on dn2")
 	}
 	check.Abort()
@@ -518,16 +659,16 @@ func TestCommitReaderReleaseOffCriticalPath(t *testing.T) {
 	}
 	// Two read-only branches (the keys need not exist; the branch opens
 	// either way) and two written branches, forcing 2PC.
-	if _, _, err := tx.Get("dn3", 1, pkOf(1)); err != nil {
+	if _, _, err := get(tx, "dn3", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tx.Get("dn4", 1, pkOf(2)); err != nil {
+	if _, _, err := get(tx, "dn4", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("dn1", 1, userRow(1, "w", 1)); err != nil {
+	if err := put(tx, "dn1", dn.OpInsert, userRow(1, "w", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Insert("dn2", 1, userRow(2, "w", 2)); err != nil {
+	if err := put(tx, "dn2", dn.OpInsert, userRow(2, "w", 2)); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
@@ -541,7 +682,7 @@ func TestCommitReaderReleaseOffCriticalPath(t *testing.T) {
 	}
 	// The committed writes really landed.
 	check, _ := coord.Begin()
-	if _, ok, _ := check.Get("dn1", 1, pkOf(1)); !ok {
+	if _, ok, _ := get(check, "dn1", 1); !ok {
 		t.Fatal("committed write invisible")
 	}
 	check.Abort()
@@ -554,13 +695,13 @@ func TestSessionConsistentROReadAfterWrite(t *testing.T) {
 	}
 	coord := hlcCoord(c)
 	tx, _ := coord.Begin()
-	tx.Insert("dn1", 1, userRow(1, "fresh", 1))
+	put(tx, "dn1", dn.OpInsert, userRow(1, "fresh", 1))
 	commitTS, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, ok, err := coord.ReadRO("dn1-ro1", 1, pkOf(1), commitTS, tx.LastLSN(), time.Time{})
-	if err != nil || !ok || row[1].AsString() != "fresh" {
-		t.Fatalf("RO read = %v %v %v", row, ok, err)
+	rs, err := coord.MultiGetRO("dn1-ro1", []dn.PointGet{{Table: 1, PK: pkOf(1)}}, commitTS, tx.LastLSN(), time.Time{})
+	if err != nil || !rs[0].OK || rs[0].Row[1].AsString() != "fresh" {
+		t.Fatalf("RO read = %+v %v", rs, err)
 	}
 }
