@@ -71,14 +71,17 @@ test-race: vet
 # "Green under load and at more than one GOMAXPROCS" (ROADMAP ground
 # rule): PKGS run N times each at -cpu 1,2,4 while internal/bench, the
 # heaviest suite, runs beside them over and over until they finish.
-# Fails if either side fails.
+# Fails if either side fails. SKIP, when set, is passed to go test -skip,
+# so a package can be stressed while a known failure in it stays open.
 #   make stress PKGS="./internal/core" N=10
+#   make stress PKGS=./internal/storage SKIP=TestConcurrentTransfersConserveMoney
 N ?= 50
 PKGS ?= ./internal/executor ./internal/sql ./internal/admission
+SKIP ?=
 stress:
 	@stop=$$(mktemp -u); log=$$(mktemp); \
 	( while [ ! -e $$stop ]; do $(GO) test -count=1 ./internal/bench > $$log 2>&1 || exit 1; done ) & load=$$!; \
-	$(GO) test -count=$(N) -cpu 1,2,4 $(PKGS); rc=$$?; \
+	$(GO) test -count=$(N) -cpu 1,2,4 $(if $(SKIP),-skip '$(SKIP)') $(PKGS); rc=$$?; \
 	touch $$stop; wait $$load; lrc=$$?; \
 	[ $$lrc -eq 0 ] || { echo "stress: internal/bench failed beside the run:"; cat $$log; }; \
 	rm -f $$stop $$log; \

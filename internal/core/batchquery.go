@@ -16,8 +16,8 @@ import (
 // exchanging ~1024-row column-major batches, with shard fetches fanned
 // out as fragments on the htap scheduler. What a TP plan does
 // differently is all in queryCtx — reads go through the statement's
-// transaction branches on the leaders (ctx.tx), fragments run in
-// htap.GroupTP, and no AP memory is reserved.
+// transaction on the leaders (ctx.tx), fragments run in htap.GroupTP,
+// and no AP memory is reserved.
 
 // buildBatchOperator lowers a plan node to a batch operator tree,
 // wrapping each node with an instrumented shim when the query runs under
@@ -127,7 +127,7 @@ func (cn *CN) buildBatchTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNo
 	}
 	var assignments []executor.BatchFragmentAssignment
 	for i, shard := range shards {
-		src, err := cn.batchShardSource(scan, shard, ctx, pushed)
+		src, pushedHere, err := cn.batchShardSource(scan, shard, ctx, pushed)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +138,7 @@ func (cn *CN) buildBatchTwoPhaseAgg(n *optimizer.AggNode, scan *optimizer.ScanNo
 			// stats to each source; the shared slot sums rows across shards.
 			frag = executor.InstrumentBatch(src, st)
 		}
-		if pushed == nil {
+		if !pushedHere {
 			frag = &executor.BatchHashAgg{Input: frag, GroupBy: n.GroupBy,
 				Aggs: aggSpecs(n.Aggs), Mode: executor.AggPartial}
 		}
@@ -178,13 +178,11 @@ func (cn *CN) buildBatchPartitionWiseJoin(n *optimizer.JoinNode, ctx *queryCtx) 
 	}
 	var assignments []executor.BatchFragmentAssignment
 	for shard := 0; shard < ls.Table.Shards; shard++ {
-		var leftSrc, rightSrc executor.BatchOperator
-		var err error
-		leftSrc, err = cn.batchShardSource(ls, shard, ctx, nil)
+		leftSrc, _, err := cn.batchShardSource(ls, shard, ctx, nil)
 		if err != nil {
 			return nil, false, err
 		}
-		rightSrc, err = cn.batchShardSource(rs, shard, ctx, nil)
+		rightSrc, _, err := cn.batchShardSource(rs, shard, ctx, nil)
 		if err != nil {
 			return nil, false, err
 		}
@@ -235,7 +233,7 @@ func (cn *CN) buildBatchScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.
 	}
 	var assignments []executor.BatchFragmentAssignment
 	for _, shard := range shards {
-		src, err := cn.batchShardSource(scan, shard, ctx, nil)
+		src, _, err := cn.batchShardSource(scan, shard, ctx, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -247,23 +245,27 @@ func (cn *CN) buildBatchScan(scan *optimizer.ScanNode, ctx *queryCtx) (executor.
 }
 
 // batchShardSource builds the batch source for one shard of a scan, with
-// filter/projection pushdown: a replica columnarizes once at the source
-// (WantBatch) — or answers zero-copy from its column index — and the
-// batch crosses simnet without a pivot back to rows. A leader (a TP
-// statement, or AP with no replica) answers in rows, which are
-// columnarized here.
-func (cn *CN) batchShardSource(scan *optimizer.ScanNode, shard int, ctx *queryCtx, pushed *dn.PushAgg) (executor.BatchOperator, error) {
+// filter/projection pushdown: the serving node columnarizes once at the
+// source (WantBatch) — or a replica answers zero-copy from its column
+// index — and the batch crosses simnet without a pivot back to rows. agg,
+// when non-nil, is pushed to the node only if it indexes the shard's
+// table (readTarget.indexes); pushed reports whether it was, and when it
+// was not the caller aggregates the shard's rows itself.
+func (cn *CN) batchShardSource(scan *optimizer.ScanNode, shard int, ctx *queryCtx, agg *dn.PushAgg) (src executor.BatchOperator, pushed bool, err error) {
 	dnName, err := cn.cluster.GMS.DNForShard(scan.Table.Name, shard)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
 	rt := ctx.target(dnName)
-	req := dn.ROScanReq{
+	req := dn.ScanReq{
 		Table:  scan.Table.PhysicalTableID(shard),
 		Filter: scan.Filter, Projection: scan.Projection,
-		UseColumnIndex: scan.UseColumnIndex, Aggregate: pushed,
-		WantBatch: true,
+		UseColumnIndex: scan.UseColumnIndex,
+		WantBatch:      true,
+	}
+	if agg != nil && rt.indexes(req.Table) {
+		req.Aggregate = agg
 	}
 	fetched := false
 	return &executor.BatchCallbackSource{Cols: scan.Columns(), Fetch: func() (*vector.Batch, error) {
@@ -282,5 +284,5 @@ func (cn *CN) batchShardSource(scan *optimizer.ScanNode, shard int, ctx *queryCt
 			return nil, nil
 		}
 		return vector.FromRows(resp.Rows, len(resp.Rows[0])), nil
-	}}, nil
+	}}, req.Aggregate != nil, nil
 }

@@ -177,11 +177,9 @@ type Cluster struct {
 	followers map[string][]*dn.Instance
 	cns       []*CN
 	tsoServer *tso.Server
-	// apRO tracks the next RO index per DN for AP round-robin.
-	apRO map[string]int
-	// apTargets lists RO names per DN enabled for AP serving; empty =
-	// route AP to the RW leader (Fig. 9 configs 1-2).
-	apTargets map[string][]string
+	// apTargets lists the RO replicas per DN leader enabled for AP
+	// serving; empty = route AP to the RW leader (Fig. 9 configs 1-2).
+	apTargets map[string][]*dn.RO
 
 	// colIdxEpoch versions cluster state that changes plan validity but
 	// never touches the GMS catalog (AP replica targets, column indexes,
@@ -317,8 +315,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		GMS:       gms.New(),
 		dns:       make(map[string]*dn.Instance),
 		followers: make(map[string][]*dn.Instance),
-		apRO:      make(map[string]int),
-		apTargets: make(map[string][]string),
+		apTargets: make(map[string][]*dn.RO),
 		stopCh:    make(chan struct{}),
 	}
 	if cfg.FaultPlan != nil {
@@ -699,11 +696,7 @@ func (c *Cluster) EnableAPReplicas(n int) error {
 		if n > len(ros) {
 			return fmt.Errorf("core: DN %s has %d ROs, want %d", group, len(ros), n)
 		}
-		names := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			names = append(names, ros[i].Name())
-		}
-		c.apTargets[inst.Name()] = names
+		c.apTargets[inst.Name()] = ros[:n]
 	}
 	c.colIdxEpoch.Add(1)
 	return nil
@@ -719,18 +712,7 @@ func (c *Cluster) EnableColumnIndexes(table string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, inst := range c.dns {
-		targets := c.apTargets[inst.Name()]
-		if len(targets) == 0 {
-			continue
-		}
-		targetSet := make(map[string]bool, len(targets))
-		for _, n := range targets {
-			targetSet[n] = true
-		}
-		for _, ro := range inst.ROs() {
-			if !targetSet[ro.Name()] {
-				continue
-			}
+		for _, ro := range c.apTargets[inst.Name()] {
 			var ids []uint32
 			for shard := 0; shard < t.Shards; shard++ {
 				dnName, err := c.GMS.DNForShard(table, shard)

@@ -101,16 +101,11 @@ func (cn *CN) lookupColumnIndex(table string) bool {
 	c := cn.cluster
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, inst := range c.dns {
-		for _, roName := range c.apTargets[inst.Name()] {
-			for _, ro := range inst.ROs() {
-				if ro.Name() != roName {
-					continue
-				}
-				for shard := 0; shard < t.Shards; shard++ {
-					if _, ok := ro.ColumnIndex(t.PhysicalTableID(shard)); ok {
-						return true
-					}
+	for _, ros := range c.apTargets {
+		for _, ro := range ros {
+			for shard := 0; shard < t.Shards; shard++ {
+				if _, ok := ro.ColumnIndex(t.PhysicalTableID(shard)); ok {
+					return true
 				}
 			}
 		}
@@ -698,12 +693,12 @@ func (cn *CN) createIndex(s *Session, st *sql.CreateIndex) (*Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			rows, err := tx.Scan(dnName, dn.ScanReq{Table: t.PhysicalTableID(shard)})
+			resp, err := tx.Scan(dnName, dn.ScanReq{Table: t.PhysicalTableID(shard)})
 			if err != nil {
 				return 0, err
 			}
 			batch := newWriteBatch()
-			for _, row := range rows {
+			for _, row := range resp.Rows {
 				irow := gi.IndexRow(t, row)
 				ishard := gi.ShardOfIndexRow(irow)
 				idnName, err := cn.cluster.GMS.DNForShard(t.Name, ishard)
@@ -715,7 +710,7 @@ func (cn *CN) createIndex(s *Session, st *sql.CreateIndex) (*Result, error) {
 			if err := batch.flush(tx); err != nil {
 				return 0, err
 			}
-			n += len(rows)
+			n += len(resp.Rows)
 		}
 		return n, nil
 	}()

@@ -273,11 +273,11 @@ func TestGlobalSecondaryIndexMaintained(t *testing.T) {
 		total := 0
 		for shard := 0; shard < gi.Shards; shard++ {
 			dnName, _ := c.GMS.DNForShard("users", shard)
-			rows, err := tx.Scan(dnName, dn.ScanReq{Table: gi.PhysicalTableID(shard)})
+			resp, err := tx.Scan(dnName, dn.ScanReq{Table: gi.PhysicalTableID(shard)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += len(rows)
+			total += len(resp.Rows)
 		}
 		return total
 	}

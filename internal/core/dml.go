@@ -198,11 +198,11 @@ func (s *Session) matchRows(tx *txn.Tx, t *partition.Table, where sql.Expr) ([]t
 		if err != nil {
 			return nil, err
 		}
-		rows, err := tx.Scan(dnName, dn.ScanReq{Table: t.PhysicalTableID(shard), Filter: filter})
+		resp, err := tx.Scan(dnName, dn.ScanReq{Table: t.PhysicalTableID(shard), Filter: filter})
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rows...)
+		out = append(out, resp.Rows...)
 	}
 	return out, nil
 }

@@ -176,22 +176,22 @@ func (c *Cluster) syncOneTable(step gms.MigrationStep, pt physTable) error {
 	if err != nil {
 		return err
 	}
-	srcRows, err := tx.Scan(step.From, dn.ScanReq{Table: pt.id})
+	src, err := tx.Scan(step.From, dn.ScanReq{Table: pt.id})
 	if err != nil {
 		_ = tx.Abort()
 		return err
 	}
-	dstRows, err := tx.Scan(step.To, dn.ScanReq{Table: pt.id})
+	dst, err := tx.Scan(step.To, dn.ScanReq{Table: pt.id})
 	if err != nil {
 		_ = tx.Abort()
 		return err
 	}
-	have := make(map[string]types.Row, len(dstRows))
-	for _, r := range dstRows {
+	have := make(map[string]types.Row, len(dst.Rows))
+	for _, r := range dst.Rows {
 		have[string(pt.schema.PKKey(r))] = r
 	}
 	var writes []dn.WriteItem
-	for _, r := range srcRows {
+	for _, r := range src.Rows {
 		pk := pt.schema.PKKey(r)
 		old, ok := have[string(pk)]
 		switch {
@@ -206,8 +206,7 @@ func (c *Cluster) syncOneTable(step gms.MigrationStep, pt physTable) error {
 		writes = append(writes, dn.WriteItem{Table: pt.id, Op: dn.OpDelete, PK: []byte(pk)})
 	}
 	if len(writes) == 0 {
-		_ = tx.Abort() // read-only: nothing to commit
-		return nil
+		return nil // read-only: nothing to commit, no branch to release
 	}
 	if err := tx.MultiWrite(step.To, writes); err != nil {
 		_ = tx.Abort()

@@ -91,7 +91,7 @@ func TestBatchedPointReadRPCBudget(t *testing.T) {
 	}
 
 	all := touched(func(int64) bool { return true })
-	// Auto-commit statement (ephemeral branch per DN).
+	// Auto-commit statement: a snapshot read per DN, no branch.
 	budget("auto-commit", "SELECT v FROM kv WHERE id IN ("+inList+")", keys, all)
 	// Same budget inside an explicit transaction.
 	if err := s.BeginTxn(); err != nil {

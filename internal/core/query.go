@@ -27,8 +27,8 @@ var apMemRetry = retry.Policy{Attempts: 3, Base: 2 * time.Millisecond, Cap: 10 *
 // queryCtx carries per-query execution state through operator building.
 type queryCtx struct {
 	s        *Session
-	tx       *txn.Tx       // TP reads (branch-scoped); nil in AP mode
-	snapshot hlc.Timestamp // AP snapshot
+	tx       *txn.Tx       // TP reads; nil in AP mode
+	snapshot hlc.Timestamp // AP snapshot: every shard of the query reads at it
 	group    htap.Group    // pool classification (isolation-off forces TP)
 	mpp      bool
 	// analyze, when non-nil, requests EXPLAIN ANALYZE instrumentation:
@@ -72,9 +72,10 @@ func (s *Session) execSelect(sel *sql.Select) (*Result, error) {
 }
 
 // runPlan executes a physical plan under the HTAP routing rules: TP
-// plans read through transaction branches on RW leaders in the TP pool;
-// AP plans read RO replicas at a snapshot in the AP pool (unless
-// isolation is off, Fig. 9 config 1).
+// plans read the RW leaders through the statement's transaction in the TP
+// pool; AP plans read RO replicas (or, with none, the leaders) at one
+// query snapshot in the AP pool (unless isolation is off, Fig. 9 config
+// 1).
 func (s *Session) runPlan(plan *optimizer.Plan, analyze map[optimizer.Node]*obs.OpStats) ([]types.Row, error) {
 	// SELECTs take their admission slot here, after the optimizer has
 	// classified the plan: AP plans queue (and brown out) behind TP.
@@ -100,7 +101,8 @@ func (s *Session) runPlan(plan *optimizer.Plan, analyze map[optimizer.Node]*obs.
 			return nil, err
 		}
 		defer func() {
-			// Read-only execution: the auto-commit path releases branches.
+			// Read-only execution: an auto-commit transaction that wrote
+			// nothing commits without a message.
 			_ = done(nil)
 		}()
 		ctx.tx = tx
@@ -321,7 +323,7 @@ func (cn *CN) gsiRows(scan *optimizer.ScanNode, ctx *queryCtx) ([]types.Row, err
 	}
 	cn.cluster.GMS.RecordLoad(scan.Table.Name, shard, 1)
 	start := types.EncodeKey(nil, scan.GSIVals...)
-	resp, err := ctx.target(dnName).scan(dn.ROScanReq{
+	resp, err := ctx.target(dnName).scan(dn.ScanReq{
 		Table: gi.PhysicalTableID(shard), Start: start, End: types.PrefixSuccessor(start),
 	})
 	if err != nil {
@@ -356,21 +358,23 @@ func (cn *CN) gsiRows(scan *optimizer.ScanNode, ctx *queryCtx) ([]types.Row, err
 
 // readTarget is the node serving one statement's reads of one DN group.
 // The choice is made here and nowhere else:
-//   - a TP statement reads through its transaction's branch on the
-//     group leader;
-//   - an AP statement reads an RO replica (round-robin) at the AP
-//     snapshot, no earlier than the session's last write to the group;
-//   - with no replica enabled for AP (Fig. 9 configs 1-2) it reads the
-//     leader through an ephemeral branch.
+//   - a statement in a transaction reads the group leader through the
+//     transaction, which reads through its branch where it has written
+//     and at its snapshot elsewhere;
+//   - a statement without one (AP) reads at the query snapshot: on an RO
+//     replica enabled for AP (round-robin), no earlier than the session's
+//     last write to the group, or on the leader when no replica serves
+//     AP (Fig. 9 configs 1-2).
 type readTarget struct {
-	ctx *queryCtx
-	dn  string // group leader
-	ro  string // AP replica; "" = read the leader
+	ctx  *queryCtx
+	dn   string // group leader
+	ro   *dn.RO // AP replica; nil = read the leader
+	node string // the endpoint serving the reads: the replica or the leader
 }
 
 // target picks the node serving this statement's reads of a DN group.
 func (ctx *queryCtx) target(dnName string) readTarget {
-	rt := readTarget{ctx: ctx, dn: dnName}
+	rt := readTarget{ctx: ctx, dn: dnName, node: dnName}
 	if ctx.tx != nil {
 		return rt
 	}
@@ -379,57 +383,39 @@ func (ctx *queryCtx) target(dnName string) readTarget {
 	c.mu.Lock()
 	if targets := c.apTargets[dnName]; len(targets) > 0 {
 		rt.ro = targets[int(cn.roCounter.Add(1))%len(targets)]
+		rt.node = rt.ro.Name()
 	}
 	c.mu.Unlock()
 	return rt
 }
 
-// leaderTx returns the transaction that reads the leader: the statement's
-// own, or — AP on the leader — an ephemeral one, which release aborts.
-func (rt readTarget) leaderTx() (*txn.Tx, error) {
-	if tx := rt.ctx.tx; tx != nil {
-		return tx, nil
+// indexes reports whether the node can compute a pushed partial
+// aggregate over a physical table: only a replica keeping a column index
+// on it can.
+func (rt readTarget) indexes(table uint32) bool {
+	if rt.ro == nil {
+		return false
 	}
-	return rt.ctx.s.cn.coord.Begin()
-}
-
-func (rt readTarget) release(tx *txn.Tx) {
-	if tx != rt.ctx.tx {
-		_ = tx.Abort()
-	}
+	_, ok := rt.ro.ColumnIndex(table)
+	return ok
 }
 
 // multiGet reads a batch of keys owned by the group in one round trip.
 func (rt readTarget) multiGet(gets []dn.PointGet) ([]dn.ReadResp, error) {
 	ctx := rt.ctx
-	if rt.ro != "" {
-		return ctx.s.cn.coord.MultiGetRO(rt.ro, gets, ctx.snapshot, ctx.s.minLSNFor(rt.dn), ctx.s.deadline())
+	if ctx.tx != nil {
+		return ctx.tx.MultiGet(rt.dn, gets)
 	}
-	tx, err := rt.leaderTx()
-	if err != nil {
-		return nil, err
-	}
-	defer rt.release(tx)
-	return tx.MultiGet(rt.dn, gets)
+	return ctx.s.cn.coord.MultiGetAt(rt.node, gets, ctx.snapshot, ctx.s.minLSNFor(rt.dn), ctx.s.deadline())
 }
 
-// scan runs a pushdown scan of one physical table of the group. The
-// leader's row store serves range, filter and projection; column-index
-// scans, pushed aggregation and columnar replies exist on replicas only.
-func (rt readTarget) scan(req dn.ROScanReq) (dn.ScanResp, error) {
+// scan runs a pushdown scan of one physical table of the group.
+// Column-index scans and pushed aggregation are served by replicas that
+// index the table; elsewhere the row store answers.
+func (rt readTarget) scan(req dn.ScanReq) (dn.ScanResp, error) {
 	ctx := rt.ctx
-	if rt.ro != "" {
-		req.SnapshotTS, req.MinLSN = ctx.snapshot, ctx.s.minLSNFor(rt.dn)
-		return ctx.s.cn.coord.ScanRO(rt.ro, req, ctx.s.deadline())
+	if ctx.tx != nil {
+		return ctx.tx.Scan(rt.dn, req)
 	}
-	tx, err := rt.leaderTx()
-	if err != nil {
-		return dn.ScanResp{}, err
-	}
-	defer rt.release(tx)
-	rows, err := tx.Scan(rt.dn, dn.ScanReq{
-		Table: req.Table, Start: req.Start, End: req.End,
-		Filter: req.Filter, Projection: req.Projection,
-	})
-	return dn.ScanResp{Rows: rows}, err
+	return ctx.s.cn.coord.ScanAt(rt.node, req, ctx.snapshot, ctx.s.minLSNFor(rt.dn), ctx.s.deadline())
 }

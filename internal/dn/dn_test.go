@@ -10,6 +10,7 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/paxos"
 	"repro/internal/simnet"
+	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -75,11 +76,11 @@ func (c *client) get(t *testing.T, to string, txnID uint64, snap hlc.Timestamp, 
 		Gets: []PointGet{{Table: 1, PK: pk}}}).(MultiGetResp).Results[0]
 }
 
-// roGet reads one key of table 1 on an RO replica once it has applied
-// redo up to minLSN.
-func (c *client) roGet(t *testing.T, to string, snap hlc.Timestamp, minLSN wal.LSN, pk []byte) ReadResp {
+// snapGet reads one key of table 1 at snap with no branch, on a leader or
+// on an RO replica once it has applied redo up to minLSN.
+func (c *client) snapGet(t *testing.T, to string, snap hlc.Timestamp, minLSN wal.LSN, pk []byte) ReadResp {
 	t.Helper()
-	return c.call(t, to, ROMultiGetReq{Gets: []PointGet{{Table: 1, PK: pk}},
+	return c.call(t, to, MultiGetReq{Gets: []PointGet{{Table: 1, PK: pk}},
 		SnapshotTS: snap, MinLSN: minLSN}).(MultiGetResp).Results[0]
 }
 
@@ -218,7 +219,7 @@ func TestROServesReadsWithSessionConsistency(t *testing.T) {
 
 	// Session-consistent read: MinLSN = the commit's LSN forces the RO to
 	// wait until it has applied our write.
-	rr := cl.roGet(t, "dn1-ro1", inst.Clock().Now(), resp.LSN, pkOf(1))
+	rr := cl.snapGet(t, "dn1-ro1", inst.Clock().Now(), resp.LSN, pkOf(1))
 	if !rr.OK || rr.Row[2].AsInt() != 100 {
 		t.Fatalf("RO read = %+v", rr)
 	}
@@ -237,7 +238,7 @@ func TestROScan(t *testing.T) {
 	}
 	resp := cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), rows...)
 
-	sr := cl.call(t, "dn1-ro1", ROScanReq{
+	sr := cl.call(t, "dn1-ro1", ScanReq{
 		Table: 1, SnapshotTS: inst.Clock().Now(), MinLSN: resp.LSN,
 	}).(ScanResp)
 	if len(sr.Rows) != 10 {
@@ -252,7 +253,7 @@ func TestROAddedAfterDataStillCatchesUp(t *testing.T) {
 
 	// RO added after the write: it must replay from the log base.
 	inst.AddRO("dn1-ro-late")
-	rr := cl.roGet(t, "dn1-ro-late", inst.Clock().Now(), resp.LSN, pkOf(1))
+	rr := cl.snapGet(t, "dn1-ro-late", inst.Clock().Now(), resp.LSN, pkOf(1))
 	if !rr.OK || rr.Row[1].AsString() != "early" {
 		t.Fatalf("late RO read = %+v", rr)
 	}
@@ -332,7 +333,7 @@ func TestMultiDCReplicationAndFollowerRO(t *testing.T) {
 	}
 	// The follower's RO serves the row (reads in remote DCs without
 	// crossing DC boundaries — the §II-A locality claim).
-	rr := cl.roGet(t, "dn-dc2-ro1", leader.Clock().Now(), resp.LSN, pkOf(1))
+	rr := cl.snapGet(t, "dn-dc2-ro1", leader.Clock().Now(), resp.LSN, pkOf(1))
 	if !rr.OK || rr.Row[1].AsString() != "geo" {
 		t.Fatalf("follower RO read = %+v", rr)
 	}
@@ -372,16 +373,23 @@ func TestStatusSurface(t *testing.T) {
 func TestCreateIndexReplicatedToROs(t *testing.T) {
 	inst, cl, _ := singleInstance(t)
 	inst.CreateTable(1, 0, usersSchema())
-	inst.AddRO("dn1-ro1")
+	ro, _ := inst.AddRO("dn1-ro1")
 	if err := inst.CreateIndex(1, "by_name", []string{"name"}); err != nil {
 		t.Fatal(err)
 	}
 	resp := cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), userRow(1, "zoe", 5))
-	sr := cl.call(t, "dn1-ro1", ROScanReq{
-		Table: 1, Index: "by_name", SnapshotTS: inst.Clock().Now(), MinLSN: resp.LSN,
-	}).(ScanResp)
-	if len(sr.Rows) != 1 || sr.Rows[0][1].AsString() != "zoe" {
-		t.Fatalf("RO index scan = %+v", sr.Rows)
+	cl.snapGet(t, "dn1-ro1", inst.Clock().Now(), resp.LSN, pkOf(1)) // applied up to the write
+	// The replica's engine maintains the index from the redo it applies.
+	eng := ro.Engine()
+	r := eng.Begin(inst.Clock().Now())
+	defer eng.Abort(r)
+	var rows []types.Row
+	err := eng.IndexScan(r, 1, "by_name", nil, nil, func(_ []byte, row types.Row) bool {
+		rows = append(rows, row)
+		return true
+	})
+	if err != nil || len(rows) != 1 || rows[0][1].AsString() != "zoe" {
+		t.Fatalf("RO index scan = %v, %v", rows, err)
 	}
 }
 
@@ -435,14 +443,14 @@ func TestROColumnIndexScanAndAggPushdown(t *testing.T) {
 		last = cl.commitRows(t, "dn1", clock.Now(), userRow(i, "u", i*10)).LSN
 	}
 	// Plain column-index scan.
-	sr := cl.call(t, "dn1-ro1", ROScanReq{
+	sr := cl.call(t, "dn1-ro1", ScanReq{
 		Table: 1, SnapshotTS: inst.Clock().Now(), MinLSN: last, UseColumnIndex: true,
 	}).(ScanResp)
 	if len(sr.Rows) != 20 {
 		t.Fatalf("colindex scan = %d rows", len(sr.Rows))
 	}
 	// Pushed-down aggregation: SUM(balance), COUNT(*).
-	ar := cl.call(t, "dn1-ro1", ROScanReq{
+	ar := cl.call(t, "dn1-ro1", ScanReq{
 		Table: 1, SnapshotTS: inst.Clock().Now(), MinLSN: last, UseColumnIndex: true,
 		Aggregate: &PushAgg{Aggs: []PushAggSpec{
 			{Func: "SUM", Col: 2}, {Func: "COUNT", Star: true},
@@ -463,11 +471,11 @@ func TestROColumnIndexBackfillExistingData(t *testing.T) {
 
 	ro, _ := inst.AddRO("dn1-ro1")
 	// Wait for the replica to apply, then enable with backfill.
-	cl.roGet(t, "dn1-ro1", inst.Clock().Now(), last, pkOf(1))
+	cl.snapGet(t, "dn1-ro1", inst.Clock().Now(), last, pkOf(1))
 	if err := ro.EnableColumnIndex([]uint32{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	sr := cl.call(t, "dn1-ro1", ROScanReq{
+	sr := cl.call(t, "dn1-ro1", ScanReq{
 		Table: 1, SnapshotTS: inst.Clock().Now(), MinLSN: last, UseColumnIndex: true,
 	}).(ScanResp)
 	if len(sr.Rows) != 1 || sr.Rows[0][1].AsString() != "pre" {
@@ -491,7 +499,7 @@ func TestRedoPurgeAfterConsumersCatchUp(t *testing.T) {
 	})
 	// The system still works after purging: reads, writes, RO reads.
 	resp := cl.commitRows(t, "dn1", clock.Now(), userRow(100, "post", 1))
-	rr := cl.roGet(t, "dn1-ro1", inst.Clock().Now(), resp.LSN, pkOf(100))
+	rr := cl.snapGet(t, "dn1-ro1", inst.Clock().Now(), resp.LSN, pkOf(100))
 	if !rr.OK || rr.Row[1].AsString() != "post" {
 		t.Fatalf("post-purge RO read = %+v", rr)
 	}
@@ -500,20 +508,33 @@ func TestRedoPurgeAfterConsumersCatchUp(t *testing.T) {
 func TestBackgroundVacuumTrimsVersions(t *testing.T) {
 	inst, cl, _ := singleInstance(t)
 	inst.CreateTable(1, 0, usersSchema())
-	// Overwrite one row many times; background vacuum (with no open
-	// snapshots pinning history) reclaims the chain.
-	cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), userRow(1, "v", 0))
+	// Overwrite one row many times; vacuum (with no open snapshot pinning
+	// history) reclaims the chain.
+	first := cl.commitRows(t, "dn1", hlc.NewClock(nil).Now(), userRow(1, "v", 0)).CommitTS
 	for i := int64(1); i <= 50; i++ {
 		u := nextTxnID()
 		cl.call(t, "dn1", MultiWriteReq{TxnID: u, SnapshotTS: inst.Clock().Now(),
 			Writes: []WriteItem{{Table: 1, Op: OpUpdate, Row: userRow(1, "v", i)}}})
 		cl.call(t, "dn1", CommitReq{TxnID: u})
 	}
-	// The row remains readable at its newest version after vacuuming.
-	waitFor(t, 3*time.Second, "vacuum cycle", func() bool {
-		row, ok, _ := inst.Engine().GetAt(1, pkOf(1), inst.Clock().Now())
-		return ok && row[2].AsInt() == 50
-	})
+	// A snapshot read one window ahead moves the DN clock past the
+	// window (HLC Update), so the flusher's vacuum step may trim every
+	// overwritten version.
+	cl.snapGet(t, "dn1", windowAhead(inst.Clock().Now()), 0, pkOf(1))
+	inst.vacuum()
+	if _, _, err := inst.Engine().GetAt(1, pkOf(1), first); !errors.Is(err, storage.ErrSnapshotTooOld) {
+		t.Fatalf("read below the vacuum horizon: err = %v, want ErrSnapshotTooOld", err)
+	}
+	// The row remains readable at its newest version.
+	row, ok, err := inst.Engine().GetAt(1, pkOf(1), inst.Clock().Now())
+	if err != nil || !ok || row[2].AsInt() != 50 {
+		t.Fatalf("newest version = %v, %v, %v", row, ok, err)
+	}
+}
+
+// windowAhead is a timestamp one vacuum window past ts.
+func windowAhead(ts hlc.Timestamp) hlc.Timestamp {
+	return hlc.New(ts.Physical()+storage.VacuumWindow.Milliseconds()+1, 0)
 }
 
 // TestRONeverServesUndurableData: RO replicas only consume redo below
@@ -552,7 +573,7 @@ func TestRONeverServesUndurableData(t *testing.T) {
 
 	// A durable write reaches the RO.
 	resp := cl.commitRows(t, "dn-a", hlc.NewClock(nil).Now(), userRow(1, "durable", 1))
-	if rr := cl.roGet(t, "dn-a-ro", leader.Clock().Now(), resp.LSN, pkOf(1)); !rr.OK {
+	if rr := cl.snapGet(t, "dn-a-ro", leader.Clock().Now(), resp.LSN, pkOf(1)); !rr.OK {
 		t.Fatal("durable write not on RO")
 	}
 	durableLSN := ro.AppliedLSN()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/types"
+	"repro/internal/vector"
 	"repro/internal/wal"
 )
 
@@ -86,8 +87,9 @@ func (i *Instance) branch(txnID uint64) (*txnEntry, error) {
 }
 
 // branchOrBegin resolves the local branch of an in-branch request
-// (MultiGetReq, MultiWriteReq, ScanReq), opening it when the request is
-// the transaction's first contact with this DN. Opening folds the
+// (MultiWriteReq, or a MultiGetReq/ScanReq with a TxnID), opening it when
+// the request is the transaction's first contact with this DN. Opening
+// refuses a snapshot the engine already vacuumed past, and folds the
 // coordinator's snapshot_ts into the local clock first — HLC-SI step 3,
 // node.hlc >= snapshot_ts, which the §IV proof relies on. Because every
 // in-branch request carries the snapshot, concurrent first requests of
@@ -104,7 +106,10 @@ func (i *Instance) branchOrBegin(txnID uint64, snap hlc.Timestamp) (*txnEntry, e
 		return nil, fmt.Errorf("%w: %s", ErrNotLeader, i.cfg.Name)
 	}
 	i.clock.Update(snap)
-	txn := i.eng.Begin(snap)
+	txn, err := i.eng.TryBegin(snap)
+	if err != nil {
+		return nil, fmt.Errorf("dn %s: %w", i.cfg.Name, err)
+	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if i.stopped {
@@ -135,11 +140,11 @@ func (i *Instance) applyWrite(e *txnEntry, table uint32, op WriteOp, row types.R
 	}
 }
 
-// readGuard gates RO snapshot reads on leadership validity. A leader
-// inside its lease serves locally — no quorum round, the paper's lease
-// read (counted in paxos.lease_reads). One whose lease lapsed must
-// re-confirm its epoch with a majority before answering, so an isolated
-// deposed leader can never serve stale rows.
+// readGuard gates reads on leadership validity. A leader inside its
+// lease serves locally — no quorum round, the paper's lease read (counted
+// in paxos.lease_reads). One whose lease lapsed must re-confirm its epoch
+// with a majority before answering, so an isolated deposed leader can
+// never serve stale rows.
 func (i *Instance) readGuard() error {
 	if i.node.LeaseRead() {
 		return nil
@@ -150,19 +155,44 @@ func (i *Instance) readGuard() error {
 	return nil
 }
 
+// readAt admits a read on the leader and returns the transaction it reads
+// through. TxnID 0 is a snapshot read (HLC-SI steps 2–3): after the
+// leadership guard the snapshot is folded into the clock and pinned, and
+// the caller must Unpin the view it gets. Any other TxnID reads through
+// that transaction's branch, opened on first contact.
+func (i *Instance) readAt(txnID uint64, snap hlc.Timestamp) (*storage.Txn, error) {
+	if txnID != 0 {
+		e, err := i.branchOrBegin(txnID, snap)
+		if err != nil {
+			return nil, err
+		}
+		return e.txn, i.readGuard()
+	}
+	if err := i.readGuard(); err != nil {
+		return nil, err
+	}
+	i.clock.Update(snap)
+	return i.eng.Pin(snap)
+}
+
 func (i *Instance) handleMultiGet(m MultiGetReq) (MultiGetResp, error) {
-	e, err := i.branchOrBegin(m.TxnID, m.SnapshotTS)
+	txn, err := i.readAt(m.TxnID, m.SnapshotTS)
 	if err != nil {
 		return MultiGetResp{}, err
 	}
-	if err := i.readGuard(); err != nil {
-		return MultiGetResp{}, err
+	if m.TxnID == 0 {
+		defer i.eng.Unpin(txn)
 	}
 	i.stats.multiGets.Add(1)
 	i.svc.serve(pointCost * float64(len(m.Gets)))
-	out := make([]ReadResp, len(m.Gets))
-	for k, g := range m.Gets {
-		row, ok, err := i.eng.Get(e.txn, g.Table, g.PK)
+	return getRows(i.eng, txn, m.Gets)
+}
+
+// getRows answers a multi-get through txn, a branch or a pinned view.
+func getRows(eng *storage.Engine, txn *storage.Txn, gets []PointGet) (MultiGetResp, error) {
+	out := make([]ReadResp, len(gets))
+	for k, g := range gets {
+		row, ok, err := eng.Get(txn, g.Table, g.PK)
 		if err != nil {
 			return MultiGetResp{}, err
 		}
@@ -172,6 +202,9 @@ func (i *Instance) handleMultiGet(m MultiGetReq) (MultiGetResp, error) {
 }
 
 func (i *Instance) handleMultiWrite(m MultiWriteReq) error {
+	if m.TxnID == 0 {
+		return fmt.Errorf("dn %s: a write needs a transaction branch", i.cfg.Name)
+	}
 	e, err := i.branchOrBegin(m.TxnID, m.SnapshotTS)
 	if err != nil {
 		return err
@@ -209,16 +242,30 @@ const (
 )
 
 func (i *Instance) handleScan(m ScanReq) (ScanResp, error) {
-	e, err := i.branchOrBegin(m.TxnID, m.SnapshotTS)
+	if m.Aggregate != nil {
+		// The RW node never materializes a column index (§VI-E).
+		return ScanResp{}, fmt.Errorf("%w: leader %s", ErrNoColumnIndex, i.cfg.Name)
+	}
+	txn, err := i.readAt(m.TxnID, m.SnapshotTS)
 	if err != nil {
 		return ScanResp{}, err
 	}
-	if err := i.readGuard(); err != nil {
-		return ScanResp{}, err
+	if m.TxnID == 0 {
+		defer i.eng.Unpin(txn)
 	}
+	return scanRows(i.eng, txn, m, i.svc)
+}
+
+// scanRows is the row-store scan behind ScanReq on leaders and replicas,
+// through txn, a branch or a pinned view. The filter, projection and
+// limit apply DN-side, the node is charged the rows it examined, and
+// WantBatch columnarizes the result once at the source.
+func scanRows(eng *storage.Engine, txn *storage.Txn, m ScanReq, svc *svcModel) (ScanResp, error) {
 	var rows []types.Row
 	var evalErr error
+	examined := 0
 	collect := func(_ []byte, row types.Row) bool {
+		examined++
 		if m.Filter != nil {
 			v, err := sql.Eval(m.Filter, row)
 			if err != nil {
@@ -232,18 +279,27 @@ func (i *Instance) handleScan(m ScanReq) (ScanResp, error) {
 		rows = append(rows, projectRow(row, m.Projection))
 		return m.Limit <= 0 || len(rows) < m.Limit
 	}
-	examined := 0
-	countingCollect := collect
-	collect = func(pk []byte, row types.Row) bool {
-		examined++
-		return countingCollect(pk, row)
-	}
-	err = i.eng.ScanRange(e.txn, m.Table, m.Start, m.End, collect)
+	err := eng.ScanRange(txn, m.Table, m.Start, m.End, collect)
 	if err == nil {
 		err = evalErr
 	}
-	i.svc.serve(float64(examined))
-	return ScanResp{Rows: rows}, err
+	svc.serve(float64(examined))
+	if err != nil {
+		return ScanResp{}, err
+	}
+	return scanResp(rows, m.WantBatch), nil
+}
+
+// scanResp packs a scan's rows, column-major when the caller wants a
+// batch.
+func scanResp(rows []types.Row, wantBatch bool) ScanResp {
+	if !wantBatch {
+		return ScanResp{Rows: rows}
+	}
+	if len(rows) == 0 {
+		return ScanResp{}
+	}
+	return ScanResp{Batch: vector.FromRows(rows, len(rows[0]))}
 }
 
 // handlePrepare is 2PC phase one (§IV step 4): validate, mark PREPARED

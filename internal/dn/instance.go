@@ -21,6 +21,9 @@ var (
 	ErrNotLeader  = errors.New("dn: instance is not the group leader")
 	ErrUnknownTxn = errors.New("dn: unknown transaction branch")
 	ErrStopped    = errors.New("dn: instance stopped")
+	// ErrNoColumnIndex refuses a pushed aggregate on a node that keeps no
+	// column index for the table: its rows are not partial states.
+	ErrNoColumnIndex = errors.New("dn: no column index to compute a pushed aggregate")
 )
 
 // DefaultROLagLimit matches the paper's eviction heuristic ("say the lag
@@ -292,9 +295,6 @@ func (i *Instance) Engine() *storage.Engine { return i.eng }
 // Paxos exposes the replication node (status surfaces).
 func (i *Instance) Paxos() *paxos.Node { return i.node }
 
-// Applier exposes the redo applier (recovery status surfaces).
-func (i *Instance) Applier() *storage.Applier { return i.applier }
-
 // onApply is the follower-side apply path: redo committed by the group
 // leader lands here once DLSN covers it.
 func (i *Instance) onApply(recs []wal.Record, start, end wal.LSN) {
@@ -385,8 +385,8 @@ func (i *Instance) CreateIndex(table uint32, name string, cols []string) error {
 // flusherLoop periodically flushes dirty pages modified before the DLSN
 // to PolarFS (§III: "the leader can safely flush dirty pages modified
 // before DLSN"), purges redo that every consumer has moved past
-// (§II-C step 8), and vacuums MVCC garbage below the oldest active
-// snapshot.
+// (§II-C step 8), and vacuums MVCC history no registered snapshot can
+// see.
 func (i *Instance) flusherLoop() {
 	defer i.wg.Done()
 	ticker := time.NewTicker(10 * time.Millisecond)
@@ -408,16 +408,20 @@ func (i *Instance) flusherLoop() {
 			i.ResolveInDoubt(nil)
 		}
 		if vacuumTick++; vacuumTick%16 == 0 {
-			// With open transactions the oldest snapshot pins history;
-			// otherwise everything superseded before "now" is dead (all
-			// future snapshots exceed the current clock).
-			horizon, ok := i.eng.MinActiveSnapshot()
-			if !ok {
-				horizon = i.clock.Now()
-			}
-			i.eng.Vacuum(horizon)
+			i.vacuum()
 		}
 	}
+}
+
+// vacuum trims MVCC history as far as the engine's snapshot registry
+// allows at the instance's clock. Returns versions freed.
+func (i *Instance) vacuum() int { return i.eng.Vacuum(i.clock.Now()) }
+
+// OpenBranches counts the transaction branches open on the instance.
+func (i *Instance) OpenBranches() int {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return len(i.txns)
 }
 
 // purgeRedo discards redo below the lowest offset any consumer still

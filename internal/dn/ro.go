@@ -10,10 +10,8 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/obs"
 	"repro/internal/simnet"
-	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/types"
-	"repro/internal/vector"
 	"repro/internal/wal"
 )
 
@@ -27,6 +25,9 @@ type RO struct {
 	net  *simnet.Network
 	eng  *storage.Engine
 	ap   *storage.Applier
+	// clock absorbs the snapshots of the reads served, as a leader's
+	// does; vacuum reads "now" from it.
+	clock *hlc.Clock
 
 	// applyDelay simulates a busy/slow replica (CPU or network
 	// congestion per §II-C); the instance evicts replicas whose lag
@@ -87,6 +88,7 @@ func (i *Instance) AddRO(name string) (*RO, error) {
 		dc:        i.cfg.DC,
 		net:       i.cfg.Net,
 		eng:       storage.NewEngine(),
+		clock:     hlc.NewClock(nil),
 		metrics:   i.cfg.Metrics,
 		mDeadline: i.cfg.Metrics.Counter("deadline.exceeded"),
 	}
@@ -313,9 +315,9 @@ func (r *RO) handle(from string, msg any) (any, error) {
 	case roAppendMsg:
 		r.ingest(from, m)
 		return nil, nil
-	case ROMultiGetReq:
+	case MultiGetReq:
 		return r.multiGet(m, deadline)
-	case ROScanReq:
+	case ScanReq:
 		return r.scan(m, deadline)
 	case StatusReq:
 		return StatusResp{Name: r.name, TailLSN: r.appliedLSN()}, nil
@@ -354,19 +356,15 @@ func (r *RO) ingest(from string, m roAppendMsg) {
 		r.wakeLocked()
 		r.mu.Unlock()
 		if r.ingests++; r.ingests%256 == 0 {
-			// Replica-side MVCC GC. RO snapshots are not registered with
-			// the engine, so vacuum keeps a generous safety window: only
-			// history superseded more than vacuumWindow ago is reclaimed.
-			r.eng.Vacuum(hlc.New(hlc.WallClock()-vacuumWindowMs, 0))
+			r.vacuum()
 		}
 	}
 	r.net.Send(r.name, from, ack, nil)
 }
 
-// vacuumWindowMs bounds how far behind "now" an RO snapshot may lag and
-// still read consistent history (5s; session-consistent reads are
-// milliseconds behind in practice, §II-C).
-const vacuumWindowMs = 5000
+// vacuum trims the replica's MVCC history as far as its engine's snapshot
+// registry allows at the replica's clock. Returns versions freed.
+func (r *RO) vacuum() int { return r.eng.Vacuum(r.clock.Now()) }
 
 func (r *RO) applyRecords(recs []wal.Record) {
 	if b := r.colBuilder.Load(); b != nil {
@@ -427,22 +425,30 @@ func (r *RO) waitApplied(lsn wal.LSN, deadline time.Time) error {
 	}
 }
 
+// readAt admits a snapshot read on the replica: branches live on the
+// leader only; the replica waits for the session's watermark, folds the
+// snapshot into its clock and pins it. The caller must Unpin the view.
+func (r *RO) readAt(txnID uint64, snap hlc.Timestamp, minLSN wal.LSN, deadline time.Time) (*storage.Txn, error) {
+	if txnID != 0 {
+		return nil, fmt.Errorf("dn: ro %s: transaction %d: branches live on the leader", r.name, txnID)
+	}
+	if err := r.waitApplied(minLSN, deadline); err != nil {
+		return nil, err
+	}
+	r.clock.Update(snap)
+	return r.eng.Pin(snap)
+}
+
 // multiGet serves a batch of session-consistent point reads in one
 // round trip: wait for the watermark once, then answer every key.
-func (r *RO) multiGet(m ROMultiGetReq, deadline time.Time) (MultiGetResp, error) {
-	if err := r.waitApplied(m.MinLSN, deadline); err != nil {
+func (r *RO) multiGet(m MultiGetReq, deadline time.Time) (MultiGetResp, error) {
+	view, err := r.readAt(m.TxnID, m.SnapshotTS, m.MinLSN, deadline)
+	if err != nil {
 		return MultiGetResp{}, err
 	}
+	defer r.eng.Unpin(view)
 	r.svc.serve(pointCost * float64(len(m.Gets)))
-	out := make([]ReadResp, len(m.Gets))
-	for k, g := range m.Gets {
-		row, ok, err := r.eng.GetAt(g.Table, g.PK, m.SnapshotTS)
-		if err != nil {
-			return MultiGetResp{}, err
-		}
-		out[k] = ReadResp{Row: row, OK: ok}
-	}
-	return MultiGetResp{Results: out}, nil
+	return getRows(r.eng, view, m.Gets)
 }
 
 // EnableColumnIndex builds in-memory column indexes for the given
@@ -495,7 +501,7 @@ func (r *RO) EnableColumnIndex(tableIDs []uint32, batch int) error {
 		}
 		if len(recs) > 0 {
 			recs = append(recs, wal.Record{Type: wal.RecCommit, TxnID: ^uint64(0),
-				Payload: encodeBackfillTS(backfillTS)})
+				Payload: storage.EncodeTS(backfillTS)})
 			if err := builder.Apply(recs); err != nil {
 				return err
 			}
@@ -508,11 +514,6 @@ func (r *RO) EnableColumnIndex(tableIDs []uint32, batch int) error {
 	return nil
 }
 
-func encodeBackfillTS(ts hlc.Timestamp) []byte {
-	return []byte{byte(ts >> 56), byte(ts >> 48), byte(ts >> 40), byte(ts >> 32),
-		byte(ts >> 24), byte(ts >> 16), byte(ts >> 8), byte(ts)}
-}
-
 // ColumnIndex exposes a maintained index (benchmarks, diagnostics).
 func (r *RO) ColumnIndex(tableID uint32) (*colindex.Index, bool) {
 	b := r.colBuilder.Load()
@@ -522,79 +523,41 @@ func (r *RO) ColumnIndex(tableID uint32) (*colindex.Index, bool) {
 	return b.Index(tableID)
 }
 
-func (r *RO) scan(m ROScanReq, deadline time.Time) (ScanResp, error) {
-	if err := r.waitApplied(m.MinLSN, deadline); err != nil {
+func (r *RO) scan(m ScanReq, deadline time.Time) (ScanResp, error) {
+	view, err := r.readAt(m.TxnID, m.SnapshotTS, m.MinLSN, deadline)
+	if err != nil {
 		return ScanResp{}, err
 	}
+	defer r.eng.Unpin(view)
 	if m.UseColumnIndex {
-		if b := r.colBuilder.Load(); b != nil {
-			if ix, ok := b.Index(m.Table); ok {
-				return r.scanColumnIndex(ix, m)
-			}
+		if ix, ok := r.ColumnIndex(m.Table); ok {
+			return r.scanColumnIndex(ix, m)
 		}
-		// Fall through to the row store when no index is maintained.
 	}
-	var rows []types.Row
-	var evalErr error
-	examined := 0
-	collect := func(_ []byte, row types.Row) bool {
-		examined++
-		if m.Filter != nil {
-			v, err := sql.Eval(m.Filter, row)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !v.IsTruthy() {
-				return true
-			}
-		}
-		rows = append(rows, projectRow(row, m.Projection))
-		return m.Limit <= 0 || len(rows) < m.Limit
+	if m.Aggregate != nil {
+		return ScanResp{}, fmt.Errorf("%w: ro %s, table %d", ErrNoColumnIndex, r.name, m.Table)
 	}
-	var err error
-	if m.Index != "" {
-		txn := r.eng.Begin(m.SnapshotTS)
-		err = r.eng.IndexScan(txn, m.Table, m.Index, m.Start, m.End, collect)
-		_ = r.eng.Abort(txn) // read-only snapshot txn: release tracking
-	} else {
-		err = r.eng.ScanRangeAt(m.Table, m.Start, m.End, m.SnapshotTS, collect)
-	}
-	if err == nil {
-		err = evalErr
-	}
-	r.svc.serve(float64(examined))
-	if m.WantBatch && err == nil {
-		// Columnarize once at the source: the CN's batch executor consumes
-		// the vectors directly instead of re-pivoting rows per operator.
-		if len(rows) == 0 {
-			return ScanResp{}, nil
-		}
-		return ScanResp{Batch: vector.FromRows(rows, len(rows[0]))}, nil
-	}
-	return ScanResp{Rows: rows}, err
+	return scanRows(r.eng, view, m, r.svc)
 }
 
-// scanColumnIndex serves an ROScanReq from the in-memory column index,
+// scanColumnIndex serves a ScanReq from the in-memory column index,
 // including pushed-down partial aggregation. Columnar execution costs a
 // quarter of the row store's tokens per row — the vectorized path's CPU
 // advantage (§VI-E).
-func (r *RO) scanColumnIndex(ix *colindex.Index, m ROScanReq) (ScanResp, error) {
+func (r *RO) scanColumnIndex(ix *colindex.Index, m ScanReq) (ScanResp, error) {
 	r.svc.serve(float64(ix.Rows()) * colIndexCost)
 	if m.Aggregate != nil {
 		specs := make([]colindex.AggSpec, len(m.Aggregate.Aggs))
 		for i, a := range m.Aggregate.Aggs {
 			specs[i] = colindex.AggSpec{Func: a.Func, Col: a.Col, Expr: a.Expr, Star: a.Star}
 		}
+		// Partial-aggregate output is small; a batch is columnarized for
+		// uniformity.
 		rows, err := ix.AggScan(m.SnapshotTS, m.Filter, m.Aggregate.GroupBy, specs)
-		if m.WantBatch && err == nil {
-			// Partial-aggregate output is small; columnarize for uniformity.
-			if len(rows) == 0 {
-				return ScanResp{}, nil
-			}
-			return ScanResp{Batch: vector.FromRows(rows, len(rows[0]))}, nil
+		if err != nil {
+			return ScanResp{}, err
 		}
-		return ScanResp{Rows: rows}, err
+		return scanResp(rows, m.WantBatch), nil
 	}
 	if m.WantBatch {
 		// Zero-copy: the batch's vectors alias the index's column storage.

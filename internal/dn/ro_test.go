@@ -122,7 +122,7 @@ func TestROReadWaitIsBounded(t *testing.T) {
 		return cl.commitRows(t, "dn1", inst.Clock().Now(), userRow(id, strings.Repeat("x", 100), id)).LSN
 	}
 	read := func(minLSN wal.LSN, deadline time.Time) error {
-		_, err := net.Call("cn1", "dn1-ro1", WithDeadline(ROMultiGetReq{
+		_, err := net.Call("cn1", "dn1-ro1", WithDeadline(MultiGetReq{
 			Gets: []PointGet{{Table: 1, PK: pkOf(0)}}, SnapshotTS: inst.Clock().Now(), MinLSN: minLSN,
 		}, deadline))
 		return err

@@ -6,10 +6,10 @@
 // writes, and every instance can host RO nodes for local reads.
 //
 // The CN layer talks to DN instances over simnet using the request types
-// in this file: transaction branches (batched reads and writes and range
-// scans, each carrying the snapshot so the first one to arrive opens the
-// branch, then prepare/commit/abort per §IV's 2PC flow) and RO reads
-// with session consistency.
+// in this file: snapshot reads (batched point reads and range scans),
+// served by leaders and RO replicas alike with no branch, and transaction
+// branches, opened by a transaction's first write or in-branch read to a
+// DN and finished by prepare/commit/abort per §IV's 2PC flow.
 package dn
 
 import (
@@ -68,15 +68,21 @@ type PointGet struct {
 	PK    []byte
 }
 
-// MultiGetReq reads many rows of one branch in a single round trip —
-// the CN fast path for multi-point statements (sysbench's 10 point
-// reads pay one RPC per touched DN instead of one per key). Carrying
-// SnapshotTS implements HLC-SI steps 2–3: whichever in-branch request
-// reaches the DN first opens the branch, folding the snapshot into the
-// DN's clock (ClockUpdate) so its later prepare_ts exceeds it.
+// MultiGetReq reads many rows in a single round trip — the CN fast path
+// for multi-point statements (sysbench's 10 point reads pay one RPC per
+// touched DN instead of one per key).
+//
+// TxnID 0 is a snapshot read (HLC-SI steps 2–3): any node of the group,
+// the leader or an RO replica, folds SnapshotTS into its clock and
+// answers at it with no branch. A replica first waits until it has
+// applied redo up to MinLSN (session consistency, §II-C); the leader
+// holds every committed write and ignores it. Any other TxnID reads
+// through that transaction's branch on the leader, opening it at
+// SnapshotTS on first contact, so the transaction sees its own writes.
 type MultiGetReq struct {
 	TxnID      uint64
 	SnapshotTS hlc.Timestamp
+	MinLSN     wal.LSN
 	Gets       []PointGet
 }
 
@@ -94,9 +100,9 @@ type WriteItem struct {
 }
 
 // MultiWriteReq applies many mutations of one branch in a single round
-// trip (multi-row INSERT and secondary-index maintenance batching).
-// Like MultiGetReq it carries SnapshotTS and opens the branch on first
-// contact.
+// trip (multi-row INSERT and secondary-index maintenance batching). It
+// carries SnapshotTS and opens the branch on first contact; a write with
+// no transaction (TxnID 0) is refused.
 // Items are applied in order; the first failure aborts the request (the
 // CN then aborts the whole transaction branch).
 type MultiWriteReq struct {
@@ -105,22 +111,14 @@ type MultiWriteReq struct {
 	Writes     []WriteItem
 }
 
-// ROMultiGetReq is the RO-replica analogue of MultiGetReq: a batch of
-// session-consistent point reads served in one round trip. The replica
-// waits until it has applied redo up to MinLSN (session consistency,
-// §II-C) once, then answers every key at SnapshotTS.
-type ROMultiGetReq struct {
-	Gets       []PointGet
-	SnapshotTS hlc.Timestamp
-	MinLSN     wal.LSN
-}
-
-// ScanReq is a snapshot range scan inside a branch; like MultiGetReq it
-// carries SnapshotTS and opens the branch on first contact. Limit <= 0
-// means unbounded.
+// ScanReq is a pushdown range scan, read like MultiGetReq: TxnID 0 at
+// SnapshotTS on the leader or a replica (after MinLSN), otherwise
+// through the transaction's branch on the leader. Limit <= 0 means
+// unbounded.
 type ScanReq struct {
 	TxnID      uint64
 	SnapshotTS hlc.Timestamp
+	MinLSN     wal.LSN
 	Table      uint32
 	Start      []byte
 	End        []byte
@@ -133,6 +131,19 @@ type ScanReq struct {
 	// Projection, when non-empty, returns only these column positions,
 	// shrinking CN<->DN transfer.
 	Projection []int
+	// UseColumnIndex executes the scan against a replica's in-memory
+	// column index when it keeps one for the table (§VI-E); elsewhere the
+	// row store answers.
+	UseColumnIndex bool
+	// Aggregate, when non-nil, pushes partial aggregation down to the
+	// column index (§VI-E: "the first phase of aggregation is
+	// offloaded"). A node with no column index for the table refuses the
+	// request (ErrNoColumnIndex) rather than return raw rows.
+	Aggregate *PushAgg
+	// WantBatch asks for a columnar response (ScanResp.Batch): row-store
+	// scans columnarize once at the source, column-index scans answer
+	// zero-copy from their vectors. Used by the CN's vectorized executor.
+	WantBatch bool
 }
 
 // ScanResp returns matching rows in key order. When the request set
@@ -194,30 +205,6 @@ type ResolveTxnReq struct{ TxnID uint64 }
 type ResolveTxnResp struct {
 	Committed bool
 	CommitTS  hlc.Timestamp
-}
-
-// ROScanReq is the scan analogue of ROMultiGetReq.
-type ROScanReq struct {
-	Table      uint32
-	Index      string
-	Start, End []byte
-	Limit      int
-	SnapshotTS hlc.Timestamp
-	MinLSN     wal.LSN
-	// Filter/Projection: DN-side pushdown, as in ScanReq.
-	Filter     sql.Expr
-	Projection []int
-	// UseColumnIndex executes the scan against the RO's in-memory column
-	// index when available (§VI-E).
-	UseColumnIndex bool
-	// Aggregate, when non-nil, pushes partial aggregation down to the
-	// column index (§VI-E: "the first phase of aggregation is
-	// offloaded").
-	Aggregate *PushAgg
-	// WantBatch asks for a columnar response (ScanResp.Batch): row-store
-	// scans columnarize once at the source, column-index scans answer
-	// zero-copy from their vectors. Used by the CN's vectorized executor.
-	WantBatch bool
 }
 
 // PushAgg describes a pushed-down partial aggregation: group-by column

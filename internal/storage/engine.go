@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -33,17 +34,12 @@ type Table struct {
 	mu      sync.RWMutex
 	indexes map[string]*Index
 
-	// autoInc feeds the implicit primary key (§II-B).
-	autoInc atomic.Int64
-	rows    atomic.Int64
+	rows atomic.Int64
 }
 
 // RowCount returns the approximate committed row count (maintained on
 // commit; used by the optimizer's cost model).
 func (t *Table) RowCount() int64 { return t.rows.Load() }
-
-// NextAutoInc reserves the next implicit-PK value.
-func (t *Table) NextAutoInc() int64 { return t.autoInc.Add(1) }
 
 // Engine is the storage engine of one DN shard. All methods are safe for
 // concurrent use.
@@ -52,8 +48,12 @@ type Engine struct {
 	tables map[uint32]*Table
 	byName map[string]uint32
 
-	txns   sync.Map // txnID -> *Txn
-	nextID atomic.Uint64
+	// txns (txnID -> *Txn) holds open transactions and pinned reads:
+	// with horizon it is the snapshot registry (snapshots.go).
+	txns    sync.Map
+	nextID  atomic.Uint64
+	snapMu  sync.Mutex
+	horizon atomic.Uint64 // hlc.Timestamp the last vacuum trimmed to
 
 	pool *BufferPool
 }
@@ -173,21 +173,6 @@ func (e *Engine) CreateIndex(tableID uint32, name string, cols []string) (*Index
 	return idx, nil
 }
 
-// IndexByName resolves an index.
-func (e *Engine) IndexByName(tableID uint32, name string) (*Index, error) {
-	t, err := e.Table(tableID)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx, ok := t.indexes[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownIndex, name)
-	}
-	return idx, nil
-}
-
 // indexKey builds the index entry key: indexed columns then the primary
 // key for uniqueness.
 func indexKey(idx *Index, schema *types.Schema, row types.Row, pk []byte) []byte {
@@ -197,27 +182,6 @@ func indexKey(idx *Index, schema *types.Schema, row types.Row, pk []byte) []byte
 	}
 	key := types.EncodeKey(nil, vals...)
 	return append(key, pk...)
-}
-
-// Begin opens a transaction at the given snapshot timestamp.
-func (e *Engine) Begin(snapshotTS hlc.Timestamp) *Txn {
-	t := &Txn{
-		ID:         e.nextID.Add(1),
-		SnapshotTS: snapshotTS,
-		done:       make(chan struct{}),
-		eng:        e,
-	}
-	e.txns.Store(t.ID, t)
-	return t
-}
-
-// TxnByID resolves a transaction (2PC resume after coordinator retry).
-func (e *Engine) TxnByID(id uint64) (*Txn, error) {
-	v, ok := e.txns.Load(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownTxn, id)
-	}
-	return v.(*Txn), nil
 }
 
 // getChain returns the MVCC chain at pk, optionally creating it.
@@ -250,17 +214,23 @@ func (e *Engine) Get(txn *Txn, tableID uint32, pk []byte) (types.Row, bool, erro
 	return row, ok, nil
 }
 
-// GetAt reads at an explicit snapshot without a transaction (RO serving).
+// GetAt reads at an explicit snapshot without a transaction (snapshot
+// reads on leaders and replicas). It fails with ErrSnapshotTooOld rather
+// than answer from history a vacuum trimmed; a caller that pinned the
+// snapshot (Pin) never sees that error.
 func (e *Engine) GetAt(tableID uint32, pk []byte, snapshotTS hlc.Timestamp) (types.Row, bool, error) {
 	t, err := e.Table(tableID)
 	if err != nil {
 		return nil, false, err
 	}
-	c := getChain(t, pk, false)
-	if c == nil {
-		return nil, false, nil
+	var row types.Row
+	var ok bool
+	if c := getChain(t, pk, false); c != nil {
+		row, ok = c.visibleRow(nil, snapshotTS)
 	}
-	row, ok := c.visibleRow(nil, snapshotTS)
+	if err := e.checkSnapshot(snapshotTS); err != nil {
+		return nil, false, err
+	}
 	return row, ok, nil
 }
 
@@ -272,12 +242,8 @@ func (e *Engine) ScanRange(txn *Txn, tableID uint32, start, end []byte,
 	if err != nil {
 		return err
 	}
-	var snap hlc.Timestamp
-	if txn != nil {
-		snap = txn.SnapshotTS
-	}
 	t.primary.AscendRange(start, end, func(pk []byte, v any) bool {
-		row, ok := v.(*chain).visibleRow(txn, snap)
+		row, ok := v.(*chain).visibleRow(txn, txn.SnapshotTS)
 		if !ok {
 			return true
 		}
@@ -286,7 +252,9 @@ func (e *Engine) ScanRange(txn *Txn, tableID uint32, start, end []byte,
 	return nil
 }
 
-// ScanRangeAt is ScanRange at an explicit snapshot (RO nodes).
+// ScanRangeAt is ScanRange at an explicit snapshot, with GetAt's
+// ErrSnapshotTooOld rule: after that error the rows already streamed to
+// fn are not the snapshot's and must be discarded.
 func (e *Engine) ScanRangeAt(tableID uint32, start, end []byte, snapshotTS hlc.Timestamp,
 	fn func(pk []byte, row types.Row) bool) error {
 	t, err := e.Table(tableID)
@@ -300,7 +268,7 @@ func (e *Engine) ScanRangeAt(tableID uint32, start, end []byte, snapshotTS hlc.T
 		}
 		return fn(pk, row)
 	})
-	return nil
+	return e.checkSnapshot(snapshotTS)
 }
 
 // IndexScan streams rows whose index key falls in [start, end), verifying
@@ -317,40 +285,24 @@ func (e *Engine) IndexScan(txn *Txn, tableID uint32, indexName string, start, en
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownIndex, indexName)
 	}
-	var snap hlc.Timestamp
-	if txn != nil {
-		snap = txn.SnapshotTS
-	}
 	idx.tree.AscendRange(start, end, func(key []byte, v any) bool {
 		pk := v.([]byte)
 		c := getChain(t, pk, false)
 		if c == nil {
 			return true
 		}
-		row, ok := c.visibleRow(txn, snap)
+		row, ok := c.visibleRow(txn, txn.SnapshotTS)
 		if !ok {
 			return true
 		}
 		// Verify the row still matches the index entry (entries persist
 		// across updates until vacuum).
-		if !bytesEqual(indexKey(idx, t.Schema, row, pk), key) {
+		if !bytes.Equal(indexKey(idx, t.Schema, row, pk), key) {
 			return true
 		}
 		return fn(pk, row)
 	})
 	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // write installs a version and records redo + index entries.
@@ -561,36 +513,4 @@ func DecodePrepareMeta(b []byte) (ts hlc.Timestamp, globalID uint64, primary str
 		uint64(b[11])<<32 | uint64(b[12])<<24 | uint64(b[13])<<16 |
 		uint64(b[14])<<8 | uint64(b[15])
 	return ts, globalID, string(b[16:])
-}
-
-// Vacuum trims version chains across all tables: versions invisible to
-// every snapshot at or after horizon are freed. Returns versions freed.
-func (e *Engine) Vacuum(horizon hlc.Timestamp) int {
-	freed := 0
-	for _, t := range e.Tables() {
-		t.primary.Ascend(func(_ []byte, v any) bool {
-			freed += v.(*chain).vacuum(horizon)
-			return true
-		})
-	}
-	return freed
-}
-
-// MinActiveSnapshot returns the lowest snapshot timestamp among open
-// transactions, the safe vacuum horizon: versions superseded before it
-// are invisible to every live and future reader. ok is false when no
-// transaction is open (callers may then vacuum up to "now").
-func (e *Engine) MinActiveSnapshot() (hlc.Timestamp, bool) {
-	var min hlc.Timestamp
-	found := false
-	e.txns.Range(func(_, v any) bool {
-		t := v.(*Txn)
-		if t.Status() == TxnActive || t.Status() == TxnPrepared {
-			if !found || t.SnapshotTS < min {
-				min, found = t.SnapshotTS, true
-			}
-		}
-		return true
-	})
-	return min, found
 }

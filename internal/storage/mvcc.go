@@ -2,6 +2,7 @@ package storage
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hlc"
 	"repro/internal/types"
@@ -15,8 +16,9 @@ type version struct {
 	// txn (a single source of truth, so commit atomically publishes every
 	// version the transaction wrote).
 	txn *Txn
-	// next is the previous (older) version.
-	next *version
+	// next is the previous (older) version. Readers walk the chain
+	// without the chain lock while vacuum cuts it, hence atomic.
+	next atomic.Pointer[version]
 }
 
 // chain is a row's version chain plus its write lock. The head is the
@@ -59,7 +61,7 @@ func (c *chain) visibleRow(reader *Txn, snapshotTS hlc.Timestamp) (types.Row, bo
 // walkVisible scans versions newest-first. It returns wait != nil when a
 // PREPARED version must be awaited before visibility can be decided.
 func walkVisible(v *version, reader *Txn, snapshotTS hlc.Timestamp) (types.Row, bool, <-chan struct{}) {
-	for ; v != nil; v = v.next {
+	for ; v != nil; v = v.next.Load() {
 		w := v.txn
 		if reader != nil && w == reader {
 			// Own write.
@@ -102,7 +104,7 @@ func walkVisible(v *version, reader *Txn, snapshotTS hlc.Timestamp) (types.Row, 
 func (c *chain) install(writer *Txn, row types.Row) (*version, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for v := c.head; v != nil; v = v.next {
+	for v := c.head; v != nil; v = v.next.Load() {
 		w := v.txn
 		if w == writer {
 			// Second write by the same txn to the same row: stack over
@@ -123,7 +125,8 @@ func (c *chain) install(writer *Txn, row types.Row) (*version, error) {
 		}
 		break
 	}
-	nv := &version{row: row, txn: writer, next: c.head}
+	nv := &version{row: row, txn: writer}
+	nv.next.Store(c.head)
 	c.head = nv
 	return nv, nil
 }
@@ -133,7 +136,7 @@ func (c *chain) install(writer *Txn, row types.Row) (*version, error) {
 func (c *chain) latestCommitted() (types.Row, hlc.Timestamp, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for v := c.head; v != nil; v = v.next {
+	for v := c.head; v != nil; v = v.next.Load() {
 		if v.txn.Status() == TxnCommitted {
 			return v.row, v.txn.CommitTS(), v.row != nil
 		}
@@ -149,22 +152,22 @@ func (c *chain) vacuum(horizon hlc.Timestamp) int {
 	freed := 0
 	// Drop aborted heads first.
 	for c.head != nil && c.head.txn.Status() == TxnAborted {
-		c.head = c.head.next
+		c.head = c.head.next.Load()
 		freed++
 	}
 	// Find the newest committed version <= horizon: everything older is
 	// invisible to every current and future snapshot.
-	for v := c.head; v != nil; v = v.next {
-		if v.next != nil && v.next.txn.Status() == TxnAborted {
-			v.next = v.next.next
+	for v := c.head; v != nil; v = v.next.Load() {
+		if next := v.next.Load(); next != nil && next.txn.Status() == TxnAborted {
+			v.next.Store(next.next.Load())
 			freed++
 			continue
 		}
 		if v.txn.Status() == TxnCommitted && v.txn.CommitTS() <= horizon {
-			for cut := v.next; cut != nil; cut = cut.next {
+			for cut := v.next.Load(); cut != nil; cut = cut.next.Load() {
 				freed++
 			}
-			v.next = nil
+			v.next.Store(nil)
 			break
 		}
 	}

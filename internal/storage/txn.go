@@ -51,13 +51,15 @@ var (
 	ErrWriteConflict  = errors.New("storage: write-write conflict")
 	ErrTxnNotActive   = errors.New("storage: transaction not active")
 	ErrUnknownTable   = errors.New("storage: unknown table")
-	ErrUnknownTxn     = errors.New("storage: unknown transaction")
 	ErrDuplicateKey   = errors.New("storage: duplicate primary key")
 	ErrKeyNotFound    = errors.New("storage: key not found")
 	ErrBadTransition  = errors.New("storage: invalid transaction state transition")
 	ErrTableExists    = errors.New("storage: table already exists")
 	ErrUnknownIndex   = errors.New("storage: unknown index")
 	ErrTenantMismatch = errors.New("storage: table belongs to a different tenant")
+	// ErrSnapshotTooOld refuses a snapshot below the engine's vacuum
+	// horizon: history it could see may already be trimmed.
+	ErrSnapshotTooOld = errors.New("storage: snapshot too old: its history was vacuumed")
 )
 
 // Txn is a local transaction on one DN shard. In a distributed

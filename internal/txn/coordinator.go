@@ -12,7 +12,6 @@ import (
 	"repro/internal/hlc"
 	"repro/internal/obs"
 	"repro/internal/simnet"
-	"repro/internal/types"
 	"repro/internal/wal"
 )
 
@@ -36,14 +35,6 @@ type Coordinator struct {
 	oracle Oracle
 	seq    atomic.Uint64
 	idBase uint64
-
-	// Reader-branch release accounting: releases are asynchronous but
-	// bounded by releaseSem; errors and over-cap skips are counted rather
-	// than silently dropped (a skipped branch is reclaimed DN-side by the
-	// stale-branch sweep).
-	releaseSem     chan struct{}
-	releaseErrs    atomic.Uint64
-	releaseSkipped atomic.Uint64
 
 	// clock drives retry/backoff sleeps; tests inject a FakeClock to make
 	// backoff deterministic.
@@ -74,36 +65,30 @@ func NewCoordinator(net *simnet.Network, self string, oracle Oracle) *Coordinato
 		oracle: oracle,
 		// High bits from the CN name keep txn IDs globally unique across
 		// coordinators without coordination.
-		idBase:     h.Sum64() << 24,
-		releaseSem: make(chan struct{}, readerReleaseCap),
-		clock:      obs.Wall,
+		idBase: h.Sum64() << 24,
+		clock:  obs.Wall,
 	}
 }
 
 // Oracle returns the coordinator's timestamp oracle.
 func (c *Coordinator) Oracle() Oracle { return c.oracle }
 
-// Tx is one distributed transaction: a set of branches on DN leaders.
+// Tx is one distributed transaction. It reads at its snapshot on any DN
+// and holds branches only on the DN leaders it wrote.
 type Tx struct {
 	ID       uint64
 	Snapshot hlc.Timestamp
 
 	coord *Coordinator
 	mu    sync.Mutex
-	// branches is the set of DN endpoints this transaction has sent an
-	// in-branch request to; Commit and Abort release every member.
-	branches map[string]struct{}
-	// wrote tracks which branches performed writes (read-only branches
-	// skip phase one).
+	// wrote is the branch set: the DNs this transaction sent a write to.
+	// Commit and Abort address exactly these.
 	wrote map[string]bool
 	// writeOrder records written branches in first-write order; the first
 	// entry is the transaction's primary branch, where the commit-point
 	// decision is made durable (§IV).
 	writeOrder []string
 	done       bool
-	// lastLSN is the max commit LSN observed, used for RO session
-	// consistency by the caller.
-	lastLSN wal.LSN
 	// branchLSN records each written DN's commit LSN: session
 	// consistency is per DN group (LSNs of different groups are not
 	// comparable).
@@ -219,49 +204,58 @@ func (c *Coordinator) Begin() (*Tx, error) {
 		ID:        c.idBase + c.seq.Add(1),
 		Snapshot:  snap,
 		coord:     c,
-		branches:  make(map[string]struct{}),
 		wrote:     make(map[string]bool),
 		branchLSN: make(map[string]wal.LSN),
 	}, nil
 }
 
-// registerBranch adds dnName to the branch set before an in-branch
-// request leaves. Every such request carries SnapshotTS, and the DN opens
-// the branch on first contact, folding the snapshot into its clock first
-// (§IV steps 2–3), so concurrent first requests to one DN need no
-// ordering and no separate open round trip. Commit/Abort release it.
-func (t *Tx) registerBranch(dnName string) error {
+// branchFor returns the TxnID a request to dnName carries: the
+// transaction's ID on a DN it has written, so the request goes through
+// the branch there and sees the transaction's own writes; elsewhere 0, a
+// snapshot read that opens nothing. The DN folds the snapshot into its
+// clock either way (§IV steps 2–3).
+func (t *Tx) branchFor(dnName string) (uint64, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done {
+		return 0, ErrTxDone
+	}
+	if t.wrote[dnName] {
+		return t.ID, nil
+	}
+	return 0, nil
+}
+
+// markWrote adds dnName to the branch set before a write leaves: a failed
+// batch may have partially applied DN-side, so commit must
+// prepare-and-fail (or the caller abort) rather than forget the branch,
+// and a read racing the first write already goes through the branch
+// (the DN opens it for whichever request arrives first).
+func (t *Tx) markWrote(dnName string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
 		return ErrTxDone
 	}
-	t.branches[dnName] = struct{}{}
-	return nil
-}
-
-func (t *Tx) markWrote(dnName string) {
-	t.mu.Lock()
 	if !t.wrote[dnName] {
 		t.wrote[dnName] = true
 		t.writeOrder = append(t.writeOrder, dnName)
 	}
-	t.mu.Unlock()
+	return nil
 }
 
-// MultiGet reads many rows on one DN in a single round trip (the CN
-// fast path for multi-point statements). The request opens the branch on
-// first contact, so a fresh transaction touching N DNs pays exactly N
-// RPCs for the reads, not 2N.
+// MultiGet reads many rows on one DN in a single round trip (the CN fast
+// path for multi-point statements): K keys on N DNs cost N RPCs.
 func (t *Tx) MultiGet(dnName string, gets []dn.PointGet) ([]dn.ReadResp, error) {
 	if len(gets) == 0 {
 		return nil, nil
 	}
-	if err := t.registerBranch(dnName); err != nil {
+	id, err := t.branchFor(dnName)
+	if err != nil {
 		return nil, err
 	}
 	reply, err := t.call("rpc multiget", dnName,
-		dn.MultiGetReq{TxnID: t.ID, SnapshotTS: t.Snapshot, Gets: gets})
+		dn.MultiGetReq{TxnID: id, SnapshotTS: t.Snapshot, Gets: gets})
 	if err != nil {
 		return nil, err
 	}
@@ -269,48 +263,38 @@ func (t *Tx) MultiGet(dnName string, gets []dn.PointGet) ([]dn.ReadResp, error) 
 }
 
 // MultiWrite applies many mutations on one DN in a single round trip
-// (multi-row INSERT + index maintenance batching). The branch is marked
-// written before the call: a failed batch may have partially applied
-// DN-side, so commit must prepare-and-fail (or the caller abort) rather
-// than silently release the branch.
+// (multi-row INSERT + index maintenance batching); the first write to a
+// DN opens the transaction's branch there.
 func (t *Tx) MultiWrite(dnName string, writes []dn.WriteItem) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	if err := t.registerBranch(dnName); err != nil {
+	if err := t.markWrote(dnName); err != nil {
 		return err
 	}
-	t.markWrote(dnName)
 	_, err := t.call("rpc multiwrite", dnName,
 		dn.MultiWriteReq{TxnID: t.ID, SnapshotTS: t.Snapshot, Writes: writes})
 	return err
 }
 
-// Scan runs a pushdown-capable range scan in this transaction's branch on
-// a DN (filter/projection evaluated DN-side, §VI-B). TxnID and SnapshotTS
-// are filled in from the transaction; like MultiGet, the request opens
-// the branch on first contact.
-func (t *Tx) Scan(dnName string, req dn.ScanReq) ([]types.Row, error) {
-	if err := t.registerBranch(dnName); err != nil {
-		return nil, err
+// Scan runs a pushdown-capable range scan on a DN (filter/projection
+// evaluated DN-side, §VI-B), read like MultiGet. TxnID and SnapshotTS are
+// filled in from the transaction.
+func (t *Tx) Scan(dnName string, req dn.ScanReq) (dn.ScanResp, error) {
+	id, err := t.branchFor(dnName)
+	if err != nil {
+		return dn.ScanResp{}, err
 	}
-	req.TxnID, req.SnapshotTS = t.ID, t.Snapshot
+	req.TxnID, req.SnapshotTS = id, t.Snapshot
 	reply, err := t.call("rpc scan", dnName, req)
 	if err != nil {
-		return nil, err
+		return dn.ScanResp{}, err
 	}
-	return reply.(dn.ScanResp).Rows, nil
+	return reply.(dn.ScanResp), nil
 }
 
-// LastLSN returns the highest commit LSN this transaction produced, for
-// session-consistent RO reads afterwards.
-func (t *Tx) LastLSN() wal.LSN {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lastLSN
-}
-
-// BranchLSNs returns each written DN's commit LSN (copy).
+// BranchLSNs returns each written DN's commit LSN (copy), the session
+// watermarks for replica reads of those groups afterwards.
 func (t *Tx) BranchLSNs() map[string]wal.LSN {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -343,8 +327,8 @@ func (t *Tx) BranchLSNs() map[string]wal.LSN {
 // aborting could contradict a commit point that did land; the DN-side
 // recovery protocol settles the branches either way.
 //
-// Read-only branches are released with an abort message (nothing to
-// persist), matching the read-only optimization of standard 2PC.
+// A DN the transaction only read holds no branch and hears nothing; a
+// read-only transaction commits without a message.
 func (t *Tx) Commit() (hlc.Timestamp, error) {
 	cs := t.spanUnder(nil, "commit")
 	ts, err := t.commit(cs)
@@ -371,17 +355,10 @@ func (t *Tx) commit(cs *obs.Span) (hlc.Timestamp, error) {
 		return 0, ErrTxDone
 	}
 	t.done = true
-	primary := ""
-	if len(t.writeOrder) > 0 {
-		primary = t.writeOrder[0]
-	}
+	// With done set no write can extend writeOrder any more.
+	writers := t.writeOrder
 	t.mu.Unlock()
-	writers, readers := t.splitBranches()
 
-	// Release read-only branches. This never adds latency to the
-	// prepare phase: releaseReaders hands the aborts to bounded
-	// asynchronous workers.
-	t.releaseReaders(readers)
 	switch len(writers) {
 	case 0:
 		return t.Snapshot, nil
@@ -403,18 +380,12 @@ func (t *Tx) commit(cs *obs.Span) (hlc.Timestamp, error) {
 		}
 		resp := reply.(dn.CommitResp)
 		t.coord.oracle.Observe(resp.CommitTS)
-		t.mu.Lock()
-		t.lastLSN = resp.LSN
-		t.branchLSN[writers[0]] = resp.LSN
-		t.mu.Unlock()
+		t.noteLSN(writers[0], reply)
 		return resp.CommitTS, nil
 	}
 
-	// Multi-branch: the primary is the first-written branch. (writeOrder
-	// only lists writers, so it is always one of them.)
-	if primary == "" {
-		primary = writers[0]
-	}
+	// Multi-branch: the primary is the first-written branch.
+	primary, rest := writers[0], writers[1:]
 
 	// Phase one: prepare every written branch in parallel, each carrying
 	// the primary's name for crash recovery.
@@ -474,59 +445,30 @@ func (t *Tx) commit(cs *obs.Span) (hlc.Timestamp, error) {
 		}
 		// Handler verdict (e.g. a resolver's presumed-abort tombstone
 		// beat us): the decision is ABORT. Release the other branches.
-		rest := make([]string, 0, len(writers)-1)
-		for _, b := range writers {
-			if b != primary {
-				rest = append(rest, b)
-			}
-		}
 		t.abortBranches(rest)
 		return 0, fmt.Errorf("%w: commit point refused: %v", ErrAborted, err)
 	}
-	var maxLSN atomic.Uint64
-	if resp := reply.(dn.CommitResp); true {
-		t.mu.Lock()
-		t.branchLSN[primary] = resp.LSN
-		t.mu.Unlock()
-		maxLSN.Store(uint64(resp.LSN))
-	}
+	t.noteLSN(primary, reply)
 
 	// Phase two: broadcast commit_ts to the remaining branches (§IV
 	// step 6). Failures here cannot change the outcome — the branch
 	// stays PREPARED and recovery commits it from the commit point.
-	commitResults := make(chan prepResult, len(writers))
-	fanout := 0
-	for _, b := range writers {
-		if b == primary {
-			continue
-		}
-		fanout++
+	commitResults := make(chan prepResult, len(rest))
+	for _, b := range rest {
 		go func(b string) {
 			reply, err := t.callRetryTraced(cs, "commit", b, dn.CommitReq{TxnID: t.ID, CommitTS: commitTS})
 			if err == nil {
-				resp := reply.(dn.CommitResp)
-				t.mu.Lock()
-				t.branchLSN[b] = resp.LSN
-				t.mu.Unlock()
-				for {
-					cur := maxLSN.Load()
-					if uint64(resp.LSN) <= cur || maxLSN.CompareAndSwap(cur, uint64(resp.LSN)) {
-						break
-					}
-				}
+				t.noteLSN(b, reply)
 			}
 			commitResults <- prepResult{err: err}
 		}(b)
 	}
 	var commitErr error
-	for ; fanout > 0; fanout-- {
+	for range rest {
 		if r := <-commitResults; r.err != nil {
 			commitErr = r.err
 		}
 	}
-	t.mu.Lock()
-	t.lastLSN = wal.LSN(maxLSN.Load())
-	t.mu.Unlock()
 	if commitErr != nil {
 		// The decision is COMMIT and durable; lagging branches are
 		// settled by the resolver. Report the partial failure.
@@ -535,57 +477,12 @@ func (t *Tx) commit(cs *obs.Span) (hlc.Timestamp, error) {
 	return commitTS, nil
 }
 
-// splitBranches partitions the transaction's branches into writers and
-// readers.
-func (t *Tx) splitBranches() (writers, readers []string) {
+// noteLSN records a committed branch's commit LSN (reply is a
+// dn.CommitResp).
+func (t *Tx) noteLSN(dnName string, reply any) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	for name := range t.branches {
-		if t.wrote[name] {
-			writers = append(writers, name)
-		} else {
-			readers = append(readers, name)
-		}
-	}
-	return writers, readers
-}
-
-// readerReleaseCap bounds concurrent in-flight reader releases per
-// coordinator, and releaseCallTimeout bounds each one: a down DN can
-// cost at most cap goroutines for at most the timeout, instead of an
-// unbounded pile of leaked fire-and-forget sends.
-const (
-	readerReleaseCap   = 256
-	releaseCallTimeout = 250 * time.Millisecond
-)
-
-// releaseReaders releases read-only branches (nothing to persist on a
-// read-only branch) without adding latency to the commit critical path:
-// each release runs on its own goroutine, gated by a per-coordinator
-// semaphore. Failures are counted, and when the semaphore is exhausted
-// (a down DN absorbing the cap) further releases are skipped and
-// counted — the DN-side stale-branch sweep reclaims those branches.
-func (t *Tx) releaseReaders(readers []string) {
-	for _, b := range readers {
-		select {
-		case t.coord.releaseSem <- struct{}{}:
-		default:
-			t.coord.releaseSkipped.Add(1)
-			continue
-		}
-		go func(b string) {
-			defer func() { <-t.coord.releaseSem }()
-			if _, err := t.coord.net.CallTimeout(t.coord.self, b,
-				dn.AbortReq{TxnID: t.ID}, releaseCallTimeout); err != nil {
-				t.coord.releaseErrs.Add(1)
-			}
-		}(b)
-	}
-}
-
-// ReleaseStats reports reader-release failures and over-cap skips.
-func (c *Coordinator) ReleaseStats() (errs, skipped uint64) {
-	return c.releaseErrs.Load(), c.releaseSkipped.Load()
+	t.branchLSN[dnName] = reply.(dn.CommitResp).LSN
+	t.mu.Unlock()
 }
 
 // Abort rolls back every branch.
@@ -596,10 +493,10 @@ func (t *Tx) Abort() error {
 		return ErrTxDone
 	}
 	t.done = true
+	writers := t.writeOrder
 	t.mu.Unlock()
 	s := t.spanUnder(nil, "abort")
-	writers, readers := t.splitBranches()
-	t.abortBranches(append(writers, readers...))
+	t.abortBranches(writers)
 	s.End()
 	t.coord.mAbort.Inc()
 	return nil
@@ -617,18 +514,18 @@ func (t *Tx) abortBranches(branches []string) {
 	wg.Wait()
 }
 
-// MultiGetRO performs a batch of session-consistent point reads on an
-// RO replica in one round trip (the RO waits for MinLSN once, then
-// answers every key at the snapshot). Like every RO call it is bounded
-// by the statement deadline (zero = none), which also rides the request
-// so the replica's wait for minLSN ends with it.
-func (c *Coordinator) MultiGetRO(roName string, gets []dn.PointGet,
+// MultiGetAt reads a batch of keys at snapshot on any node of a DN group,
+// its leader or an RO replica, in one round trip and with no branch. A
+// replica first waits until it has applied redo up to minLSN (session
+// consistency). The statement deadline (zero = none) bounds the call and
+// rides the request, so the replica's wait ends with it.
+func (c *Coordinator) MultiGetAt(node string, gets []dn.PointGet,
 	snapshot hlc.Timestamp, minLSN wal.LSN, deadline time.Time) ([]dn.ReadResp, error) {
 	if len(gets) == 0 {
 		return nil, nil
 	}
-	reply, err := c.callUntil(roName, dn.ROMultiGetReq{
-		Gets: gets, SnapshotTS: snapshot, MinLSN: minLSN,
+	reply, err := c.callUntil(node, dn.MultiGetReq{
+		SnapshotTS: snapshot, MinLSN: minLSN, Gets: gets,
 	}, deadline)
 	if err != nil {
 		return nil, err
@@ -636,12 +533,14 @@ func (c *Coordinator) MultiGetRO(roName string, gets []dn.PointGet,
 	return reply.(dn.MultiGetResp).Results, nil
 }
 
-// ScanRO runs a pushdown-capable scan against an RO replica (including
-// column-index and pushed-aggregation requests). It returns the full
-// response: a columnar payload (req.WantBatch) reaches the vectorized
-// executor without a pivot through rows.
-func (c *Coordinator) ScanRO(roName string, req dn.ROScanReq, deadline time.Time) (dn.ScanResp, error) {
-	reply, err := c.callUntil(roName, req, deadline)
+// ScanAt is MultiGetAt's scan: a pushdown-capable scan (including
+// column-index and pushed-aggregation requests on replicas) at snapshot.
+// It returns the full response: a columnar payload (req.WantBatch)
+// reaches the vectorized executor without a pivot through rows.
+func (c *Coordinator) ScanAt(node string, req dn.ScanReq,
+	snapshot hlc.Timestamp, minLSN wal.LSN, deadline time.Time) (dn.ScanResp, error) {
+	req.TxnID, req.SnapshotTS, req.MinLSN = 0, snapshot, minLSN
+	reply, err := c.callUntil(node, req, deadline)
 	if err != nil {
 		return dn.ScanResp{}, err
 	}

@@ -382,11 +382,11 @@ func TestMoneyConservationAcrossShards(t *testing.T) {
 	check, _ := coord.Begin()
 	var total int64
 	for d := 0; d < 3; d++ {
-		rows, err := check.Scan(c.name[d], dn.ScanReq{Table: 1})
+		resp, err := check.Scan(c.name[d], dn.ScanReq{Table: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range rows {
+		for _, r := range resp.Rows {
 			total += r[2].AsInt()
 		}
 	}
@@ -481,17 +481,21 @@ func TestMultiWriteMultiGetOneRPCPerDN(t *testing.T) {
 	if rs, err := tx.MultiGet("dn2", nil); rs != nil || err != nil {
 		t.Fatalf("empty MultiGet = %v, %v", rs, err)
 	}
-	// A scan opens its branch the same way: one RPC on first contact.
+	// A scan is one RPC too, and like the reads opens no branch: the
+	// transaction wrote nothing.
 	before2 := c.net.MessageCount("dn2")
-	rows, err := tx.Scan("dn2", dn.ScanReq{Table: 1})
+	resp, err := tx.Scan("dn2", dn.ScanReq{Table: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.net.MessageCount("dn2") - before2; got != 1 {
-		t.Fatalf("first-contact Scan cost %d RPCs to dn2, want 1", got)
+		t.Fatalf("Scan cost %d RPCs to dn2, want 1", got)
 	}
-	if len(rows) != 1 || rows[0][1].AsString() != "c" {
-		t.Fatalf("Scan rows = %v", rows)
+	if len(resp.Rows) != 1 || resp.Rows[0][1].AsString() != "c" {
+		t.Fatalf("Scan rows = %v", resp.Rows)
+	}
+	if n := c.dns[0].OpenBranches() + c.dns[1].OpenBranches(); n != 0 {
+		t.Fatalf("reads opened %d branches", n)
 	}
 	tx.Abort()
 }
@@ -499,9 +503,9 @@ func TestMultiWriteMultiGetOneRPCPerDN(t *testing.T) {
 // TestConcurrentFirstContactOpensOneBranch races a fresh transaction's
 // first requests to one DN. A proxy in front of the DN holds every
 // MultiGet and MultiWrite until the concurrent Scans have returned, so a
-// Scan is the branch's first contact although the batched requests
-// registered the branch CN-side before it. Every in-branch request
-// carries the snapshot, so whichever arrives first opens the branch;
+// Scan is the branch's first contact although the writes registered the
+// branch CN-side before it. Every in-branch request carries the
+// snapshot, so whichever arrives first opens the branch;
 // with a separate begin round trip the Scans found the branch registered,
 // skipped the begin, and failed with "unknown transaction branch". After
 // commit every write is visible, and every read saw the snapshot — not a
@@ -569,8 +573,8 @@ func TestConcurrentFirstContactOpensOneBranch(t *testing.T) {
 		scanners.Add(1)
 		go func(g int) {
 			defer scanners.Done()
-			rows, err := tx.Scan("dn1-proxy", dn.ScanReq{Table: 1})
-			scans[g] = rows
+			resp, err := tx.Scan("dn1-proxy", dn.ScanReq{Table: 1})
+			scans[g] = resp.Rows
 			errs <- err
 		}(g)
 	}
@@ -638,54 +642,46 @@ func TestMultiWriteAbortRollsBack(t *testing.T) {
 	check.Abort()
 }
 
-// TestCommitReaderReleaseOffCriticalPath is the regression test for the
-// reader-branch release: Commit must release read-only branches
-// asynchronously, never paying a round trip per reader before the
-// prepare fan-out. With two readers and two writers at 100 ms RTT, 2PC
-// costs ~3 RTT (parallel prepare + durable commit point on the primary +
-// parallel commit fan-out); a serial reader release would add another
-// 2 RTT on top. The bound sits between the two with generous margins
-// for scheduler jitter.
-func TestCommitReaderReleaseOffCriticalPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	const rtt = 100 * time.Millisecond
-	c := newCluster(t, 4, simnet.Topology{IntraDCRTT: rtt, InterDCRTT: rtt})
+// TestCommitSendsNothingToReadOnlyDN: only a write opens a branch. A
+// transaction reads its own write on the DN it wrote (through the
+// branch); on a DN it only read it sees its snapshot — not a row
+// committed after it began — and holds no branch there, so COMMIT sends
+// that DN nothing.
+func TestCommitSendsNothingToReadOnlyDN(t *testing.T) {
+	c := newCluster(t, 2, simnet.ZeroTopology())
 	coord := hlcCoord(c)
-	tx, err := coord.Begin()
-	if err != nil {
+	tx, _ := coord.Begin()
+	later, _ := coord.Begin()
+	if err := put(later, "dn2", dn.OpInsert, userRow(2, "later", 2)); err != nil {
 		t.Fatal(err)
 	}
-	// Two read-only branches (the keys need not exist; the branch opens
-	// either way) and two written branches, forcing 2PC.
-	if _, _, err := get(tx, "dn3", 1); err != nil {
+	if _, err := later.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := get(tx, "dn4", 2); err != nil {
+
+	if err := put(tx, "dn1", dn.OpInsert, userRow(1, "mine", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := put(tx, "dn1", dn.OpInsert, userRow(1, "w", 1)); err != nil {
-		t.Fatal(err)
+	if row, ok, err := get(tx, "dn1", 1); err != nil || !ok || row[1].AsString() != "mine" {
+		t.Fatalf("own write on dn1: row %v found %v err %v", row, ok, err)
 	}
-	if err := put(tx, "dn2", dn.OpInsert, userRow(2, "w", 2)); err != nil {
-		t.Fatal(err)
+	if row, ok, err := get(tx, "dn2", 2); err != nil || ok {
+		t.Fatalf("dn2 read past the snapshot: row %v found %v err %v", row, ok, err)
 	}
-	start := time.Now()
+	if n := c.dns[1].OpenBranches(); n != 0 {
+		t.Fatalf("a read opened %d branches on dn2", n)
+	}
+	before := c.net.MessageCount("dn2")
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
-	if elapsed > 4*rtt {
-		t.Fatalf("Commit took %v: reader release is on the critical path (2PC alone is ~%v)",
-			elapsed, 3*rtt)
+	if got := c.net.MessageCount("dn2") - before; got != 0 {
+		t.Fatalf("COMMIT sent %d messages to dn2, which the transaction only read", got)
 	}
-	// The committed writes really landed.
 	check, _ := coord.Begin()
 	if _, ok, _ := get(check, "dn1", 1); !ok {
 		t.Fatal("committed write invisible")
 	}
-	check.Abort()
 }
 
 func TestSessionConsistentROReadAfterWrite(t *testing.T) {
@@ -700,7 +696,7 @@ func TestSessionConsistentROReadAfterWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := coord.MultiGetRO("dn1-ro1", []dn.PointGet{{Table: 1, PK: pkOf(1)}}, commitTS, tx.LastLSN(), time.Time{})
+	rs, err := coord.MultiGetAt("dn1-ro1", []dn.PointGet{{Table: 1, PK: pkOf(1)}}, commitTS, tx.BranchLSNs()["dn1"], time.Time{})
 	if err != nil || !rs[0].OK || rs[0].Row[1].AsString() != "fresh" {
 		t.Fatalf("RO read = %+v %v", rs, err)
 	}
