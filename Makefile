@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race stress bench-check-build chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
+.PHONY: build vet delay-guard test test-short test-race stress bench-check-build chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet chaos bench-check-build
+test: vet delay-guard chaos bench-check-build
 	$(GO) test ./...
+
+# One injected-delay path: non-test code in simnet, paxos and dn waits
+# out simulated time only through simnet.Delay, the deadline queue in
+# internal/simnet/delay.go that a virtual-time scheduler can replace.
+# Fails on any time.Sleep in those packages' non-test code.
+delay-guard:
+	@bad=$$(find internal/simnet internal/paxos internal/dn -name '*.go' ! -name '*_test.go' \
+		-exec grep -Hn 'time\.Sleep' {} +); \
+	[ -z "$$bad" ] || { echo "time.Sleep in simnet/paxos/dn non-test code (use simnet.Delay):"; echo "$$bad"; exit 1; }
 
 # benchmark/ is its own Go module, so `go build ./... && go test ./...`
 # never compiles it: an internal/ API edit can break the standing

@@ -13,16 +13,22 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/workload/sysbench"
 )
 
-// Fig7Point is one (concurrency, oracle) measurement.
+// Fig7Point is one (concurrency, oracle) measurement. The per-txn
+// counts are the mechanism behind the throughput: messages delivered to
+// the TSO and inter-DC Call round trips, per committed transaction.
 type Fig7Point struct {
 	Oracle      core.OracleKind
 	Concurrency int
 	Throughput  float64
 	Errors      int64
+
+	TSOMsgsPerTxn      float64
+	InterDCCallsPerTxn float64
 }
 
 // Fig7Result holds the §VII-A cross-DC transaction comparison.
@@ -67,17 +73,25 @@ func RunFig7(kind sysbench.Kind, opts Fig7Options) (Fig7Result, error) {
 		if err != nil {
 			return result, err
 		}
+		interDC := obs.NewRegistry().Histogram("rpc.inter_dc")
+		cluster.Net.SetMetrics(&simnet.NetMetrics{InterDC: interDC})
 		cfg := sysbench.Config{Rows: opts.Rows, Partitions: 6, Seed: 42}
 		if err := sysbench.Load(cluster.CN(simnet.DC1).NewSession(), cfg); err != nil {
 			cluster.Stop()
 			return result, err
 		}
 		for _, conc := range opts.Concurrencies {
+			tso0, calls0 := cluster.Net.MessageCount("tso"), interDC.Count()
 			stats := sysbench.Run(cluster, cfg, kind, conc, opts.Duration)
-			result.Points = append(result.Points, Fig7Point{
+			p := Fig7Point{
 				Oracle: oracle, Concurrency: conc,
 				Throughput: stats.Throughput, Errors: stats.Errors,
-			})
+			}
+			if stats.Txns > 0 {
+				p.TSOMsgsPerTxn = float64(cluster.Net.MessageCount("tso")-tso0) / float64(stats.Txns)
+				p.InterDCCallsPerTxn = float64(interDC.Count()-calls0) / float64(stats.Txns)
+			}
+			result.Points = append(result.Points, p)
 		}
 		cluster.Stop()
 	}
@@ -102,9 +116,10 @@ func (r Fig7Result) PeakGain() float64 {
 // Print renders the paper-style series.
 func (r Fig7Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "\nFigure 7 — %s, 3 DCs, 1ms inter-DC RTT (paper: HLC-SI peak writes +19%% vs TSO-SI)\n", r.Kind)
-	fmt.Fprintf(w, "%-10s %12s %14s %8s\n", "oracle", "concurrency", "txn/s", "errors")
+	fmt.Fprintf(w, "%-10s %12s %14s %8s %10s %14s\n", "oracle", "concurrency", "txn/s", "errors", "tso/txn", "inter-dc/txn")
 	for _, p := range r.Points {
-		fmt.Fprintf(w, "%-10s %12d %14.0f %8d\n", p.Oracle, p.Concurrency, p.Throughput, p.Errors)
+		fmt.Fprintf(w, "%-10s %12d %14.0f %8d %10.2f %14.2f\n",
+			p.Oracle, p.Concurrency, p.Throughput, p.Errors, p.TSOMsgsPerTxn, p.InterDCCallsPerTxn)
 	}
 	fmt.Fprintf(w, "measured HLC-SI peak gain over TSO-SI: %+.0f%%\n", r.PeakGain())
 }

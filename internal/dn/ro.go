@@ -335,9 +335,7 @@ func (r *RO) handle(from string, msg any) (any, error) {
 func (r *RO) ingest(from string, m roAppendMsg) {
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
-	if d := r.applyDelay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
+	simnet.Delay(time.Duration(r.applyDelay.Load()))
 	ack := roAck{From: r.name, Applied: r.appliedLSN()}
 	end := m.Start + wal.LSN(len(m.Bytes))
 	switch {

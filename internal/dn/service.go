@@ -1,15 +1,18 @@
 package dn
 
 import (
-	"sync"
 	"time"
+
+	"repro/internal/simnet"
 )
 
 // svcModel simulates a node's finite compute capacity as a queueing
 // station: Cores concurrent servers, each processing rows at
-// rowsPerSecond. Heavy scans occupy a core for rows/rate seconds;
-// cheap point operations accumulate as "debt" paid off in ~1ms slices
-// so OS timer granularity does not inflate them.
+// rowsPerSecond. Every request occupies a core for rows/rate seconds of
+// injected time, waited out through simnet.Delay's deadline queue: the
+// wait never ends early, and even the few-microsecond cost of a point
+// operation overshoots by only a median ~10 µs (idle 2-core Linux host),
+// so each request pays its own cost as it is served.
 //
 // This is the simulation piece behind two paper behaviours: AP scans on
 // the RW node contend with TP transactions for the same cores (§VII-C
@@ -18,9 +21,6 @@ import (
 type svcModel struct {
 	sem        chan struct{}
 	rowsPerSec float64
-
-	mu   sync.Mutex
-	debt time.Duration
 }
 
 // defaultSvcCores matches the paper's 8-core DN instances.
@@ -42,22 +42,7 @@ func (m *svcModel) serve(rows float64) {
 	if m == nil || rows <= 0 {
 		return
 	}
-	d := time.Duration(rows / m.rowsPerSec * float64(time.Second))
 	m.sem <- struct{}{}
 	defer func() { <-m.sem }()
-	if d >= 200*time.Microsecond {
-		time.Sleep(d)
-		return
-	}
-	// Amortize sub-timer-granularity work.
-	m.mu.Lock()
-	m.debt += d
-	var pay time.Duration
-	if m.debt >= time.Millisecond {
-		pay, m.debt = m.debt, 0
-	}
-	m.mu.Unlock()
-	if pay > 0 {
-		time.Sleep(pay)
-	}
+	simnet.Delay(time.Duration(rows / m.rowsPerSec * float64(time.Second)))
 }

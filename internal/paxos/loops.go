@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/simnet"
 	"repro/internal/wal"
 )
 
@@ -440,9 +441,7 @@ func (n *Node) handleAppend(m appendMsg) appendAck {
 	if appendedTo > 0 {
 		n.flushMu.Lock()
 		if n.log.FlushedLSN() < appendedTo {
-			if d := n.cfg.FlushDelay; d > 0 {
-				time.Sleep(d)
-			}
+			simnet.Delay(n.cfg.FlushDelay)
 			n.log.SetFlushed(appendedTo)
 		}
 		n.flushMu.Unlock()

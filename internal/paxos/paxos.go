@@ -123,7 +123,8 @@ type Config struct {
 	GroupCommitBytes int
 	// FlushDelay models the latency of one redo flush to PolarFS
 	// (default 0: flushes are free, as in the seed). Flushes serialize on
-	// one device, which is exactly the cost group commit amortizes.
+	// one device, which is exactly the cost group commit amortizes. The
+	// wait is injected time, served by simnet.Delay.
 	FlushDelay time.Duration
 
 	// OnApply, when set, is invoked in LSN order with each durable record
@@ -138,7 +139,7 @@ type Config struct {
 	// Clock drives lease validity, election timers and ack freshness.
 	// Nil defaults to the wall clock; tests inject an obs.FakeClock to
 	// step lease logic deterministically. Pacing loops (heartbeat
-	// tickers, the group-commit window, FlushDelay) intentionally stay
+	// tickers, the group-commit window) and FlushDelay intentionally stay
 	// on real time, like the simulated network latency.
 	Clock obs.Clock
 

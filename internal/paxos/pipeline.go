@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/simnet"
 	"repro/internal/wal"
 )
 
@@ -160,9 +161,7 @@ func (n *Node) flusherLoop() {
 // group commit amortizes across a window.
 func (n *Node) flushAs(end wal.LSN, mtrs int, epoch uint64) {
 	n.flushMu.Lock()
-	if d := n.cfg.FlushDelay; d > 0 {
-		time.Sleep(d)
-	}
+	simnet.Delay(n.cfg.FlushDelay)
 	// SetFlushed clamps at the tail, so a flush that raced with a
 	// deposition-triggered truncate cannot declare vanished bytes
 	// durable.

@@ -173,3 +173,41 @@ func TestDefaultCallTimeoutFromPlan(t *testing.T) {
 		t.Fatalf("ClearFaults must reset the default timeout, got %d", d)
 	}
 }
+
+// TestMessageCountSkipsLostMessages: MessageCount counts the messages the
+// endpoint's handler ran on. Lost requests, calls to a down endpoint and
+// calls across a partition are not deliveries; a lost reply is one.
+func TestMessageCountSkipsLostMessages(t *testing.T) {
+	n, delivered := faultPair(t)
+	n.ApplyFaultPlan(FaultPlan{Seed: 11, Default: LinkFaults{Drop: 0.3}})
+	timeouts := 0
+	for i := 0; i < 200; i++ {
+		if _, err := n.Call("src", "dst", i); errors.Is(err, ErrTimeout) {
+			timeouts++
+		}
+	}
+	got := n.MessageCount("dst")
+	if got != delivered.Load() || got >= 200 || timeouts == 0 {
+		t.Fatalf("MessageCount = %d, handler ran %d times, %d of 200 calls timed out",
+			got, delivered.Load(), timeouts)
+	}
+	if lost := 200 - got; lost >= int64(timeouts) {
+		t.Fatalf("%d requests lost but only %d timeouts: lost replies were not counted as delivered", lost, timeouts)
+	}
+
+	n.ClearFaults()
+	n.SetDown("dst", true)
+	if _, err := n.Call("src", "dst", "x"); !errors.Is(err, ErrEndpointDown) {
+		t.Fatalf("call to a down endpoint: %v", err)
+	}
+	n.SetDown("dst", false)
+	n.Register("far", DC2, func(string, any) (any, error) { return nil, nil })
+	n.Partition(DC1, DC2)
+	if _, err := n.Call("src", "far", "x"); !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("call across a partition: %v", err)
+	}
+	if n.MessageCount("dst") != got || n.MessageCount("far") != 0 {
+		t.Fatalf("undelivered calls counted: dst %d (was %d), far %d",
+			n.MessageCount("dst"), got, n.MessageCount("far"))
+	}
+}

@@ -8,6 +8,15 @@
 // protocol differences produce the same relative shapes as the paper's
 // three-datacenter deployment, without any real network.
 //
+// All injected time — both legs of every message here, and the redo
+// flush, replica apply and service costs that paxos and dn model — is
+// waited out through Delay (delay.go): one process-wide deadline queue
+// whose waker waits on a high-resolution alarm for the earliest deadline.
+// A wait never ends early, and on an idle 2-core Linux host it ends a
+// median 10-25 µs after its deadline (up to ~55 µs for a 3 ms wait); the
+// runtime timer it replaces rounded every idle wait up to ~1.05 ms, so an
+// 80 µs round trip cost ~1.2 ms and now costs ~120 µs.
+//
 // Endpoints register a handler; callers use Call (synchronous RPC) or
 // Send (one-way). Partitions and per-link failure can be injected for
 // fault-tolerance tests.
@@ -95,6 +104,9 @@ type endpoint struct {
 	dc      DC
 	handler Handler
 	down    atomic.Bool
+	// delivered is the endpoint name's counter in Network.msgs, resolved
+	// once at Register so a delivery costs one atomic add.
+	delivered *atomic.Int64
 }
 
 // Network is the fabric. It is safe for concurrent use.
@@ -112,12 +124,9 @@ type Network struct {
 	faults             *faultState
 	defaultCallTimeout atomic.Int64
 
-	// stats: per-destination message counters. A sync.Map of atomics
-	// rather than a mutex-guarded map — lookup() bumps the destination's
-	// counter on every single Call/Send, so a global stats lock is a
-	// whole-fabric serialization point at front-door message rates. The
-	// map reaches steady state once every endpoint has received a message
-	// and is read-mostly after that.
+	// msgs holds the per-endpoint-name delivery counters. A counter
+	// outlives its endpoint, so a node that is unregistered and registered
+	// again keeps counting where it left off.
 	msgs sync.Map // string -> *atomic.Int64
 
 	// metrics, when installed, records RPC latency by link class plus
@@ -162,7 +171,8 @@ func (n *Network) Register(name string, dc DC, h Handler) {
 	if _, dup := n.endpoints[name]; dup {
 		panic("simnet: duplicate endpoint " + name)
 	}
-	n.endpoints[name] = &endpoint{dc: dc, handler: h}
+	ctr, _ := n.msgs.LoadOrStore(name, new(atomic.Int64))
+	n.endpoints[name] = &endpoint{dc: dc, handler: h, delivered: ctr.(*atomic.Int64)}
 }
 
 // Unregister removes an endpoint (e.g. a decommissioned node).
@@ -260,16 +270,11 @@ func (n *Network) lookup(from, to string) (srcDC DC, dst *endpoint, err error) {
 	if n.partitioned[[2]DC{src.dc, d.dc}] {
 		return src.dc, nil, fmt.Errorf("%w: %s <-> %s", ErrPartitioned, src.dc, d.dc)
 	}
-	ctr, ok := n.msgs.Load(to)
-	if !ok {
-		ctr, _ = n.msgs.LoadOrStore(to, new(atomic.Int64))
-	}
-	ctr.(*atomic.Int64).Add(1)
 	return src.dc, d, nil
 }
 
-// Call performs a synchronous RPC from one endpoint to another: it sleeps
-// for the one-way delay, invokes the handler, then sleeps for the return
+// Call performs a synchronous RPC from one endpoint to another: it waits
+// out the one-way delay, invokes the handler, then waits out the return
 // delay. The caller's goroutine blocks for the full round trip, which is
 // exactly the cost model the paper's TSO-vs-HLC comparison measures.
 //
@@ -347,26 +352,26 @@ func (n *Network) callSync(from, to string, msg any) (reply any, callErr error) 
 	oneWay := n.topo.OneWay(srcDC, dst.dc)
 	crashed := n.fireCrashHook(from, to, msg)
 	leg := n.rollLeg(from, to)
-	sleep(oneWay + leg.jitter)
+	Delay(oneWay + leg.jitter)
 	if leg.drop {
 		return nil, fmt.Errorf("%w: %s -> %s (request lost)", ErrTimeout, from, to)
 	}
 	if dst.isDown() {
 		return nil, fmt.Errorf("%w: %s", ErrEndpointDown, to)
 	}
-	reply, hErr := dst.handler(from, msg)
+	reply, hErr := dst.deliver(from, msg)
 	if leg.dup && !dst.isDown() {
 		// At-least-once delivery: the handler runs a second time; the
 		// duplicate's reply is discarded. Exercises handler idempotency.
 		go func() {
-			sleep(oneWay)
+			Delay(oneWay)
 			if !dst.isDown() {
-				_, _ = dst.handler(from, msg)
+				_, _ = dst.deliver(from, msg)
 			}
 		}()
 	}
 	ret := n.rollLeg(to, from)
-	sleep(oneWay + ret.jitter)
+	Delay(oneWay + ret.jitter)
 	if crashed {
 		// The sender died right after the request left: the work may have
 		// happened remotely, but this process never learns the outcome.
@@ -397,26 +402,36 @@ func (n *Network) Send(from, to string, msg any, onErr func(error)) {
 		return // lost in transit; one-way senders never learn
 	}
 	go func() {
-		sleep(oneWay + leg.jitter)
+		Delay(oneWay + leg.jitter)
 		if dst.isDown() {
 			if onErr != nil {
 				onErr(fmt.Errorf("%w: %s", ErrEndpointDown, to))
 			}
 			return
 		}
-		if _, err := dst.handler(from, msg); err != nil && onErr != nil {
+		if _, err := dst.deliver(from, msg); err != nil && onErr != nil {
 			onErr(err)
 		}
 		if leg.dup && !dst.isDown() {
-			_, _ = dst.handler(from, msg)
+			_, _ = dst.deliver(from, msg)
 		}
 	}()
 }
 
 func (e *endpoint) isDown() bool { return e.down.Load() }
 
+// deliver hands a message that reached the endpoint to its handler.
+func (e *endpoint) deliver(from string, msg any) (any, error) {
+	e.delivered.Add(1)
+	return e.handler(from, msg)
+}
+
 // MessageCount returns how many messages were delivered to an endpoint,
-// for assertions like "HLC-SI sends zero messages to the TSO".
+// for assertions like "HLC-SI sends zero messages to the TSO". A message
+// counts when the endpoint's handler runs on it: a lost request, or one
+// to a down, unknown or partitioned endpoint, does not count, and a
+// duplicated delivery counts twice. A Send counts when it lands, after
+// its propagation delay.
 func (n *Network) MessageCount(to string) int64 {
 	if ctr, ok := n.msgs.Load(to); ok {
 		return ctr.(*atomic.Int64).Load()
@@ -435,12 +450,4 @@ func (n *Network) RTTBetween(a, b string) (time.Duration, error) {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownEndpoint, b)
 	}
 	return n.topo.RTT(da, db), nil
-}
-
-// sleep waits for d, skipping the syscall entirely for zero topologies so
-// unit tests run at memory speed.
-func sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
 }
