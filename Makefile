@@ -11,14 +11,14 @@ vet:
 test: vet delay-guard chaos bench-check-build
 	$(GO) test ./...
 
-# One injected-delay path: non-test code in simnet, paxos and dn waits
-# out simulated time only through simnet.Delay, the deadline queue in
+# One injected-delay path: non-test code in simnet, paxos, dn and mt
+# waits out simulated time only through simnet.Delay, the deadline queue in
 # internal/simnet/delay.go that a virtual-time scheduler can replace.
 # Fails on any time.Sleep in those packages' non-test code.
 delay-guard:
-	@bad=$$(find internal/simnet internal/paxos internal/dn -name '*.go' ! -name '*_test.go' \
+	@bad=$$(find internal/simnet internal/paxos internal/dn internal/mt -name '*.go' ! -name '*_test.go' \
 		-exec grep -Hn 'time\.Sleep' {} +); \
-	[ -z "$$bad" ] || { echo "time.Sleep in simnet/paxos/dn non-test code (use simnet.Delay):"; echo "$$bad"; exit 1; }
+	[ -z "$$bad" ] || { echo "time.Sleep in simnet/paxos/dn/mt non-test code (use simnet.Delay):"; echo "$$bad"; exit 1; }
 
 # benchmark/ is its own Go module, so `go build ./... && go test ./...`
 # never compiles it: an internal/ API edit can break the standing

@@ -156,7 +156,7 @@ func compressQueries(ix *colindex.Index, snapshot hlc.Timestamp) error {
 			binop(">=", col("l_shipdate", 4), lit(types.Int(19940101))),
 			binop("<", col("l_shipdate", 4), lit(types.Int(19950101)))),
 		binop("<", col("l_quantity", 2), lit(types.Int(24))))
-	if _, err := ix.Scan(snapshot, q6, []int{3}, 0); err != nil {
+	if err := scanRows(ix, snapshot, q6, []int{3}); err != nil {
 		return err
 	}
 	// Q1 shape: grouped aggregation pushed into the index.
@@ -170,8 +170,18 @@ func compressQueries(ix *colindex.Index, snapshot hlc.Timestamp) error {
 	}
 	// Dictionary point filter: equality on a low-cardinality string.
 	qd := binop("=", col("l_shipmode", 7), lit(types.Str("MAIL")))
-	_, err := ix.Scan(snapshot, qd, []int{0}, 0)
-	return err
+	return scanRows(ix, snapshot, qd, []int{0})
+}
+
+// scanRows runs a filtered scan and materializes its rows, the RO's
+// row-form answer.
+func scanRows(ix *colindex.Index, snapshot hlc.Timestamp, filter sql.Expr, projection []int) error {
+	b, err := ix.ScanBatch(snapshot, filter, projection, 0)
+	if err != nil {
+		return err
+	}
+	b.AppendRows(nil)
+	return nil
 }
 
 // runCompressColindex builds the index from a redo stream and measures

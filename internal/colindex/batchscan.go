@@ -1,20 +1,18 @@
 package colindex
 
 import (
-	"fmt"
-
 	"repro/internal/hlc"
 	"repro/internal/sql"
 	"repro/internal/vector"
 )
 
-// ScanBatch is the batch-mode Scan: instead of materializing rows it
-// returns one Shared batch whose vectors alias the index's column
-// storage directly (zero copy, raw or encoded — the batch engine
-// executes on encoded payloads without decoding them) and whose
-// selection vector holds the visible, filter-passing positions.
+// ScanBatch returns the rows visible at the snapshot that pass the
+// filter (bound against schema positions) as one Shared batch: its
+// vectors alias the index's column storage directly (zero copy, raw or
+// encoded — the batch engine executes on encoded payloads without
+// decoding them) and its selection vector holds the passing positions.
 // Projection selects and orders the output columns (nil = all); limit
-// bounds the selection (0 = none).
+// bounds the selection (0 = none). AppendRows gives the row form.
 //
 // Safe under concurrent maintenance: column storage is append-only
 // under the index write lock, and Vector.View snapshots the mutable
@@ -24,41 +22,25 @@ func (x *Index) ScanBatch(snapshot hlc.Timestamp, filter sql.Expr, projection []
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	ts := x.clampSnapshot(snapshot)
-	simple, residual := compileFilter(filter)
-	preds, err := x.bindPreds(simple)
+	f, err := x.compileFilter(filter)
 	if err != nil {
 		return nil, err
 	}
-	x.noteScan(x.touchedCols(preds, projection, len(residual) > 0))
+	if err := x.checkCols(projection); err != nil {
+		return nil, err
+	}
+	x.noteScan(x.touchedCols(f, projection))
 	n := x.vis.len()
-	cur := x.vis.cursor()
-	sel := make([]int, 0, vector.DefaultSize)
-rows:
-	for i := 0; i < n; i++ {
-		if !cur.visible(i, ts) {
-			continue
-		}
-		for k := range preds {
-			if !preds[k].eval(i) {
-				continue rows
-			}
-		}
-		if len(residual) > 0 {
-			row := x.materialize(i, nil)
-			for _, r := range residual {
-				v, err := sql.Eval(r, row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsTruthy() {
-					continue rows
-				}
-			}
-		}
-		sel = append(sel, i)
-		if limit > 0 && len(sel) >= limit {
-			break
-		}
+	stop, size := 0, n
+	if filter == nil && limit > 0 && limit < n {
+		stop, size = limit, limit
+	}
+	sel, err := f.Refine(x.vecs, x.vis.appendVisible(make([]int, 0, size), ts, stop))
+	if err != nil {
+		return nil, err
+	}
+	if limit > 0 && len(sel) > limit {
+		sel = sel[:limit]
 	}
 	cols := projection
 	if cols == nil {
@@ -69,9 +51,6 @@ rows:
 	}
 	b := &vector.Batch{Vecs: make([]*vector.Vector, len(cols)), Sel: sel, Shared: true}
 	for k, c := range cols {
-		if c >= len(x.cols) {
-			return nil, fmt.Errorf("%w: %d", ErrBadColumn, c)
-		}
 		b.Vecs[k] = x.cols[c].data.View(n)
 	}
 	return b, nil

@@ -189,8 +189,10 @@ type Index struct {
 	Schema  *types.Schema
 
 	mu sync.RWMutex
-	// cols[i] is the vector for schema column i.
+	// cols[i] is the vector for schema column i; vecs[i] is its data,
+	// the form the scan filter's kernels take.
 	cols []*colVec
+	vecs []*vector.Vector
 	// vis bounds each row version's visibility window (run-length
 	// created + sparse deleted).
 	vis visibility
@@ -222,7 +224,9 @@ type stagedTxn struct {
 func New(tableID uint32, schema *types.Schema) *Index {
 	idx := &Index{TableID: tableID, Schema: schema, latest: make(map[string]int), BatchSize: 1}
 	for _, c := range schema.Columns {
-		idx.cols = append(idx.cols, newColVec(c.Kind))
+		cv := newColVec(c.Kind)
+		idx.cols = append(idx.cols, cv)
+		idx.vecs = append(idx.vecs, cv.data)
 	}
 	return idx
 }

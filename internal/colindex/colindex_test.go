@@ -57,6 +57,15 @@ func setup(t *testing.T) (*storage.Engine, *Index, *Builder) {
 	return eng, ix, NewBuilder(ix)
 }
 
+// scanRows is the row form of ScanBatch, the RO's answer to a row scan.
+func scanRows(ix *Index, ts hlc.Timestamp, filter sql.Expr, projection []int, limit int) ([]types.Row, error) {
+	b, err := ix.ScanBatch(ts, filter, projection, limit)
+	if err != nil {
+		return nil, err
+	}
+	return b.AppendRows(nil), nil
+}
+
 func TestBuildFromRedoAndScan(t *testing.T) {
 	eng, ix, b := setup(t)
 	ts := feed(t, eng, b, []types.Row{
@@ -68,7 +77,7 @@ func TestBuildFromRedoAndScan(t *testing.T) {
 	if ix.Version() != ts {
 		t.Fatalf("version = %v, want %v", ix.Version(), ts)
 	}
-	rows, err := ix.Scan(clk.Now(), nil, nil, 0)
+	rows, err := scanRows(ix, clk.Now(), nil, nil, 0)
 	if err != nil || len(rows) != 3 {
 		t.Fatalf("scan = %v, %v", rows, err)
 	}
@@ -84,7 +93,7 @@ func TestScanWithVectorFilter(t *testing.T) {
 		L: &sql.BinaryOp{Op: ">", L: &sql.ColumnRef{Column: "qty", Index: 1}, R: &sql.Literal{Val: types.Int(4)}},
 		R: &sql.BinaryOp{Op: "=", L: &sql.ColumnRef{Column: "status", Index: 3}, R: &sql.Literal{Val: types.Str("A")}},
 	}
-	rows, err := ix.Scan(clk.Now(), filter, []int{0}, 0)
+	rows, err := scanRows(ix, clk.Now(), filter, []int{0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +102,7 @@ func TestScanWithVectorFilter(t *testing.T) {
 	}
 	// Literal-on-left flip: 4 < qty is the same predicate.
 	flip := &sql.BinaryOp{Op: "<", L: &sql.Literal{Val: types.Int(4)}, R: &sql.ColumnRef{Column: "qty", Index: 1}}
-	rows2, _ := ix.Scan(clk.Now(), flip, nil, 0)
+	rows2, _ := scanRows(ix, clk.Now(), flip, nil, 0)
 	if len(rows2) != 2 {
 		t.Fatalf("flipped literal = %d rows", len(rows2))
 	}
@@ -106,14 +115,14 @@ func TestScanBetweenAndResidual(t *testing.T) {
 	})
 	btw := &sql.Between{E: &sql.ColumnRef{Column: "qty", Index: 1},
 		Lo: &sql.Literal{Val: types.Int(5)}, Hi: &sql.Literal{Val: types.Int(6)}}
-	rows, err := ix.Scan(clk.Now(), btw, nil, 0)
+	rows, err := scanRows(ix, clk.Now(), btw, nil, 0)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("between = %v, %v", rows, err)
 	}
 	// LIKE is not vectorizable → residual path.
 	like := &sql.BinaryOp{Op: "LIKE", L: &sql.ColumnRef{Column: "status", Index: 3},
 		R: &sql.Literal{Val: types.Str("A%")}}
-	rows, err = ix.Scan(clk.Now(), like, nil, 0)
+	rows, err = scanRows(ix, clk.Now(), like, nil, 0)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("residual like = %v, %v", rows, err)
 	}
@@ -134,11 +143,11 @@ func TestUpdateAndDeleteVisibility(t *testing.T) {
 	b.Apply(txn.Redo())
 
 	// Old snapshot sees qty=5; new sees qty=50.
-	rows, _ := ix.Scan(tsBefore, nil, nil, 0)
+	rows, _ := scanRows(ix, tsBefore, nil, nil, 0)
 	if len(rows) != 1 || rows[0][1].AsInt() != 5 {
 		t.Fatalf("old snapshot = %v", rows)
 	}
-	rows, _ = ix.Scan(clk.Now(), nil, nil, 0)
+	rows, _ = scanRows(ix, clk.Now(), nil, nil, 0)
 	if len(rows) != 1 || rows[0][1].AsInt() != 50 {
 		t.Fatalf("new snapshot = %v", rows)
 	}
@@ -149,7 +158,7 @@ func TestUpdateAndDeleteVisibility(t *testing.T) {
 	}
 	eng.Commit(del, clk.Advance())
 	b.Apply(del.Redo())
-	rows, _ = ix.Scan(clk.Now(), nil, nil, 0)
+	rows, _ = scanRows(ix, clk.Now(), nil, nil, 0)
 	if len(rows) != 0 {
 		t.Fatalf("post-delete scan = %v", rows)
 	}
@@ -182,7 +191,7 @@ func TestDelayedBatchingLagsVersion(t *testing.T) {
 		t.Fatalf("pending=%d version=%v", ix.Pending(), ix.Version())
 	}
 	// Reads clamp to the index version: nothing visible yet.
-	rows, _ := ix.Scan(clk.Now(), nil, nil, 0)
+	rows, _ := scanRows(ix, clk.Now(), nil, nil, 0)
 	if len(rows) != 0 {
 		t.Fatalf("unflushed rows visible: %v", rows)
 	}
@@ -192,7 +201,7 @@ func TestDelayedBatchingLagsVersion(t *testing.T) {
 	if ix.Pending() != 0 {
 		t.Fatalf("pending after flush = %d", ix.Pending())
 	}
-	rows, _ = ix.Scan(clk.Now(), nil, nil, 0)
+	rows, _ = scanRows(ix, clk.Now(), nil, nil, 0)
 	if len(rows) != 3 {
 		t.Fatalf("rows after flush = %d", len(rows))
 	}
@@ -290,7 +299,7 @@ func TestAggScanGlobalEmpty(t *testing.T) {
 func TestScanLimit(t *testing.T) {
 	eng, ix, b := setup(t)
 	feed(t, eng, b, []types.Row{item(1, 1, 1, "A"), item(2, 2, 2, "A"), item(3, 3, 3, "A")})
-	rows, _ := ix.Scan(clk.Now(), nil, nil, 2)
+	rows, _ := scanRows(ix, clk.Now(), nil, nil, 2)
 	if len(rows) != 2 {
 		t.Fatalf("limit scan = %d", len(rows))
 	}

@@ -4,253 +4,12 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/executor"
 	"repro/internal/hlc"
 	"repro/internal/sql"
 	"repro/internal/types"
 	"repro/internal/vector"
 )
-
-// simplePred is a filter clause evaluable directly against typed
-// vectors: column OP literal.
-type simplePred struct {
-	col int
-	op  string // = <> < <= > >=
-	val types.Value
-}
-
-// compileFilter splits a bound predicate into vector-friendly simple
-// clauses and a residual evaluated per materialized row. Only top-level
-// AND conjunctions decompose.
-func compileFilter(e sql.Expr) (preds []simplePred, residual []sql.Expr) {
-	if e == nil {
-		return nil, nil
-	}
-	if b, ok := e.(*sql.BinaryOp); ok {
-		if b.Op == "AND" {
-			p1, r1 := compileFilter(b.L)
-			p2, r2 := compileFilter(b.R)
-			return append(p1, p2...), append(r1, r2...)
-		}
-		if isCmp(b.Op) {
-			if c, ok := b.L.(*sql.ColumnRef); ok {
-				if l, ok := b.R.(*sql.Literal); ok && c.Index >= 0 {
-					return []simplePred{{col: c.Index, op: b.Op, val: l.Val}}, nil
-				}
-			}
-			if c, ok := b.R.(*sql.ColumnRef); ok {
-				if l, ok := b.L.(*sql.Literal); ok && c.Index >= 0 {
-					return []simplePred{{col: c.Index, op: flipOp(b.Op), val: l.Val}}, nil
-				}
-			}
-		}
-	}
-	if btw, ok := e.(*sql.Between); ok && !btw.Not {
-		if c, ok := btw.E.(*sql.ColumnRef); ok && c.Index >= 0 {
-			lo, okLo := btw.Lo.(*sql.Literal)
-			hi, okHi := btw.Hi.(*sql.Literal)
-			if okLo && okHi {
-				return []simplePred{
-					{col: c.Index, op: ">=", val: lo.Val},
-					{col: c.Index, op: "<=", val: hi.Val},
-				}, nil
-			}
-		}
-	}
-	return nil, []sql.Expr{e}
-}
-
-func isCmp(op string) bool {
-	switch op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		return true
-	}
-	return false
-}
-
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default:
-		return op
-	}
-}
-
-// Prepared-predicate evaluation modes. Encoded columns get code-space
-// strategies: dictionary predicates collapse to a per-code truth table
-// (|dict| string comparisons instead of |rows|), run-length predicates
-// to a per-run table walked with a cursor, bit-packed columns decode
-// inline. The literal is coerced to the column kind once, preserving
-// the index's historical comparison semantics (an int column compares
-// against the literal's AsInt, not a float promotion).
-const (
-	predRaw = iota
-	predDict
-	predPack
-	predRLE
-)
-
-// boundPred is a simplePred bound to its column with per-scan prepared
-// state. Each scan builds its own boundPreds (the RLE cursor and the
-// underlying views are only valid under the lock the scan holds).
-type boundPred struct {
-	p    simplePred
-	v    *colVec
-	mode int
-
-	i64   int64
-	f64   float64
-	str   string
-	table []bool // predDict: per-code match; predRLE: per-run match
-	pack  *vector.BitPackEnc
-	dict  *vector.DictEnc
-	rle   *vector.RLEEnc
-	run   int // RLE cursor
-}
-
-func (b *boundPred) col() int { return b.p.col }
-
-// bindPreds prepares simple predicates against the index's columns,
-// validating column bounds up front.
-func (x *Index) bindPreds(preds []simplePred) ([]boundPred, error) {
-	if len(preds) == 0 {
-		return nil, nil
-	}
-	out := make([]boundPred, len(preds))
-	for k, p := range preds {
-		if p.col < 0 || p.col >= len(x.cols) {
-			return nil, fmt.Errorf("%w: %d", ErrBadColumn, p.col)
-		}
-		out[k] = bindPred(p, x.cols[p.col])
-	}
-	return out, nil
-}
-
-func bindPred(p simplePred, v *colVec) boundPred {
-	b := boundPred{p: p, v: v}
-	d := v.data
-	switch {
-	case d.Dict != nil:
-		b.mode = predDict
-		b.dict = d.Dict
-		b.table = d.Dict.MatchTable(p.op, p.val.AsString())
-	case d.Pack != nil:
-		b.mode = predPack
-		b.pack = d.Pack
-		b.i64 = p.val.AsInt()
-	case d.RLE != nil:
-		b.mode = predRLE
-		b.rle = d.RLE
-		b.table = rleMatchTable(d.RLE, p)
-	default:
-		b.mode = predRaw
-		switch d.Kind {
-		case types.KindInt, types.KindBool:
-			b.i64 = p.val.AsInt()
-		case types.KindFloat:
-			b.f64 = p.val.AsFloat()
-		default:
-			b.str = p.val.AsString()
-		}
-	}
-	return b
-}
-
-// rleMatchTable evaluates the predicate once per run. NULL runs never
-// match.
-func rleMatchTable(e *vector.RLEEnc, p simplePred) []bool {
-	table := make([]bool, e.Runs())
-	for r := range table {
-		if e.RunNull(r) {
-			continue
-		}
-		var c int
-		switch e.Kind {
-		case types.KindInt, types.KindBool:
-			a, b := e.Ints[r], p.val.AsInt()
-			c = cmp3Int(a, b)
-		case types.KindFloat:
-			a, b := e.Floats[r], p.val.AsFloat()
-			switch {
-			case a < b:
-				c = -1
-			case a > b:
-				c = 1
-			}
-		default:
-			a, b := e.Strs[r], p.val.AsString()
-			switch {
-			case a < b:
-				c = -1
-			case a > b:
-				c = 1
-			}
-		}
-		table[r] = vector.CmpMatches(c, p.op)
-	}
-	return table
-}
-
-func cmp3Int(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// eval applies the prepared predicate to row i.
-func (b *boundPred) eval(i int) bool {
-	switch b.mode {
-	case predDict:
-		if b.dict.IsNull(i) {
-			return false
-		}
-		return b.table[b.dict.Code(i)]
-	case predPack:
-		if b.pack.IsNull(i) {
-			return false
-		}
-		return vector.CmpMatches(cmp3Int(b.pack.Get(i), b.i64), b.p.op)
-	case predRLE:
-		b.run = b.rle.FindRun(i, b.run)
-		return b.table[b.run]
-	}
-	d := b.v.data
-	if d.Nulls != nil && d.Nulls[i] {
-		return false
-	}
-	var c int
-	switch d.Kind {
-	case types.KindInt, types.KindBool:
-		c = cmp3Int(d.Ints[i], b.i64)
-	case types.KindFloat:
-		a := d.Floats[i]
-		switch {
-		case a < b.f64:
-			c = -1
-		case a > b.f64:
-			c = 1
-		}
-	default:
-		a := d.Strs[i]
-		switch {
-		case a < b.str:
-			c = -1
-		case a > b.str:
-			c = 1
-		}
-	}
-	return vector.CmpMatches(c, b.p.op)
-}
 
 // clampSnapshot bounds the read snapshot by the index version: reading
 // "above" the index would silently miss rows the row store already has.
@@ -261,63 +20,37 @@ func (x *Index) clampSnapshot(ts hlc.Timestamp) hlc.Timestamp {
 	return ts
 }
 
-// Scan returns rows visible at the snapshot matching the filter
-// (bound against schema positions), projected to the given columns
-// (nil = all).
-func (x *Index) Scan(snapshot hlc.Timestamp, filter sql.Expr, projection []int, limit int) ([]types.Row, error) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	ts := x.clampSnapshot(snapshot)
-	simple, residual := compileFilter(filter)
-	preds, err := x.bindPreds(simple)
-	if err != nil {
-		return nil, err
-	}
-	x.noteScan(x.touchedCols(preds, projection, len(residual) > 0))
-	var out []types.Row
-	n := x.vis.len()
-	cur := x.vis.cursor()
-rows:
-	for i := 0; i < n; i++ {
-		if !cur.visible(i, ts) {
-			continue
-		}
-		for k := range preds {
-			if !preds[k].eval(i) {
-				continue rows
-			}
-		}
-		if len(residual) > 0 {
-			row := x.materialize(i, nil)
-			for _, r := range residual {
-				v, err := sql.Eval(r, row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsTruthy() {
-					continue rows
-				}
-			}
-		}
-		out = append(out, x.materialize(i, projection))
-		if limit > 0 && len(out) >= limit {
-			break
+// checkCols fails with ErrBadColumn on a position outside the schema:
+// filters, projections and aggregates arrive in a ScanReq, so a bad one
+// must be an error, not a panic.
+func (x *Index) checkCols(cols []int) error {
+	for _, c := range cols {
+		if c < 0 || c >= len(x.cols) {
+			return fmt.Errorf("%w: %d", ErrBadColumn, c)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-func (x *Index) materialize(i int, projection []int) types.Row {
-	if projection == nil {
-		row := make(types.Row, len(x.cols))
-		for c, v := range x.cols {
-			row[c] = v.value(i)
-		}
-		return row
+// compileFilter compiles a scan's filter (bound against schema
+// positions) into the batch engine's Filter and checks the columns its
+// kernels read. A scan refines one selection of every visible row with
+// it, so each conjunct's kernel runs once per scan (the dictionary and
+// run-length kernels build their match tables per call); under the read
+// lock the kernels read the column storage (x.vecs) directly.
+func (x *Index) compileFilter(filter sql.Expr) (*executor.Filter, error) {
+	f := executor.CompileFilter(filter)
+	if err := x.checkCols(f.Cols()); err != nil {
+		return nil, err
 	}
-	row := make(types.Row, len(projection))
-	for k, c := range projection {
-		row[k] = x.cols[c].value(i)
+	return f, nil
+}
+
+// row materializes row version i.
+func (x *Index) row(i int) types.Row {
+	row := make(types.Row, len(x.cols))
+	for c, v := range x.cols {
+		row[c] = v.value(i)
 	}
 	return row
 }
@@ -481,60 +214,47 @@ func (x *Index) AggScan(snapshot hlc.Timestamp, filter sql.Expr,
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	ts := x.clampSnapshot(snapshot)
-	simple, residual := compileFilter(filter)
-	preds, err := x.bindPreds(simple)
+	f, err := x.compileFilter(filter)
 	if err != nil {
 		return nil, err
 	}
-	for _, spec := range aggs {
-		if !spec.Star && spec.Expr == nil && spec.Col >= len(x.cols) {
-			return nil, fmt.Errorf("%w: %d", ErrBadColumn, spec.Col)
-		}
+	if err := x.checkCols(groupBy); err != nil {
+		return nil, err
 	}
-	touched := x.touchedCols(preds, groupBy, len(residual) > 0)
+	touched := x.touchedCols(f, groupBy)
 	for _, spec := range aggs {
-		if spec.Expr != nil {
-			touched = x.touchedCols(nil, nil, true)
-			break
-		}
-		if !spec.Star && spec.Col < len(touched) {
+		switch {
+		case spec.Expr != nil:
+			touched = x.touchedCols(f, nil)
+		case !spec.Star:
+			if err := x.checkCols([]int{spec.Col}); err != nil {
+				return nil, err
+			}
 			touched[spec.Col] = true
 		}
 	}
 	x.noteScan(touched)
+	// The selection lives only as long as the scan, so it comes from the
+	// pool, sized for every row at once.
+	sel := vector.GetSel()
+	if n := x.vis.len(); cap(sel) < n {
+		sel = make([]int, 0, n)
+	}
+	sel, err = f.Refine(x.vecs, x.vis.appendVisible(sel, ts, 0))
+	defer vector.PutSel(sel)
+	if err != nil {
+		return nil, err
+	}
 	type group struct {
 		key  types.Row
 		accs []*aggAcc
 	}
 	groups := make(map[string]*group)
-	n := x.vis.len()
-	cur := x.vis.cursor()
 	// keyBuf is reused per row; map lookups with string(keyBuf) do not
 	// allocate on hit, so steady-state grouping is allocation-free —
 	// this is where the columnar path earns its Fig. 10 speedups.
 	keyBuf := make([]byte, 0, 64)
-rows:
-	for i := 0; i < n; i++ {
-		if !cur.visible(i, ts) {
-			continue
-		}
-		for k := range preds {
-			if !preds[k].eval(i) {
-				continue rows
-			}
-		}
-		if len(residual) > 0 {
-			row := x.materialize(i, nil)
-			for _, r := range residual {
-				v, err := sql.Eval(r, row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsTruthy() {
-					continue rows
-				}
-			}
-		}
+	for _, i := range sel {
 		keyBuf = keyBuf[:0]
 		for _, c := range groupBy {
 			keyBuf = appendGroupKey(keyBuf, x.cols[c], i)
@@ -559,7 +279,7 @@ rows:
 			}
 			if spec.Expr != nil {
 				if exprRow == nil {
-					exprRow = x.materialize(i, nil)
+					exprRow = x.row(i)
 				}
 				val, err := sql.Eval(spec.Expr, exprRow)
 				if err != nil {

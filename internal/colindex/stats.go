@@ -1,6 +1,10 @@
 package colindex
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/executor"
+)
 
 // Package-wide scan accounting, cheap enough to stay always-on: the
 // Fig. 10 benchmarks report bytes scanned per query from here, and the
@@ -14,7 +18,7 @@ var (
 
 // Stats is a snapshot of the package scan counters.
 type Stats struct {
-	Scans        int64 // column-index scans served (Scan/AggScan/ScanBatch)
+	Scans        int64 // column-index scans served (AggScan/ScanBatch)
 	EncodedScans int64 // scans that touched at least one encoded column
 	BytesScanned int64 // resident bytes of the columns each scan touched
 }
@@ -59,26 +63,22 @@ func (x *Index) noteScan(touched []bool) {
 	}
 }
 
-// touchedCols marks the columns a scan reads: predicate columns plus
-// the projection, or every column when the projection is open or a
-// residual expression materializes whole rows.
-func (x *Index) touchedCols(preds []boundPred, projection []int, all bool) []bool {
+// touchedCols marks the columns a scan reads: the filter's kernel
+// columns plus the projection, or every column when the projection is
+// open or a residual conjunct materializes whole rows.
+func (x *Index) touchedCols(f *executor.Filter, projection []int) []bool {
 	touched := make([]bool, len(x.cols))
-	if all || projection == nil {
+	if f.Residual() || projection == nil {
 		for c := range touched {
 			touched[c] = true
 		}
 		return touched
 	}
-	for _, p := range preds {
-		if p.col() < len(touched) {
-			touched[p.col()] = true
-		}
+	for _, c := range f.Cols() {
+		touched[c] = true
 	}
 	for _, c := range projection {
-		if c < len(touched) {
-			touched[c] = true
-		}
+		touched[c] = true
 	}
 	return touched
 }

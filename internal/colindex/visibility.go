@@ -60,56 +60,24 @@ func (vs *visibility) sizeBytes() int {
 	return 4*len(vs.cEnds) + 8*len(vs.cVals) + 8*len(vs.delWords) + 48*len(vs.delMap)
 }
 
-// visCursor answers per-row visibility checks for an ascending scan,
-// amortizing the created-run lookup to O(1) per row. Each scan owns its
-// cursor; it is only valid under the lock it was created under.
-type visCursor struct {
-	vs  *visibility
-	run int
-}
-
-func (vs *visibility) cursor() visCursor { return visCursor{vs: vs} }
-
-// visible reports whether row i is live at snapshot ts. i may be
-// arbitrary, but ascending access is the fast path.
-func (c *visCursor) visible(i int, ts hlc.Timestamp) bool {
-	vs := c.vs
-	r := c.run
-	if r >= len(vs.cEnds) || i < runStart(vs.cEnds, r) || i >= int(vs.cEnds[r]) {
-		r = findEndsRun(vs.cEnds, i, r)
-		c.run = r
-	}
-	if vs.cVals[r] > ts {
-		return false
-	}
-	if w := i >> 6; w >= len(vs.delWords) || vs.delWords[w]>>uint(i&63)&1 == 0 {
-		return true
-	}
-	d := vs.delMap[int32(i)]
-	return d > ts
-}
-
-func runStart(ends []int32, r int) int {
-	if r == 0 {
-		return 0
-	}
-	return int(ends[r-1])
-}
-
-// findEndsRun locates the run containing i, trying hint and hint+1
-// before falling back to binary search.
-func findEndsRun(ends []int32, i, hint int) int {
-	if next := hint + 1; next < len(ends) && i >= runStart(ends, next) && i < int(ends[next]) {
-		return next
-	}
-	lo, hi := 0, len(ends)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(ends[mid]) > i {
-			hi = mid
-		} else {
-			lo = mid + 1
+// appendVisible appends the rows live at snapshot ts to sel in
+// ascending order, a created-run at a time, and stops once sel holds
+// stop rows (0 = no limit).
+func (vs *visibility) appendVisible(sel []int, ts hlc.Timestamp, stop int) []int {
+	start := 0
+	for r, end := range vs.cEnds {
+		if vs.cVals[r] <= ts {
+			for i := start; i < int(end); i++ {
+				if w := i >> 6; w < len(vs.delWords) && vs.delWords[w]>>uint(i&63)&1 == 1 && vs.delMap[int32(i)] <= ts {
+					continue
+				}
+				sel = append(sel, i)
+				if len(sel) == stop {
+					return sel
+				}
+			}
 		}
+		start = int(end)
 	}
-	return lo
+	return sel
 }

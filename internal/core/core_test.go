@@ -329,8 +329,28 @@ func TestColumnIndexAPPath(t *testing.T) {
 	if err := c.WaitROConvergence(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// Literals the column's kind cannot hold exactly must compare the
+	// same way on both stores.
+	shapes := []string{
+		"SELECT COUNT(*) FROM users WHERE balance = 10.5",
+		"SELECT COUNT(*) FROM users WHERE balance = NULL",
+		"SELECT COUNT(*) FROM users WHERE balance > 9.5 AND balance < 10.5",
+	}
+	rowStore := make([]int64, len(shapes))
+	for i, q := range shapes {
+		rowStore[i] = mustExec(t, s, q).Rows[0][0].AsInt()
+	}
 	if err := c.EnableColumnIndexes("users"); err != nil {
 		t.Fatal(err)
+	}
+	for i, q := range shapes {
+		res := mustExec(t, s, q)
+		if !strings.Contains(res.Plan.Explain(), "store=colindex") {
+			t.Fatalf("%s: plan did not choose the column index:\n%s", q, res.Plan.Explain())
+		}
+		if got := res.Rows[0][0].AsInt(); got != rowStore[i] {
+			t.Fatalf("%s: column index counts %d, row store %d", q, got, rowStore[i])
+		}
 	}
 	res := mustExec(t, s, "SELECT city, SUM(balance), COUNT(*) FROM users GROUP BY city ORDER BY city")
 	if len(res.Rows) != 5 {

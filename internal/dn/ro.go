@@ -557,17 +557,16 @@ func (r *RO) scanColumnIndex(ix *colindex.Index, m ScanReq) (ScanResp, error) {
 		}
 		return scanResp(rows, m.WantBatch), nil
 	}
-	if m.WantBatch {
-		// Zero-copy: the batch's vectors alias the index's column storage.
-		b, err := ix.ScanBatch(m.SnapshotTS, m.Filter, m.Projection, m.Limit)
-		if err != nil {
-			return ScanResp{}, err
-		}
-		if b.NumRows() == 0 {
-			return ScanResp{}, nil
-		}
-		return ScanResp{Batch: b}, nil
+	// Zero-copy: the batch's vectors alias the index's column storage.
+	b, err := ix.ScanBatch(m.SnapshotTS, m.Filter, m.Projection, m.Limit)
+	if err != nil {
+		return ScanResp{}, err
 	}
-	rows, err := ix.Scan(m.SnapshotTS, m.Filter, m.Projection, m.Limit)
-	return ScanResp{Rows: rows}, err
+	if b.NumRows() == 0 {
+		return ScanResp{}, nil
+	}
+	if !m.WantBatch {
+		return ScanResp{Rows: b.AppendRows(nil)}, nil
+	}
+	return ScanResp{Batch: b}, nil
 }

@@ -8,24 +8,36 @@ import (
 	"repro/internal/vector"
 )
 
-// simpleBPred is one compiled col-op-literal conjunct evaluated with a
-// typed kernel over a column vector. The comparison ops carry exactly
-// sql.Eval's semantics: NULL operands never match, values compare via
-// types.Value.Compare.
+// Filter is a compiled WHERE clause over column vectors, the one
+// `column op literal` compiler of the batch engine and the column index.
+// Conjuncts of the form column-op-literal (either way round), BETWEEN and
+// IS [NOT] NULL run as typed kernels, on encoded payloads where a
+// code-space kernel exists; whatever else is left runs through sql.Eval
+// per surviving position on a scratch row. Every path keeps sql.Eval's
+// semantics: NULL operands never match, values compare via
+// types.Value.Compare. Column positions index the vectors passed to
+// Refine. A Filter is not safe for concurrent use.
+type Filter struct {
+	preds      []simpleBPred
+	residual   sql.Expr
+	constFalse bool // a conjunct can never be truthy (e.g. col = NULL)
+	scratch    types.Row
+}
+
+// simpleBPred is one compiled col-op-literal conjunct.
 type simpleBPred struct {
 	col int
 	op  string // "=", "<>", "<", "<=", ">", ">=", "isnull", "notnull"
 	val types.Value
 }
 
-// compileBatchPred decomposes an AND tree into typed-kernel conjuncts
-// plus a residual expression for whatever doesn't fit. constFalse marks
-// predicates that can never be truthy (a comparison against a NULL
-// literal NULLs the conjunct, which falsifies the AND).
-func compileBatchPred(e sql.Expr) (preds []simpleBPred, residual sql.Expr, constFalse bool) {
+// CompileFilter decomposes an AND tree (nil = no filter) into typed-kernel
+// conjuncts plus a residual expression for whatever doesn't fit.
+func CompileFilter(e sql.Expr) *Filter {
+	f := &Filter{}
 	var walk func(sql.Expr)
 	walk = func(n sql.Expr) {
-		if constFalse {
+		if n == nil || f.constFalse {
 			return
 		}
 		if b, ok := n.(*sql.BinaryOp); ok && b.Op == "AND" {
@@ -34,24 +46,70 @@ func compileBatchPred(e sql.Expr) (preds []simpleBPred, residual sql.Expr, const
 			return
 		}
 		if p, ok, cf := compileBatchLeaf(n); cf {
-			constFalse = true
+			f.constFalse = true
 			return
 		} else if ok {
-			preds = append(preds, p...)
+			f.preds = append(f.preds, p...)
 			return
 		}
-		if residual == nil {
-			residual = n
+		if f.residual == nil {
+			f.residual = n
 		} else {
-			residual = &sql.BinaryOp{Op: "AND", L: residual, R: n}
+			f.residual = &sql.BinaryOp{Op: "AND", L: f.residual, R: n}
 		}
 	}
 	walk(e)
-	return preds, residual, constFalse
+	return f
+}
+
+// Cols lists the column positions the typed kernels read (with repeats).
+func (f *Filter) Cols() []int {
+	cols := make([]int, len(f.preds))
+	for k, p := range f.preds {
+		cols[k] = p.col
+	}
+	return cols
+}
+
+// Residual reports whether some conjunct evaluates per row over every
+// column.
+func (f *Filter) Residual() bool { return f.residual != nil }
+
+// Refine narrows sel, in place, to the positions whose rows pass the
+// filter and returns it. sel must be ascending (the run-length kernel
+// walks runs with a cursor). On error sel's contents are unspecified.
+func (f *Filter) Refine(vecs []*vector.Vector, sel []int) ([]int, error) {
+	if f.constFalse {
+		return sel[:0], nil
+	}
+	for _, p := range f.preds {
+		sel = p.apply(vecs[p.col], sel, sel[:0])
+	}
+	if f.residual == nil || len(sel) == 0 {
+		return sel, nil
+	}
+	if len(f.scratch) != len(vecs) {
+		f.scratch = make(types.Row, len(vecs))
+	}
+	out := sel[:0]
+	for _, i := range sel {
+		for c, v := range vecs {
+			f.scratch[c] = v.Value(i)
+		}
+		v, err := sql.Eval(f.residual, f.scratch)
+		if err != nil {
+			return sel, err
+		}
+		if v.IsTruthy() {
+			out = append(out, i)
+		}
+	}
+	return out, nil
 }
 
 // compileBatchLeaf compiles one conjunct; ok=false sends it to the
-// residual, constFalse short-circuits the whole filter.
+// residual, constFalse short-circuits the whole filter (a comparison
+// against a NULL literal NULLs the conjunct, which falsifies the AND).
 func compileBatchLeaf(n sql.Expr) (preds []simpleBPred, ok, constFalse bool) {
 	switch e := n.(type) {
 	case *sql.BinaryOp:
@@ -126,7 +184,8 @@ func flipCmp(op string) string {
 	return op // = and <> are symmetric
 }
 
-// apply refines sel against one column, appending survivors to out.
+// apply refines sel against one column, appending survivors to out
+// (which may be sel[:0]: every kernel writes at or behind its read).
 // Typed fast paths cover the common vector/literal pairings; everything
 // else boxes per position with Value.Compare, which keeps sql.Eval's
 // semantics for cross-class comparisons.
@@ -156,7 +215,7 @@ func (p simpleBPred) apply(vec *vector.Vector, sel, out []int) []int {
 			if v.IsNull() {
 				continue
 			}
-			if cmpMatches(v.Compare(p.val), p.op) {
+			if vector.CmpMatches(v.Compare(p.val), p.op) {
 				out = append(out, i)
 			}
 		}
@@ -181,28 +240,11 @@ func (p simpleBPred) apply(vec *vector.Vector, sel, out []int) []int {
 		if v.IsNull() {
 			continue
 		}
-		if cmpMatches(v.Compare(p.val), p.op) {
+		if vector.CmpMatches(v.Compare(p.val), p.op) {
 			out = append(out, i)
 		}
 	}
 	return out
-}
-
-func cmpMatches(c int, op string) bool {
-	switch op {
-	case "=":
-		return c == 0
-	case "<>":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	default:
-		return c >= 0
-	}
 }
 
 // applyIntCmp is the int64 comparison kernel: one branch per row, no
@@ -314,18 +356,13 @@ func applyStrCmp(strs []string, nulls []bool, c string, op string, sel, out []in
 	return out
 }
 
-// BatchFilter refines the batch's selection vector in place: simple
-// col-op-literal conjuncts run as typed kernels, the residual (OR
-// trees, LIKE, arithmetic, IN) evaluates row-at-a-time on a scratch
-// row. No column data is copied.
+// BatchFilter refines the batch's selection vector with a compiled
+// Filter. No column data is copied.
 type BatchFilter struct {
 	Input BatchOperator
 	Pred  sql.Expr
 
-	preds      []simpleBPred
-	residual   sql.Expr
-	constFalse bool
-	scratch    types.Row
+	filter *Filter
 }
 
 // Columns implements BatchOperator.
@@ -333,8 +370,7 @@ func (f *BatchFilter) Columns() []string { return f.Input.Columns() }
 
 // Open implements BatchOperator.
 func (f *BatchFilter) Open() error {
-	f.preds, f.residual, f.constFalse = compileBatchPred(f.Pred)
-	f.scratch = make(types.Row, len(f.Input.Columns()))
+	f.filter = CompileFilter(f.Pred)
 	return f.Input.Open()
 }
 
@@ -345,7 +381,7 @@ func (f *BatchFilter) NextBatch() (*vector.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if f.constFalse {
+		if f.filter.constFalse {
 			b.Release()
 			continue
 		}
@@ -357,31 +393,12 @@ func (f *BatchFilter) NextBatch() (*vector.Batch, error) {
 				sel = append(sel, i)
 			}
 		}
-		tmp := vector.GetSel()
-		for _, p := range f.preds {
-			tmp = p.apply(b.Vecs[p.col], sel, tmp[:0])
-			sel, tmp = tmp, sel
+		sel, err = f.filter.Refine(b.Vecs, sel)
+		if err != nil {
+			vector.PutSel(sel)
+			b.Release()
+			return nil, err
 		}
-		if f.residual != nil && len(sel) > 0 {
-			tmp = tmp[:0]
-			for _, i := range sel {
-				for c, v := range b.Vecs {
-					f.scratch[c] = v.Value(i)
-				}
-				v, err := sql.Eval(f.residual, f.scratch)
-				if err != nil {
-					vector.PutSel(sel)
-					vector.PutSel(tmp)
-					b.Release()
-					return nil, err
-				}
-				if v.IsTruthy() {
-					tmp = append(tmp, i)
-				}
-			}
-			sel, tmp = tmp, sel
-		}
-		vector.PutSel(tmp)
 		if len(sel) == 0 {
 			vector.PutSel(sel)
 			b.Release()

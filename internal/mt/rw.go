@@ -183,7 +183,7 @@ func (tx *Tx) Commit() error {
 	if rw := tx.rw; rw.svc != nil {
 		// Occupy an execution slot for the commit's service time.
 		rw.svc <- struct{}{}
-		time.Sleep(rw.svcCost)
+		simnet.Delay(rw.svcCost)
 		<-rw.svc
 	}
 	if err := tx.tenant.eng.Commit(tx.txn, tx.rw.clock.Advance()); err != nil {

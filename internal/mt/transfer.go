@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/simnet"
 	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/wal"
@@ -80,7 +81,7 @@ func (c *Cluster) Transfer(tenant TenantID, from, to string) (TransferStats, err
 	// Step 2: drain ongoing transactions gracefully.
 	drainStart := time.Now()
 	for src.activeTxns(tenant) > 0 {
-		time.Sleep(100 * time.Microsecond)
+		simnet.Delay(100 * time.Microsecond)
 	}
 	stats.DrainWait = time.Since(drainStart)
 
@@ -100,9 +101,8 @@ func (c *Cluster) Transfer(tenant TenantID, from, to string) (TransferStats, err
 		stats.FlushPages += n
 	}
 	// Each 16 KB page write pays a storage round trip (~20 µs). PolarFS
-	// pipelines flushes, so the cost is charged in aggregate — sleeping
-	// per page would hit OS timer granularity and overstate it 50x.
-	time.Sleep(time.Duration(stats.FlushPages) * 20 * time.Microsecond)
+	// pipelines flushes, so the cost is charged in aggregate.
+	simnet.Delay(time.Duration(stats.FlushPages) * 20 * time.Microsecond)
 	src.mu.Lock()
 	delete(src.open, tenant)
 	src.mu.Unlock()
@@ -135,7 +135,7 @@ func (c *Cluster) Transfer(tenant TenantID, from, to string) (TransferStats, err
 	// The dictionary fetch carries the source's HLC (every RPC does), so
 	// the destination's snapshots cover everything the source committed.
 	dst.clock.Update(src.clock.Last())
-	time.Sleep(200 * time.Microsecond) // dictionary fetch round trip
+	simnet.Delay(200 * time.Microsecond) // dictionary fetch round trip
 	stats.OpenTime = time.Since(openStart)
 
 	// Step 6: resume.
@@ -178,7 +178,7 @@ func (c *Cluster) TransferByCopy(tenant TenantID, from, to string, perRowCost ti
 		close(gate)
 	}()
 	for src.activeTxns(tenant) > 0 {
-		time.Sleep(100 * time.Microsecond)
+		simnet.Delay(100 * time.Microsecond)
 	}
 
 	// Build the destination copy row by row.
@@ -199,12 +199,13 @@ func (c *Cluster) TransferByCopy(tenant TenantID, from, to string, perRowCost ti
 			stats.Bytes += int64(len(enc))
 			stats.RowsCopy++
 			if perRowCost > 0 {
-				// Charge transfer cost in ~1ms slices: per-row sleeps
-				// would be quantized up by the OS timer and overstate
-				// the baseline (we want it slow for the *right* reason).
+				// Charge transfer cost in ~1ms slices: each wait ends a
+				// little late, and per-row waits would add that up and
+				// overstate the baseline (we want it slow for the *right*
+				// reason).
 				pendingCost += perRowCost
 				if pendingCost >= time.Millisecond {
-					time.Sleep(pendingCost)
+					simnet.Delay(pendingCost)
 					pendingCost = 0
 				}
 			}
@@ -214,7 +215,7 @@ func (c *Cluster) TransferByCopy(tenant TenantID, from, to string, perRowCost ti
 			return stats, err
 		}
 		if pendingCost > 0 {
-			time.Sleep(pendingCost)
+			simnet.Delay(pendingCost)
 		}
 		if err := newEng.Commit(wtxn, src.clock.Advance()); err != nil {
 			return stats, err

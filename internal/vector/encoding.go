@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 
@@ -673,10 +674,12 @@ func CmpMatches(c int, op string) bool {
 	}
 }
 
-// MatchTable evaluates `value OP lit` once per dictionary entry,
-// returning a per-code truth table: |dict| string comparisons replace
-// |rows| of them, and the row loop becomes a code-indexed bit test.
-func (e *DictEnc) MatchTable(op string, lit string) []bool {
+// FilterCmp refines sel against `column OP lit`, appending survivors to
+// out. `value OP lit` is evaluated once per dictionary entry into a
+// per-code truth table: |dict| string comparisons replace |rows| of
+// them, and the row loop becomes a code-indexed bit test. NULL positions
+// never match (SQL comparison semantics).
+func (e *DictEnc) FilterCmp(op string, lit string, sel, out []int) []int {
 	table := make([]bool, len(e.Vals))
 	for c, s := range e.Vals {
 		var cmp int
@@ -688,13 +691,6 @@ func (e *DictEnc) MatchTable(op string, lit string) []bool {
 		}
 		table[c] = CmpMatches(cmp, op)
 	}
-	return table
-}
-
-// FilterCmp refines sel against `column OP lit`, appending survivors to
-// out. NULL positions never match (SQL comparison semantics).
-func (e *DictEnc) FilterCmp(op string, lit string, sel, out []int) []int {
-	table := e.MatchTable(op, lit)
 	for _, i := range sel {
 		if e.Codes.IsNull(i) {
 			continue
@@ -707,21 +703,36 @@ func (e *DictEnc) FilterCmp(op string, lit string, sel, out []int) []int {
 }
 
 // FilterIntCmp refines sel against `column OP c` over bit-packed ints,
-// decoding inline (shift/mask/unzigzag) per surviving position.
+// decoding per surviving position. The operator becomes a closed range
+// [lo, hi] (negated for <>), so the row loop makes two integer
+// comparisons and no operator dispatch.
 func (e *BitPackEnc) FilterIntCmp(op string, c int64, sel, out []int) []int {
+	lo, hi, neg := int64(math.MinInt64), int64(math.MaxInt64), false
+	switch op {
+	case "=":
+		lo, hi = c, c
+	case "<>":
+		lo, hi, neg = c, c, true
+	case "<":
+		if c == math.MinInt64 {
+			return out
+		}
+		hi = c - 1
+	case "<=":
+		hi = c
+	case ">":
+		if c == math.MaxInt64 {
+			return out
+		}
+		lo = c + 1
+	default:
+		lo = c
+	}
 	for _, i := range sel {
 		if e.IsNull(i) {
 			continue
 		}
-		v := e.Get(i)
-		var cmp int
-		switch {
-		case v < c:
-			cmp = -1
-		case v > c:
-			cmp = 1
-		}
-		if CmpMatches(cmp, op) {
+		if v := e.Get(i); (v >= lo && v <= hi) != neg {
 			out = append(out, i)
 		}
 	}

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -231,8 +232,7 @@ func TestPackAndRLEFilterCmp(t *testing.T) {
 	for i := range sel {
 		sel[i] = i
 	}
-	lit := types.Int(3)
-	check := func(label string, got []int, op string) {
+	check := func(label string, got []int, op string, lit types.Value) {
 		t.Helper()
 		var want []int
 		for i, val := range vals {
@@ -253,10 +253,14 @@ func TestPackAndRLEFilterCmp(t *testing.T) {
 	p.EncodeAs(EncPack)
 	r := mkRaw(types.KindInt, vals)
 	r.EncodeAs(EncRLE)
-	for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
-		check("pack", p.Pack.FilterIntCmp(op, lit.I, sel, nil), op)
-		check("pack-float", p.Pack.FilterFloatCmp(op, float64(lit.I), sel, nil), op)
-		check("rle", r.RLE.FilterCmp(op, lit, sel, nil), op)
+	// The extreme literals exercise the pack kernel's empty ranges.
+	for _, c := range []int64{3, -1, math.MinInt64, math.MaxInt64} {
+		lit := types.Int(c)
+		for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+			check("pack", p.Pack.FilterIntCmp(op, lit.I, sel, nil), op, lit)
+			check("pack-float", p.Pack.FilterFloatCmp(op, float64(lit.I), sel, nil), op, types.Float(float64(c)))
+			check("rle", r.RLE.FilterCmp(op, lit, sel, nil), op, lit)
+		}
 	}
 	sum, count := p.Pack.SumInt(sel)
 	var wantSum, wantCount int64
