@@ -73,7 +73,10 @@ test-short:
 # index, and the tracing/metrics layer run first and explicitly: every
 # statement's pooled batches move through bounded exchange queues, and
 # the lock-cheap metrics instruments are shared-memory surfaces too.
+# Replication runs first as well: each RO replica's tail loop reads the
+# instance's redo log while purge, eviction and Stop race it.
 test-race: vet
+	$(GO) test -race ./internal/dn/ ./internal/paxos/ ./internal/wal/
 	$(GO) test -race ./internal/executor/ ./internal/colindex/ ./internal/obs/ ./internal/vector/
 	$(GO) test -race ./...
 

@@ -10,7 +10,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -770,35 +769,27 @@ func (s statsAdapter) RowCount(table string) int64 {
 // errUnsupported wraps statement-dispatch misses.
 var errUnsupported = errors.New("core: unsupported statement")
 
-// WaitROConvergence blocks until every fed RO replica has applied redo
-// up to its group's current DLSN (test/bench helper). A replica its
-// instance evicted is not waited for: it will never catch up. On timeout
-// the error names a lagging replica, how far it got, and the group's DLSN
-// and redo base.
+// WaitROConvergence blocks until every RO replica has applied redo up to
+// its group's DLSN, read when the wait for that replica starts
+// (test/bench helper). A halted replica — evicted, or stopped — is not
+// waited for: it will never catch up. On timeout the error names a lagging
+// replica, how far it got, and the group's DLSN and redo base.
 func (c *Cluster) WaitROConvergence(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		lagging := ""
-		c.mu.Lock()
-		for _, inst := range c.dns {
+	c.mu.Lock()
+	insts := make([]*dn.Instance, 0, len(c.dns))
+	for _, inst := range c.dns {
+		insts = append(insts, inst)
+	}
+	c.mu.Unlock()
+	for _, inst := range insts {
+		for _, ro := range inst.ROs() {
 			dlsn := inst.Paxos().DLSN()
-			evicted := inst.EvictedROs()
-			for _, ro := range inst.ROs() {
-				applied := ro.AppliedLSN()
-				if applied >= dlsn || slices.Contains(evicted, ro.Name()) {
-					continue
-				}
-				lagging = fmt.Sprintf("%s applied %d, %s dlsn %d base %d",
-					ro.Name(), applied, inst.Name(), dlsn, inst.Paxos().Log().BaseLSN())
+			if err := ro.WaitApplied(dlsn, deadline); errors.Is(err, obs.ErrDeadlineExceeded) {
+				return fmt.Errorf("core: RO convergence timeout: %s applied %d, %s dlsn %d base %d",
+					ro.Name(), ro.AppliedLSN(), inst.Name(), dlsn, inst.Paxos().Log().BaseLSN())
 			}
 		}
-		c.mu.Unlock()
-		if lagging == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: RO convergence timeout: %s", lagging)
-		}
-		time.Sleep(time.Millisecond)
 	}
+	return nil
 }

@@ -587,7 +587,7 @@ func TestRONeverServesUndurableData(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the RO shipper time to (incorrectly) ship if it were going to.
+	// Give the RO tail time to (incorrectly) apply if it were going to.
 	time.Sleep(100 * time.Millisecond)
 	if got := ro.AppliedLSN(); got != durableLSN {
 		t.Fatalf("RO advanced past DLSN: %d > %d", got, durableLSN)

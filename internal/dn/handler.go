@@ -64,9 +64,6 @@ func (i *Instance) handle(from string, msg any) (any, error) {
 		return nil, i.CreateTable(m.ID, m.Tenant, m.Schema)
 	case CreateIndexReq:
 		return nil, i.CreateIndex(m.Table, m.Name, m.Cols)
-	case roAck:
-		i.handleROAck(m)
-		return nil, nil
 	case StatusReq:
 		return i.status(), nil
 	default:

@@ -149,8 +149,6 @@ type Instance struct {
 	mu      sync.Mutex
 	txns    map[uint64]*txnEntry
 	ros     []*RO
-	roCur   map[string]wal.LSN // shipping cursor per RO
-	roAck   map[string]wal.LSN // applied LSN acked per RO
 	evicted map[string]bool
 	stopped bool
 
@@ -180,7 +178,8 @@ type Instance struct {
 	// mDeadline counts requests refused or unparked because their
 	// statement deadline expired (nil-safe).
 	mDeadline *obs.Counter
-	// mROEvicted counts replicas kicked out of the redo feed (nil-safe).
+	// mROEvicted counts replicas evicted for lag or for redo they could
+	// not read or apply (nil-safe).
 	mROEvicted *obs.Counter
 
 	done chan struct{}
@@ -207,8 +206,6 @@ func NewInstance(cfg Config) (*Instance, error) {
 		timeSrc:     obs.Or(cfg.TimeSource),
 		eng:         storage.NewEngine(),
 		txns:        make(map[uint64]*txnEntry),
-		roCur:       make(map[string]wal.LSN),
-		roAck:       make(map[string]wal.LSN),
 		evicted:     make(map[string]bool),
 		decisions:   make(map[uint64]*decision),
 		finished:    make(map[uint64]finishedTxn),
@@ -252,13 +249,13 @@ func NewInstance(cfg Config) (*Instance, error) {
 		node.Bootstrap()
 	}
 	node.Start()
-	inst.wg.Add(2)
-	go inst.roShipperLoop()
+	inst.wg.Add(1)
 	go inst.flusherLoop()
 	return inst, nil
 }
 
-// Stop terminates the instance and its RO replicas.
+// Stop terminates the instance and its RO replicas. Halting a replica
+// cuts its apply delay short, so Stop never waits one out.
 func (i *Instance) Stop() {
 	i.mu.Lock()
 	if i.stopped {
@@ -268,11 +265,14 @@ func (i *Instance) Stop() {
 	i.stopped = true
 	ros := append([]*RO(nil), i.ros...)
 	i.mu.Unlock()
+	for _, ro := range ros {
+		ro.halt()
+	}
 	close(i.done)
 	i.wg.Wait()
 	i.node.Stop()
 	for _, ro := range ros {
-		ro.stop()
+		i.cfg.Net.Unregister(ro.name)
 	}
 	i.cfg.Net.Unregister(i.cfg.Name)
 }
@@ -296,33 +296,40 @@ func (i *Instance) Engine() *storage.Engine { return i.eng }
 func (i *Instance) Paxos() *paxos.Node { return i.node }
 
 // onApply is the follower-side apply path: redo committed by the group
-// leader lands here once DLSN covers it.
+// leader lands here once DLSN covers it. Its error is still dropped
+// (ROADMAP item 18(a)); the instance's replicas apply the same redo
+// themselves and halt on theirs.
 func (i *Instance) onApply(recs []wal.Record, start, end wal.LSN) {
-	i.applyRecords(recs)
+	_ = applyRedo(i.eng, i.applier, recs)
 }
 
-// applyRecords handles DDL records inline and delegates rows to the
-// applier.
-func (i *Instance) applyRecords(recs []wal.Record) {
-	run := recs[:0:0]
-	flush := func() {
-		if len(run) > 0 {
-			_ = i.applier.Apply(run)
-			run = run[:0]
+// applyRedo applies redo records in log order: rows go through ap in
+// runs, and each DDL record between them creates its table in eng. A
+// table that already exists is expected — the RW creates tables on its
+// replicas directly — and is not an error. Every record is applied; the
+// first error is returned.
+func applyRedo(eng *storage.Engine, ap *storage.Applier, recs []wal.Record) error {
+	var first error
+	note := func(err error) {
+		if first == nil && err != nil && !errors.Is(err, storage.ErrTableExists) {
+			first = err
 		}
 	}
-	for _, rec := range recs {
-		if rec.Type == wal.RecDDL {
-			flush()
-			if schema, err := DecodeSchema(rec.Payload); err == nil {
-				_, _ = i.eng.CreateTable(rec.TableID, rec.TenantID, schema)
-				i.createTableOnROs(rec.TableID, rec.TenantID, rec.Payload)
-			}
+	run := 0 // start of the row run not yet applied
+	for k, rec := range recs {
+		if rec.Type != wal.RecDDL {
 			continue
 		}
-		run = append(run, rec)
+		note(ap.Apply(recs[run:k]))
+		run = k + 1
+		schema, err := DecodeSchema(rec.Payload)
+		if err == nil {
+			_, err = eng.CreateTable(rec.TableID, rec.TenantID, schema)
+		}
+		note(err)
 	}
-	flush()
+	note(ap.Apply(recs[run:]))
+	return first
 }
 
 // CreateTable provisions a table cluster-wide: locally, on local ROs,
@@ -331,8 +338,10 @@ func (i *Instance) CreateTable(id, tenant uint32, schema *types.Schema) error {
 	if _, err := i.eng.CreateTable(id, tenant, schema); err != nil {
 		return err
 	}
+	for _, ro := range i.ROs() {
+		_, _ = ro.eng.CreateTable(id, tenant, schema)
+	}
 	payload := EncodeSchema(schema)
-	i.createTableOnROs(id, tenant, payload)
 	if i.IsLeader() && len(i.cfg.Members) > 1 {
 		end, err := i.node.Propose(wal.Record{
 			Type: wal.RecDDL, TableID: id, TenantID: tenant, Payload: payload,
@@ -352,29 +361,13 @@ func (i *Instance) CreateTable(id, tenant uint32, schema *types.Schema) error {
 	return nil
 }
 
-func (i *Instance) createTableOnROs(id, tenant uint32, schemaPayload []byte) {
-	schema, err := DecodeSchema(schemaPayload)
-	if err != nil {
-		return
-	}
-	i.mu.Lock()
-	ros := append([]*RO(nil), i.ros...)
-	i.mu.Unlock()
-	for _, ro := range ros {
-		_, _ = ro.eng.CreateTable(id, tenant, schema)
-	}
-}
-
 // CreateIndex provisions a local secondary index on this instance and
 // its ROs (indexes are node-local acceleration structures).
 func (i *Instance) CreateIndex(table uint32, name string, cols []string) error {
 	if _, err := i.eng.CreateIndex(table, name, cols); err != nil {
 		return err
 	}
-	i.mu.Lock()
-	ros := append([]*RO(nil), i.ros...)
-	i.mu.Unlock()
-	for _, ro := range ros {
+	for _, ro := range i.ROs() {
 		if _, err := ro.eng.CreateIndex(table, name, cols); err != nil {
 			return err
 		}
@@ -443,10 +436,16 @@ func (i *Instance) purgeRedo(dlsn wal.LSN) {
 		bound = oldest
 	}
 	// i.mu is held from the replica floor through the purge: AddRO takes
-	// BaseLSN as a new replica's cursor under the same lock, so no purge
-	// lands above a cursor it did not see.
+	// BaseLSN as a new replica's start under the same lock, so no purge
+	// lands above a start it did not see. A replica lagging DLSN by more
+	// than ROLagLimit is evicted first, so it stops holding purge back.
 	i.mu.Lock()
 	defer i.mu.Unlock()
+	for _, ro := range i.ros {
+		if a := ro.appliedLSN(); a < dlsn && dlsn-a > i.cfg.ROLagLimit {
+			i.evictLocked(ro)
+		}
+	}
 	if m := i.minROAckLocked(dlsn); m < bound {
 		bound = m
 	}

@@ -15,14 +15,12 @@ import (
 	"repro/internal/wal"
 )
 
-// RO is a read-only replica attached to a DN instance (§II-C). It applies
-// the instance's redo stream into its own engine and serves snapshot
-// reads; session consistency is enforced by waiting until the applied
-// LSN covers the client's last write.
+// RO is a read-only replica attached to a DN instance (§II-C). It tails
+// the instance's redo log below DLSN into its own engine and serves
+// snapshot reads; session consistency is enforced by waiting until the
+// applied LSN covers the client's last write.
 type RO struct {
 	name string
-	dc   simnet.DC
-	net  *simnet.Network
 	eng  *storage.Engine
 	ap   *storage.Applier
 	// clock absorbs the snapshots of the reads served, as a leader's
@@ -34,24 +32,21 @@ type RO struct {
 	// exceeds the limit.
 	applyDelay atomic.Int64 // nanoseconds per batch
 
-	// ingestMu serialises ingest from the in-order check through apply and
-	// publish: simnet delivers every shipped batch on its own goroutine,
-	// and two batches applying concurrently would apply redo out of order
-	// and move applied backwards.
-	ingestMu sync.Mutex
-	ingests  uint64 // guarded by ingestMu
-
-	mu      sync.Mutex
-	applied wal.LSN // monotonic; also the next expected stream offset
+	mu sync.Mutex
+	// applied is monotonic: redo below it is applied. Only the tail loop
+	// raises it; the instance reads it as the replica's purge bound.
+	applied wal.LSN
 	// wake, when non-nil, is closed on the next change of applied or
-	// stopped; readers parked in waitApplied hold it.
+	// stopped; readers parked in WaitApplied hold it.
 	wake chan struct{}
-	// stopped is set when the replica is no longer fed: its instance
-	// stopped, or the instance evicted it.
+	// stopped is set when the replica halts: its instance stopped or
+	// evicted it, or its redo could not be read or applied. halted is
+	// closed at the same moment; it ends the tail loop.
 	stopped bool
+	halted  chan struct{}
 
 	// colBuilder, when non-nil, maintains in-memory column indexes fed
-	// from the applied redo stream (§VI-E).
+	// from the applied redo (§VI-E).
 	colBuilder atomic.Pointer[colindex.Builder]
 	// svc is this replica's own service-capacity model.
 	svc *svcModel
@@ -62,33 +57,17 @@ type RO struct {
 	mDeadline *obs.Counter
 }
 
-// roAppendMsg ships raw redo [Start, Start+len(Bytes)) to an RO.
-type roAppendMsg struct {
-	Start wal.LSN
-	Bytes []byte
-}
-
-// roAck reports the RO's applied offset back to the instance. Rewind
-// asks the shipper to resume from that offset: the batch just received
-// could not be applied there.
-type roAck struct {
-	From    string
-	Applied wal.LSN
-	Rewind  bool
-}
-
 // AddRO attaches a new read-only replica to the instance. Because the
 // replica shares PolarFS with the RW node, creation copies no data: the
-// replica starts consuming redo from the instance's current base and
+// replica starts tailing redo from the instance's current base and
 // serves reads once caught up. (This is what makes adding an RO take
 // seconds, not hours — the §II/§VII-C scalable-reads claim.)
 func (i *Instance) AddRO(name string) (*RO, error) {
 	ro := &RO{
 		name:      name,
-		dc:        i.cfg.DC,
-		net:       i.cfg.Net,
 		eng:       storage.NewEngine(),
 		clock:     hlc.NewClock(nil),
+		halted:    make(chan struct{}),
 		metrics:   i.cfg.Metrics,
 		mDeadline: i.cfg.Metrics.Counter("deadline.exceeded"),
 	}
@@ -103,6 +82,8 @@ func (i *Instance) AddRO(name string) (*RO, error) {
 	}
 	i.cfg.Net.Register(name, i.cfg.DC, ro.handle)
 
+	// i.mu is held from reading the base until the replica is listed, so
+	// purgeRedo, which holds it too, cannot pass the replica's start.
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if i.stopped {
@@ -110,12 +91,11 @@ func (i *Instance) AddRO(name string) (*RO, error) {
 		return nil, ErrStopped
 	}
 	i.ros = append(i.ros, ro)
-	base := i.node.Log().BaseLSN()
-	i.roCur[name] = base
-	i.roAck[name] = base
 	ro.mu.Lock()
-	ro.applied = base
+	ro.applied = i.node.Log().BaseLSN()
 	ro.mu.Unlock()
+	i.wg.Add(1)
+	go i.tailRedo(ro)
 	return ro, nil
 }
 
@@ -126,7 +106,8 @@ func (i *Instance) ROs() []*RO {
 	return append([]*RO(nil), i.ros...)
 }
 
-// EvictedROs lists replicas kicked out for lagging.
+// EvictedROs lists replicas kicked out for lagging or for redo they could
+// not read or apply.
 func (i *Instance) EvictedROs() []string {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -139,96 +120,50 @@ func (i *Instance) EvictedROs() []string {
 	return out
 }
 
-// roShipperLoop streams new redo to each RO replica, mirroring §II-C
-// steps 4-7: broadcast the update, replicas apply and piggyback their
-// consumed offset, and replicas lagging beyond the limit are kicked out
-// of the cluster so they stop holding back log purge.
-func (i *Instance) roShipperLoop() {
+// tailRedo is ro's apply loop, §II-C steps 4-7 with the shared log as
+// the feed: read the redo in [applied, DLSN) straight from the
+// instance's log, apply it, publish the new applied offset, and park
+// until DLSN rises or the replica halts. Only redo below DLSN is read:
+// beyond it records could be truncated after a leader change (§III). A
+// range the replica cannot read, decode or apply evicts it — a replica
+// that skipped redo must not keep serving reads.
+func (i *Instance) tailRedo(ro *RO) {
 	defer i.wg.Done()
-	ticker := time.NewTicker(time.Millisecond)
-	defer ticker.Stop()
+	batches := 0
 	for {
-		wait := i.node.Log().WaitForAppend()
+		dlsn, rose := i.node.WatchDLSN()
+		if from := ro.appliedLSN(); from < dlsn {
+			if !simnet.DelayOr(time.Duration(ro.applyDelay.Load()), ro.halted) {
+				return
+			}
+			if err := ro.applyRange(i.node.Log(), from, dlsn); err != nil {
+				i.mu.Lock()
+				i.evictLocked(ro)
+				i.mu.Unlock()
+				return
+			}
+			if batches++; batches%256 == 0 {
+				ro.vacuum()
+			}
+		}
 		select {
-		case <-i.done:
+		case <-rose:
+		case <-ro.halted:
 			return
-		case <-wait:
-		case <-ticker.C:
 		}
-		i.shipToROs()
 	}
 }
 
-func (i *Instance) shipToROs() {
-	log := i.node.Log()
-	// Only redo below DLSN is safe to expose to readers: beyond it the
-	// records could be truncated after a leader change (§III).
-	limit := i.node.DLSN()
-	type batch struct {
-		to  string
-		msg roAppendMsg
-	}
-	var batches []batch
-	// The redo is read under i.mu: purgeRedo holds it too and stays below
-	// every live replica's ack, so a range starting at or above the ack
-	// cannot be purged between choosing it and reading it.
-	i.mu.Lock()
-	for _, ro := range i.ros {
-		name := ro.name
-		if i.evicted[name] {
-			continue
-		}
-		// After a rewind the cursor can trail the ack (a batch in flight
-		// took the replica further); what the replica holds is not re-sent.
-		cur := max(i.roCur[name], i.roAck[name])
-		if cur >= limit {
-			continue
-		}
-		// Eviction check: lag beyond the limit gets the replica kicked.
-		if limit-i.roAck[name] > i.cfg.ROLagLimit {
-			i.evictLocked(ro)
-			continue
-		}
-		raw, err := log.ReadBytes(cur, limit)
-		if err != nil {
-			// The redo this replica still needs is gone (it attached below
-			// the purge base): it can never catch up.
-			i.evictLocked(ro)
-			continue
-		}
-		// The cursor moves only past bytes actually read.
-		i.roCur[name] = limit
-		batches = append(batches, batch{to: name, msg: roAppendMsg{Start: cur, Bytes: raw}})
-	}
-	i.mu.Unlock()
-	for _, b := range batches {
-		i.cfg.Net.Send(i.cfg.Name, b.to, b.msg, nil)
-	}
-}
-
-// evictLocked kicks a replica out of the redo feed: it stops bounding log
-// purge, receives no more redo, and its parked readers fail. Caller
-// holds i.mu.
+// evictLocked halts a replica and stops counting it toward the purge
+// bound; its parked readers fail with ErrStopped. A replica already
+// evicted, or halted by Stop, is left alone. Caller holds i.mu.
 func (i *Instance) evictLocked(ro *RO) {
+	if i.stopped || i.evicted[ro.name] {
+		return
+	}
 	i.evicted[ro.name] = true
 	i.mROEvicted.Inc()
 	ro.halt()
-}
-
-// handleROAck ingests a replica's applied offset. simnet may deliver
-// acks out of order, so the offset only ever moves up, and a rewind
-// request resumes shipping from the highest offset the replica is known
-// to hold — never from a stale lower one, whose redo the higher ack
-// already allowed to be purged.
-func (i *Instance) handleROAck(m roAck) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if m.Applied > i.roAck[m.From] {
-		i.roAck[m.From] = m.Applied
-	}
-	if m.Rewind && i.roAck[m.From] < i.roCur[m.From] {
-		i.roCur[m.From] = i.roAck[m.From]
-	}
 }
 
 // MinROAck returns the lowest applied LSN across live replicas — the
@@ -248,7 +183,7 @@ func (i *Instance) minROAckLocked(ceiling wal.LSN) wal.LSN {
 		if i.evicted[ro.name] {
 			continue
 		}
-		if a := i.roAck[ro.name]; a < min {
+		if a := ro.appliedLSN(); a < min {
 			min = a
 		}
 	}
@@ -257,7 +192,7 @@ func (i *Instance) minROAckLocked(ceiling wal.LSN) wal.LSN {
 
 // --- RO side ---
 
-// SetApplyDelay simulates replica slowness (per shipped batch).
+// SetApplyDelay simulates replica slowness (per applied batch).
 func (r *RO) SetApplyDelay(d time.Duration) { r.applyDelay.Store(int64(d)) }
 
 // Name returns the RO endpoint name.
@@ -275,16 +210,19 @@ func (r *RO) appliedLSN() wal.LSN {
 	return r.applied
 }
 
-// halt marks the replica as no longer fed and wakes parked readers,
-// which then fail with ErrStopped.
+// halt stops the replica for good: the tail loop ends and parked
+// readers wake, then fail with ErrStopped.
 func (r *RO) halt() {
 	r.mu.Lock()
-	r.stopped = true
-	r.wakeLocked()
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if !r.stopped {
+		r.stopped = true
+		close(r.halted)
+		r.wakeLocked()
+	}
 }
 
-// wakeLocked releases every reader parked in waitApplied. Caller holds
+// wakeLocked releases every reader parked in WaitApplied. Caller holds
 // r.mu.
 func (r *RO) wakeLocked() {
 	if r.wake != nil {
@@ -293,14 +231,9 @@ func (r *RO) wakeLocked() {
 	}
 }
 
-func (r *RO) stop() {
-	r.halt()
-	r.net.Unregister(r.name)
-}
-
-// handle dispatches shipped redo and CN reads. Like the RW handler it
-// unwraps a Deadlined envelope first: expired requests are refused at the
-// door, and the deadline bounds the session-consistency wait.
+// handle dispatches CN reads. Like the RW handler it unwraps a Deadlined
+// envelope first: expired requests are refused at the door, and the
+// deadline bounds the session-consistency wait.
 func (r *RO) handle(from string, msg any) (any, error) {
 	var deadline time.Time
 	if env, ok := msg.(Deadlined); ok {
@@ -312,9 +245,6 @@ func (r *RO) handle(from string, msg any) (any, error) {
 		}
 	}
 	switch m := msg.(type) {
-	case roAppendMsg:
-		r.ingest(from, m)
-		return nil, nil
 	case MultiGetReq:
 		return r.multiGet(m, deadline)
 	case ScanReq:
@@ -326,74 +256,42 @@ func (r *RO) handle(from string, msg any) (any, error) {
 	}
 }
 
-// ingest applies a shipped redo batch and acks the applied offset. A
-// batch that starts at or below the applied offset and ends beyond it is
-// applied from the applied offset on (after a rewind the shipper re-sends
-// bytes that a batch still in flight may deliver first). A batch that
-// starts beyond it (simnet reordered two batches) or does not decode is
-// answered with a rewind request; a stale duplicate is only acked.
-func (r *RO) ingest(from string, m roAppendMsg) {
-	r.ingestMu.Lock()
-	defer r.ingestMu.Unlock()
-	simnet.Delay(time.Duration(r.applyDelay.Load()))
-	ack := roAck{From: r.name, Applied: r.appliedLSN()}
-	end := m.Start + wal.LSN(len(m.Bytes))
-	switch {
-	case m.Start > ack.Applied:
-		ack.Rewind = true
-	case end > ack.Applied:
-		recs, err := wal.DecodeAll(m.Bytes[ack.Applied-m.Start:])
-		if err != nil {
-			ack.Rewind = true
-			break
-		}
-		r.applyRecords(recs)
-		ack.Applied = end
-		r.mu.Lock()
-		r.applied = end
-		r.wakeLocked()
-		r.mu.Unlock()
-		if r.ingests++; r.ingests%256 == 0 {
-			r.vacuum()
+// applyRange applies the redo in [from, to) of log — column indexes
+// first, then the row engine — and publishes to as the applied offset.
+func (r *RO) applyRange(log *wal.Log, from, to wal.LSN) error {
+	raw, err := log.ReadBytes(from, to)
+	if err != nil {
+		return err
+	}
+	recs, err := wal.DecodeAll(raw)
+	if err != nil {
+		return err
+	}
+	if b := r.colBuilder.Load(); b != nil {
+		if err := b.Apply(recs); err != nil {
+			return err
 		}
 	}
-	r.net.Send(r.name, from, ack, nil)
+	if err := applyRedo(r.eng, r.ap, recs); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.applied = to
+	r.wakeLocked()
+	r.mu.Unlock()
+	return nil
 }
 
 // vacuum trims the replica's MVCC history as far as its engine's snapshot
 // registry allows at the replica's clock. Returns versions freed.
 func (r *RO) vacuum() int { return r.eng.Vacuum(r.clock.Now()) }
 
-func (r *RO) applyRecords(recs []wal.Record) {
-	if b := r.colBuilder.Load(); b != nil {
-		_ = b.Apply(recs)
-	}
-	run := recs[:0:0]
-	flush := func() {
-		if len(run) > 0 {
-			_ = r.ap.Apply(run)
-			run = run[:0]
-		}
-	}
-	for _, rec := range recs {
-		if rec.Type == wal.RecDDL {
-			flush()
-			if schema, err := DecodeSchema(rec.Payload); err == nil {
-				_, _ = r.eng.CreateTable(rec.TableID, rec.TenantID, schema)
-			}
-			continue
-		}
-		run = append(run, rec)
-	}
-	flush()
-}
-
-// waitApplied blocks until the applied LSN reaches lsn (session
+// WaitApplied blocks until the applied LSN reaches lsn (session
 // consistency: §II-C "The RO will wait until its snapshot version number
 // is no less than LSN_RW before processing the query"). The wait ends
-// with obs.ErrDeadlineExceeded at the statement deadline (zero = none)
-// and with ErrStopped when the replica stops being fed.
-func (r *RO) waitApplied(lsn wal.LSN, deadline time.Time) error {
+// with obs.ErrDeadlineExceeded at deadline (zero = none) and with
+// ErrStopped when the replica halts below lsn.
+func (r *RO) WaitApplied(lsn wal.LSN, deadline time.Time) error {
 	var timeout <-chan time.Time
 	for {
 		r.mu.Lock()
@@ -407,7 +305,7 @@ func (r *RO) waitApplied(lsn wal.LSN, deadline time.Time) error {
 			return nil
 		}
 		if stopped {
-			return fmt.Errorf("dn: ro %s stopped or evicted at lsn %d, read needs %d: %w", r.name, applied, lsn, ErrStopped)
+			return fmt.Errorf("dn: ro %s halted at lsn %d, read needs %d: %w", r.name, applied, lsn, ErrStopped)
 		}
 		if timeout == nil && !deadline.IsZero() {
 			t := time.NewTimer(time.Until(deadline))
@@ -430,7 +328,7 @@ func (r *RO) readAt(txnID uint64, snap hlc.Timestamp, minLSN wal.LSN, deadline t
 	if txnID != 0 {
 		return nil, fmt.Errorf("dn: ro %s: transaction %d: branches live on the leader", r.name, txnID)
 	}
-	if err := r.waitApplied(minLSN, deadline); err != nil {
+	if err := r.WaitApplied(minLSN, deadline); err != nil {
 		return nil, err
 	}
 	r.clock.Update(snap)
@@ -451,7 +349,7 @@ func (r *RO) multiGet(m MultiGetReq, deadline time.Time) (MultiGetResp, error) {
 
 // EnableColumnIndex builds in-memory column indexes for the given
 // tables on this replica, backfilling from the replica's current state
-// and then maintaining them from the redo stream. Only AP-serving RO
+// and then maintaining them from the redo it tails. Only AP-serving RO
 // nodes pay this memory cost; the RW node never materializes the index
 // (§VI-E). batch > 1 delays maintenance (batched updates), trading
 // freshness for overhead.
@@ -481,7 +379,7 @@ func (r *RO) EnableColumnIndex(tableIDs []uint32, batch int) error {
 		builder.Add(ix)
 	}
 	// Backfill: snapshot the replica's current contents. New redo keeps
-	// flowing through applyRecords after the pointer is published; rows
+	// flowing through applyRange after the pointer is published; rows
 	// committed between the snapshot and publication are replayed onto
 	// the index (same-PK replays supersede the backfilled version).
 	snapshot := hlc.Timestamp(^uint64(0) >> 1)

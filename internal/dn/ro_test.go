@@ -2,6 +2,7 @@ package dn
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,11 +17,9 @@ import (
 )
 
 // TestROAppliedLSNMonotonicUnderCommitStorm drives a few thousand small
-// commits at a replica. Every commit wakes the shipper, so consecutive
-// redo batches are in flight at once, each delivered on its own
-// goroutine: the replica must apply them one at a time, in order — its
-// applied LSN never moves backwards (an ack above what was applied lets
-// the RW purge redo the replica still needs) and ends at the DLSN.
+// commits at a replica while DLSN rises under its tail loop and purge
+// runs beside it: the replica's applied LSN never moves backwards (the
+// RW purges redo up to it) and ends at the DLSN.
 func TestROAppliedLSNMonotonicUnderCommitStorm(t *testing.T) {
 	inst, _, net := singleInstance(t)
 	if err := inst.CreateTable(1, 0, usersSchema()); err != nil {
@@ -154,6 +153,82 @@ func TestROReadWaitIsBounded(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("eviction left a reader parked")
+	}
+	if got := reg.Counter("dn.ro_evicted").Value(); got != 1 {
+		t.Fatalf("dn.ro_evicted = %d, want 1", got)
+	}
+}
+
+// TestIdleInstanceAllocatesLittle idles a single-member instance, once
+// bare and once with a replica, and bounds what it allocates. A replica
+// tailing the log parks until DLSN rises: nothing wakes on a timer to
+// look for redo, so an idle log collects no waiters.
+func TestIdleInstanceAllocatesLittle(t *testing.T) {
+	for _, ros := range []int{0, 1} {
+		inst, _, _ := singleInstance(t)
+		if err := inst.CreateTable(1, 0, usersSchema()); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < ros; r++ {
+			ro, err := inst.AddRO("dn1-ro1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ro.WaitApplied(inst.Paxos().DLSN(), time.Now().Add(5*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Settle first: the background loops' first passes allocate once.
+		time.Sleep(200 * time.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		time.Sleep(500 * time.Millisecond)
+		runtime.ReadMemStats(&after)
+		n := after.Mallocs - before.Mallocs
+		t.Logf("idle instance with %d RO(s): %d objects in 500ms", ros, n)
+		if n >= 50 {
+			t.Errorf("idle instance with %d RO(s) allocated %d objects in 500ms, want < 50", ros, n)
+		}
+		inst.Stop()
+	}
+}
+
+// TestROHaltsOnApplyError proposes a record the replica's applier
+// rejects, then commits a row behind it. The replica must halt — evicted
+// and counted — and a read that needs the row must fail with ErrStopped
+// rather than be served by a replica that skipped redo.
+func TestROHaltsOnApplyError(t *testing.T) {
+	net := simnet.New(simnet.ZeroTopology())
+	reg := obs.NewRegistry()
+	inst, err := NewInstance(Config{
+		Name: "dn1", DC: simnet.DC1, Net: net,
+		Group: "g1", Members: []paxos.Member{{Name: "dn1", DC: simnet.DC1}},
+		Bootstrap: true,
+		Metrics:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Stop()
+	cl := newClient(t, net, "cn1", simnet.DC1)
+	if err := inst.CreateTable(1, 0, usersSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.AddRO("dn1-ro1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inst.Paxos().Propose(wal.Record{Type: 0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	lsn := cl.commitRows(t, "dn1", inst.Clock().Now(), userRow(1, "after", 1)).LSN
+	_, err = net.Call("cn1", "dn1-ro1", WithDeadline(MultiGetReq{
+		Gets: []PointGet{{Table: 1, PK: pkOf(1)}}, SnapshotTS: inst.Clock().Now(), MinLSN: lsn,
+	}, time.Now().Add(5*time.Second)))
+	if !errors.Is(err, ErrStopped) {
+		t.Fatalf("read past an unappliable record = %v, want ErrStopped", err)
+	}
+	if ev := inst.EvictedROs(); len(ev) != 1 || ev[0] != "dn1-ro1" {
+		t.Fatalf("evicted = %v, want [dn1-ro1]", ev)
 	}
 	if got := reg.Counter("dn.ro_evicted").Value(); got != 1 {
 		t.Fatalf("dn.ro_evicted = %d, want 1", got)

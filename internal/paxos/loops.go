@@ -343,8 +343,8 @@ func (n *Node) catchUpFrom(peer string) {
 	}
 	n.log.AppendRaw(fr.Bytes)
 	n.log.SetFlushed(n.log.TailLSN())
-	if fr.DLSN > n.dlsn && fr.DLSN <= n.log.FlushedLSN() {
-		n.dlsn = fr.DLSN
+	if fr.DLSN <= n.log.FlushedLSN() {
+		n.raiseDLSNLocked(fr.DLSN)
 	}
 }
 
@@ -450,13 +450,7 @@ func (n *Node) handleAppend(m appendMsg) appendAck {
 	n.mu.Lock()
 	// Adopt the leader's DLSN up to what we have locally persisted.
 	flushed := n.log.FlushedLSN()
-	d := m.DLSN
-	if d > flushed {
-		d = flushed
-	}
-	if d > n.dlsn {
-		n.dlsn = d
-	}
+	n.raiseDLSNLocked(min(m.DLSN, flushed))
 	ack := appendAck{Group: n.cfg.Group, Epoch: n.epoch, From: n.cfg.Self,
 		AckLSN: flushed, Rejected: rejected}
 	n.mu.Unlock()

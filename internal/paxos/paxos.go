@@ -267,7 +267,10 @@ type Node struct {
 	votedIn uint64 // highest epoch this node voted in
 	leader  string // current known leader
 	dlsn    wal.LSN
-	applied wal.LSN // prefix already handed to OnApply
+	// dlsnRose, when non-nil, is closed the next time DLSN rises; RO
+	// replicas tailing the log park on it (WatchDLSN).
+	dlsnRose chan struct{}
+	applied  wal.LSN // prefix already handed to OnApply
 	// promotedTail is the log tail at the moment of promotion: the
 	// upper bound of follower-era entries the committer must still hand
 	// to OnApply (leader-era proposals are applied by the proposer).
@@ -430,6 +433,19 @@ func (n *Node) DLSN() wal.LSN {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.dlsn
+}
+
+// WatchDLSN returns the durable LSN and a channel closed when it next
+// rises. Unlike AwaitDurable it neither parks in the async-commit map nor
+// feeds the QuorumWait histogram: readers that tail the log (RO
+// replicas) wait on it.
+func (n *Node) WatchDLSN() (wal.LSN, <-chan struct{}) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.dlsnRose == nil {
+		n.dlsnRose = make(chan struct{})
+	}
+	return n.dlsn, n.dlsnRose
 }
 
 // LeaderName returns the last known leader.
@@ -704,8 +720,19 @@ func (n *Node) advanceDLSNLocked() {
 	if n.role != RoleLeader {
 		return
 	}
-	if c := n.tracker.quorumLSN(); c > n.dlsn {
-		n.dlsn = c
+	n.raiseDLSNLocked(n.tracker.quorumLSN())
+}
+
+// raiseDLSNLocked is the one place DLSN moves: it raises DLSN to d (never
+// lowers it) and wakes WatchDLSN's parked readers. Caller holds n.mu.
+func (n *Node) raiseDLSNLocked(d wal.LSN) {
+	if d <= n.dlsn {
+		return
+	}
+	n.dlsn = d
+	if n.dlsnRose != nil {
+		close(n.dlsnRose)
+		n.dlsnRose = nil
 	}
 }
 

@@ -25,7 +25,12 @@ import (
 // (BenchmarkDelayUnderLoad), and an 80 µs round trip takes ~115 µs
 // (simnet.rtt_intra_us in the standing benchmark's traced xdc_write
 // pass).
-func Delay(d time.Duration) { delays.wait(d) }
+func Delay(d time.Duration) { delays.wait(d, nil) }
+
+// DelayOr is Delay cut short when stop is closed. It reports whether the
+// whole of d passed: a replica halted in the middle of its apply lag
+// stops waiting at once.
+func DelayOr(d time.Duration, stop <-chan struct{}) bool { return delays.wait(d, stop) }
 
 // delays is the process-wide deadline queue behind Delay.
 var delays = newDelayQueue()
@@ -82,9 +87,9 @@ func newDelayQueue() *delayQueue {
 	return &delayQueue{wake: make(chan struct{}, 1)}
 }
 
-func (q *delayQueue) wait(d time.Duration) {
+func (q *delayQueue) wait(d time.Duration, stop <-chan struct{}) bool {
 	if d <= 0 {
-		return
+		return true
 	}
 	s := sleeperPool.Get().(*sleeper)
 	s.at = monoNow() + d
@@ -103,8 +108,15 @@ func (q *delayQueue) wait(d time.Duration) {
 		q.armedFor = s.at
 	}
 	q.mu.Unlock()
-	<-s.ch
-	sleeperPool.Put(s)
+	select {
+	case <-s.ch:
+		sleeperPool.Put(s)
+		return true
+	case <-stop:
+		// The waker still holds s until its deadline and sends on s.ch
+		// then, so s never returns to the pool.
+		return false
+	}
 }
 
 // popDue removes every sleeper whose deadline is at or before now, in

@@ -74,8 +74,8 @@ func TestDelayQueueReleasesInDeadlineOrder(t *testing.T) {
 // pushing a sleeper or starting the waker.
 func TestDelayNonPositiveSkipsQueue(t *testing.T) {
 	q := newDelayQueue()
-	q.wait(0)
-	q.wait(-time.Second)
+	q.wait(0, nil)
+	q.wait(-time.Second, nil)
 	if len(q.heap) != 0 || q.loops.Load() != 0 {
 		t.Fatalf("heap %d, waker loops %d; want an untouched queue", len(q.heap), q.loops.Load())
 	}
@@ -95,7 +95,7 @@ func TestDelayWakerParksWhenDrained(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q.wait(time.Duration(i) * 20 * time.Microsecond)
+			q.wait(time.Duration(i)*20*time.Microsecond, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -207,4 +207,24 @@ func cpuTime() time.Duration {
 		return 0
 	}
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// TestDelayOrStopsEarly: closing stop ends a DelayOr at once, reporting
+// that the wait was cut short; an open stop lets the whole wait pass.
+func TestDelayOrStopsEarly(t *testing.T) {
+	stop := make(chan struct{})
+	if !DelayOr(time.Millisecond, stop) {
+		t.Fatal("DelayOr with an open stop reported an early end")
+	}
+	done := make(chan bool, 1)
+	go func() { done <- DelayOr(time.Minute, stop) }()
+	close(stop)
+	select {
+	case full := <-done:
+		if full {
+			t.Fatal("DelayOr cut short by stop reported a full wait")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("closing stop did not end the wait")
+	}
 }

@@ -21,9 +21,6 @@ type Log struct {
 	base    LSN    // LSN of buf[0]
 	buf     []byte // contiguous encoded records [base, base+len(buf))
 	flushed LSN
-	// starts holds the LSN of every record boundary still buffered, used
-	// to validate reader alignment cheaply.
-	waiters []chan struct{} // woken on every append; used by tailing readers
 }
 
 // NewLog returns an empty redo log starting at LSN 0.
@@ -45,12 +42,7 @@ func (l *Log) AppendMTR(recs ...Record) (start, end LSN) {
 		l.buf = recs[i].encode(l.buf)
 	}
 	end = l.base + LSN(len(l.buf))
-	ws := l.waiters
-	l.waiters = nil
 	l.mu.Unlock()
-	for _, w := range ws {
-		close(w)
-	}
 	return start, end
 }
 
@@ -62,12 +54,7 @@ func (l *Log) AppendRaw(b []byte) (start, end LSN) {
 	start = l.base + LSN(len(l.buf))
 	l.buf = append(l.buf, b...)
 	end = l.base + LSN(len(l.buf))
-	ws := l.waiters
-	l.waiters = nil
 	l.mu.Unlock()
-	for _, w := range ws {
-		close(w)
-	}
 	return start, end
 }
 
@@ -184,16 +171,6 @@ func (l *Log) Truncate(lsn LSN) error {
 		l.flushed = lsn
 	}
 	return nil
-}
-
-// WaitForAppend returns a channel closed at the next append after the
-// call. Tailing readers use it to block without polling.
-func (l *Log) WaitForAppend() <-chan struct{} {
-	ch := make(chan struct{})
-	l.mu.Lock()
-	l.waiters = append(l.waiters, ch)
-	l.mu.Unlock()
-	return ch
 }
 
 // Size returns the number of buffered (unpurged) bytes.

@@ -200,22 +200,6 @@ func TestNewLogAt(t *testing.T) {
 	}
 }
 
-func TestWaitForAppend(t *testing.T) {
-	l := NewLog()
-	ch := l.WaitForAppend()
-	select {
-	case <-ch:
-		t.Fatal("channel closed before append")
-	default:
-	}
-	l.AppendMTR(rec(RecInsert, 0, 1, 1, "a", "1"))
-	select {
-	case <-ch:
-	default:
-		t.Fatal("channel not closed after append")
-	}
-}
-
 func TestSetFlushedMonotonic(t *testing.T) {
 	l := NewLog()
 	l.AppendMTR(rec(RecInsert, 0, 1, 1, "a", "1"))
