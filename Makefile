@@ -47,13 +47,14 @@ chaos-overload:
 
 # Front-door suite under the race detector: the wire-protocol and
 # server unit tests, the session-busy / prepared-epoch / slow-query-
-# ring regression tests, and the 10,000-connection chaos scenario —
+# ring regression tests, the shape-path tests (sessions sharing one
+# CN's shape bindings), and the 10,000-connection chaos scenario —
 # jittered links, a mid-round DN leader kill, goodput floors per
 # round, principled-error-only failures, a deadline-bounded admitted
 # tail, and zero per-connection server state after the fleet closes.
 chaos-frontdoor:
 	$(GO) test -race ./internal/srv/
-	$(GO) test -race -run 'TestSession|TestPrepared|TestSlowQuery|TestPerTenant' ./internal/core/
+	$(GO) test -race -run 'TestSession|TestPrepared|TestSlowQuery|TestPerTenant|TestShape' ./internal/core/
 	$(GO) test -race -run 'TestChaosFrontdoor' -v ./internal/testcluster/
 
 # Elastic-autopilot convergence suite: a moving hotspot under sustained
@@ -74,9 +75,12 @@ test-short:
 # statement's pooled batches move through bounded exchange queues, and
 # the lock-cheap metrics instruments are shared-memory surfaces too.
 # Replication runs first as well: each RO replica's tail loop reads the
-# instance's redo log while purge, eviction and Stop race it.
+# instance's redo log while purge, eviction and Stop race it. So do the
+# lexer, shape pass and plan cache: every session of a CN shares its
+# shape bindings and plan skeletons.
 test-race: vet
 	$(GO) test -race ./internal/dn/ ./internal/paxos/ ./internal/wal/
+	$(GO) test -race ./internal/sql/ ./internal/optimizer/
 	$(GO) test -race ./internal/executor/ ./internal/colindex/ ./internal/obs/ ./internal/vector/
 	$(GO) test -race ./...
 

@@ -119,8 +119,10 @@ func (cn *CN) lookupColumnIndex(table string) bool {
 // fingerprinted (residual subqueries) plan directly. The caller must
 // have rewritten subqueries already — fingerprints are taken over the
 // post-rewrite AST so two queries whose subqueries resolved differently
-// never share a skeleton.
-func (cn *CN) planFor(sel *sql.Select, tr *obs.Trace) (*optimizer.Plan, error) {
+// never share a skeleton. sh, when non-nil, is the shape the statement
+// was parsed from: it is bound to the fingerprint's slot, so the next
+// statement of that shape skips the parse (planShaped).
+func (cn *CN) planFor(sel *sql.Select, tr *obs.Trace, sh *sql.Shape) (*optimizer.Plan, error) {
 	span := tr.StartSpan(nil, "plan")
 	defer span.End()
 	fp, params, ok := sql.FingerprintSelect(sel)
@@ -129,19 +131,43 @@ func (cn *CN) planFor(sel *sql.Select, tr *obs.Trace) (*optimizer.Plan, error) {
 		return cn.opt.PlanSelect(sel)
 	}
 	epoch := cn.cluster.planEpoch()
-	if plan := cn.planCache.Lookup(fp, epoch, params); plan != nil {
+	plan := cn.planCache.Lookup(fp, epoch, params)
+	if plan != nil {
 		cn.mPCHit.Inc()
 		span.Annotate("cache=hit")
-		return plan, nil
+	} else {
+		var err error
+		if plan, err = cn.opt.PlanSelect(sel); err != nil {
+			return nil, err
+		}
+		cn.planCache.Store(fp, epoch, plan, params)
+		cn.mPCMiss.Inc()
+		span.Annotate("cache=miss")
 	}
-	plan, err := cn.opt.PlanSelect(sel)
-	if err != nil {
-		return nil, err
+	if sh != nil {
+		if b, ok := sql.BindShape(sh, params); ok {
+			cn.planCache.BindShape(string(sh.Key), fp, epoch, b)
+		}
 	}
-	cn.planCache.Store(fp, epoch, plan, params)
-	cn.mPCMiss.Inc()
-	span.Annotate("cache=miss")
 	return plan, nil
+}
+
+// planShaped returns the cached plan bound to a text SELECT's shape,
+// instantiated with its lifted literals, or nil when the statement has
+// no shape (sh nil) or the shape no current binding: then it must parse.
+func (cn *CN) planShaped(sh *sql.Shape, tr *obs.Trace) *optimizer.Plan {
+	if sh == nil {
+		return nil
+	}
+	plan := cn.planCache.LookupShape(sh.Key, cn.cluster.planEpoch(), sh.Lits)
+	if plan == nil {
+		return nil
+	}
+	cn.mPCHit.Inc()
+	span := tr.StartSpan(nil, "plan")
+	span.Annotate("cache=hit")
+	span.End()
+	return plan
 }
 
 // PlanCacheStats returns the CN's plan-cache hit/miss counters.
@@ -185,6 +211,10 @@ type Session struct {
 	// when deadlines are off); set by Execute, read by every layer the
 	// statement touches via deadline().
 	curDeadline time.Time
+	// shape is the in-flight text statement's shape, its buffers reused
+	// from statement to statement; whoever holds the statement slot
+	// owns it.
+	shape sql.Shape
 	// inflight guards against concurrent statements on one session. The
 	// old behavior — silently serializing on mu — charged the second
 	// caller's queue time against its own statement deadline, invisibly.
@@ -495,16 +525,35 @@ func (s *Session) run(query string, stmt sql.Statement) (*Result, error) {
 }
 
 // executeParsed is run minus observability: parse (unless the caller
-// already did), dispatch, and the auto-commit retry ladders.
+// already did), dispatch, and the auto-commit retry ladders. A text
+// SELECT whose shape has a cached plan skips the parse: it lexes once,
+// looks the shape up and runs the plan, and parses only if a retry
+// ladder needs to re-run it.
 func (s *Session) executeParsed(query string, stmt sql.Statement) (*Result, error) {
-	if stmt == nil {
-		var err error
-		stmt, err = sql.Parse(query)
-		if err != nil {
-			return nil, err
-		}
+	var sh *sql.Shape
+	if stmt == nil && s.shape.Of(query) {
+		sh = &s.shape
 	}
-	res, err := s.executeStmt(stmt)
+	// exec runs the statement from its AST, parsing it on first use.
+	exec := func() (*Result, error) {
+		if stmt == nil {
+			var err error
+			if stmt, err = sql.Parse(query); err != nil {
+				return nil, err
+			}
+		}
+		if sel, ok := stmt.(*sql.Select); ok && sh != nil {
+			return s.execSelect(sel, sh)
+		}
+		return s.executeStmt(stmt)
+	}
+	var res *Result
+	var err error
+	if plan := s.cn.planShaped(sh, s.trace()); plan != nil {
+		res, err = s.runSelect(plan)
+	} else {
+		res, err = exec()
+	}
 	if err != nil && !s.InTxn() && isLeaderFailure(err) {
 		// The routed DN leader crashed. GMS health-checks the groups,
 		// repoints routing at the newly elected leaders, and the
@@ -516,7 +565,7 @@ func (s *Session) executeParsed(query string, stmt sql.Statement) (*Result, erro
 		res, err = retry.DoValue(obs.Wall, leaderRetry, s.deadline(), isLeaderFailure,
 			func() (*Result, error) {
 				s.cn.cluster.HealDNRouting()
-				return s.executeStmt(stmt)
+				return exec()
 			})
 	}
 	if err != nil && !s.InTxn() && errors.Is(err, gms.ErrShardMoving) {
@@ -528,7 +577,7 @@ func (s *Session) executeParsed(query string, stmt sql.Statement) (*Result, erro
 		// short.
 		res, err = retry.DoValue(obs.Wall, shardMoveRetry, s.deadline(),
 			func(e error) bool { return errors.Is(e, gms.ErrShardMoving) },
-			func() (*Result, error) { return s.executeStmt(stmt) })
+			exec)
 	}
 	return res, err
 }
@@ -587,7 +636,7 @@ func (s *Session) executeStmt(stmt sql.Statement) (*Result, error) {
 	case *sql.Delete:
 		return s.execDelete(st)
 	case *sql.Select:
-		return s.execSelect(st)
+		return s.execSelect(st, nil)
 	case *sql.Explain:
 		return s.execExplain(st)
 	default:

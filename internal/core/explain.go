@@ -27,7 +27,7 @@ func (s *Session) execExplain(st *sql.Explain) (*Result, error) {
 	if sel.Having, err = s.rewriteSubqueries(sel.Having); err != nil {
 		return nil, err
 	}
-	plan, err := s.cn.planFor(sel, s.trace())
+	plan, err := s.cn.planFor(sel, s.trace(), nil)
 	if err != nil {
 		return nil, err
 	}

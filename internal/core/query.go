@@ -51,8 +51,9 @@ func (ctx *queryCtx) statsFor(n optimizer.Node) *obs.OpStats {
 	return st
 }
 
-// execSelect plans and runs a SELECT.
-func (s *Session) execSelect(sel *sql.Select) (*Result, error) {
+// execSelect plans and runs a SELECT; sh is the shape it was parsed
+// from, if any (see CN.planFor).
+func (s *Session) execSelect(sel *sql.Select, sh *sql.Shape) (*Result, error) {
 	var err error
 	if sel.Where, err = s.rewriteSubqueries(sel.Where); err != nil {
 		return nil, err
@@ -60,10 +61,15 @@ func (s *Session) execSelect(sel *sql.Select) (*Result, error) {
 	if sel.Having, err = s.rewriteSubqueries(sel.Having); err != nil {
 		return nil, err
 	}
-	plan, err := s.cn.planFor(sel, s.trace())
+	plan, err := s.cn.planFor(sel, s.trace(), sh)
 	if err != nil {
 		return nil, err
 	}
+	return s.runSelect(plan)
+}
+
+// runSelect runs a SELECT's plan and packages its rows.
+func (s *Session) runSelect(plan *optimizer.Plan) (*Result, error) {
 	rows, err := s.runPlan(plan, nil)
 	if err != nil {
 		return nil, err

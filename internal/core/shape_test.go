@@ -1,0 +1,194 @@
+package core
+
+// Tests for the shape path: a text SELECT whose shape has a plan-cache
+// binding runs from one lexer pass, without an AST.
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/optimizer"
+	"repro/internal/simnet"
+	"repro/internal/sql"
+)
+
+// seedShapeTable creates sh with negative and positive keys, floats,
+// quoted strings and NULLs: enough for every literal form the shape
+// pass lifts.
+func seedShapeTable(t *testing.T, s *Session) {
+	t.Helper()
+	mustExec(t, s, `CREATE TABLE sh (id BIGINT, k BIGINT, f DOUBLE, s VARCHAR(32), b BOOL, PRIMARY KEY(id)) PARTITIONS 4`)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO sh (id, k, f, s, b) VALUES ")
+	for id := -12; id <= 24; id++ {
+		if id > -12 {
+			sb.WriteString(", ")
+		}
+		str := fmt.Sprintf("'v%d'", id)
+		switch id {
+		case 3:
+			str = `'it''s'`
+		case 4:
+			str = `'a\'b'`
+		case 5:
+			str = "NULL"
+		}
+		fmt.Fprintf(&sb, "(%d, %d, %g, %s, %v)", id, id*3, float64(id)/2, str, id%2 == 0)
+	}
+	mustExec(t, s, sb.String())
+}
+
+// outcome is what the differential test compares: the rows (as a
+// sorted multiset, since unordered scans interleave shards), the column
+// names, the plan's EXPLAIN text, or the error.
+func outcome(res *Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	rows := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		rows[i] = fmt.Sprint(r)
+	}
+	sort.Strings(rows)
+	explain := ""
+	if res.Plan != nil {
+		explain = res.Plan.Explain()
+	}
+	return fmt.Sprintf("columns %v\nrows %v\nplan:\n%s", res.Columns, rows, explain)
+}
+
+// TestShapeDifferential runs each statement pair on one session (the
+// first primes the cache, the second has new literals and, when
+// cacheable, is served by its shape) and compares each outcome with a
+// cold parse-path execution on a second CN whose plan cache is emptied
+// before every statement.
+func TestShapeDifferential(t *testing.T) {
+	c := newTestCluster(t, Config{CNsPerDC: 2})
+	cns := c.CNs()
+	cn, ref := cns[0], cns[1]
+	s, rs := cn.NewSession(), ref.NewSession()
+	seedShapeTable(t, s)
+
+	cases := []struct {
+		miss, hit string
+		cached    bool // the hit statement's shape must have a binding
+	}{
+		{"SELECT id, k FROM sh WHERE id = -5", "SELECT id, k FROM sh WHERE id = -7", true},
+		{"SELECT id, k FROM sh WHERE id = - 5", "SELECT id, k FROM sh WHERE id = - 9", true},
+		{"SELECT id FROM sh WHERE f = -5.0", "SELECT id FROM sh WHERE f = -2.5", true},
+		{"SELECT id FROM sh WHERE id = -'5'", "SELECT id FROM sh WHERE id = -'6'", true},
+		{"SELECT id FROM sh WHERE id = - -4", "SELECT id FROM sh WHERE id = - -8", true},
+		{"SELECT id FROM sh WHERE k - 5 = 10", "SELECT id FROM sh WHERE k - 6 = 12", true},
+		{"SELECT id FROM sh WHERE id > 0 ORDER BY id LIMIT 5", "SELECT id FROM sh WHERE id > 3 ORDER BY id LIMIT 5", true},
+		{"SELECT id FROM sh WHERE id > 0 ORDER BY id LIMIT 6", "SELECT id FROM sh WHERE id > 2 ORDER BY id LIMIT 6", true},
+		{"SELECT id FROM sh WHERE id IN (1)", "SELECT id FROM sh WHERE id IN (22)", true},
+		{"SELECT id FROM sh WHERE id IN (1, 2)", "SELECT id FROM sh WHERE id IN (7, 3)", true},
+		{"SELECT id FROM sh WHERE id IN (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)", "SELECT id FROM sh WHERE id IN (11, 12, 13, 14, 15, 16, 17, 18, 19, 1)", true},
+		{"SELECT id FROM sh WHERE f < 1e1", "SELECT id FROM sh WHERE f < 2E0", true},
+		{"SELECT id FROM sh WHERE f = .5", "SELECT id FROM sh WHERE f = 1.5", true},
+		{`SELECT id FROM sh WHERE s = 'it''s'`, `SELECT id FROM sh WHERE s = 'a\'b'`, true},
+		{"SELECT id FROM sh -- first\nWHERE id = 3", "SELECT id FROM sh -- second\nWHERE id = 4", true},
+		{"SELECT id FROM sh WHERE id = 3", "sElEcT id FrOm sh wHeRe id = 6", true},
+		{"SELECT id FROM sh WHERE id = 3;", "SELECT id FROM sh WHERE id = 8;", true},
+		{"SELECT id FROM sh WHERE b = TRUE AND id > 2", "SELECT id FROM sh WHERE b = TRUE AND id > 9", true},
+		{"SELECT id FROM sh WHERE s IS NULL AND id > 1", "SELECT id FROM sh WHERE s IS NULL AND id > 6", true},
+		{"SELECT id FROM sh WHERE s = NULL OR id = 1", "SELECT id FROM sh WHERE s = NULL OR id = 2", true},
+		{"SELECT k, COUNT(*) FROM sh WHERE id BETWEEN 1 AND 9 GROUP BY k HAVING COUNT(*) > 0 ORDER BY k",
+			"SELECT k, COUNT(*) FROM sh WHERE id BETWEEN 3 AND 14 GROUP BY k HAVING COUNT(*) > 0 ORDER BY k", true},
+		{"SELECT id FROM sh WHERE id IN (SELECT id FROM sh WHERE k = 3)", "SELECT id FROM sh WHERE id IN (SELECT id FROM sh WHERE k = 6)", false},
+		{"EXPLAIN SELECT id FROM sh WHERE id = 3", "EXPLAIN SELECT id FROM sh WHERE id = 4", false},
+		{"SELECT id FROM sh WHERE id = 99999999999999999999", "SELECT id FROM sh WHERE id = 99999999999999999998", false},
+	}
+	reference := func(q string) string {
+		ref.planCache = optimizer.NewPlanCache(0)
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			return outcome(nil, err)
+		}
+		return outcome(rs.ExecuteStmt(stmt))
+	}
+	for _, tc := range cases {
+		if got, want := outcome(s.Execute(tc.miss)), reference(tc.miss); got != want {
+			t.Errorf("%q (priming):\n%s\nwant (cold parse path):\n%s", tc.miss, got, want)
+		}
+		var shape sql.Shape
+		bound := shape.Of(tc.hit) && cn.planCache.LookupShape(shape.Key, c.planEpoch(), shape.Lits) != nil
+		if bound != tc.cached {
+			t.Errorf("%q: shape bound = %v, want %v", tc.hit, bound, tc.cached)
+		}
+		if got, want := outcome(s.Execute(tc.hit)), reference(tc.hit); got != want {
+			t.Errorf("%q (new literals):\n%s\nwant (cold parse path):\n%s", tc.hit, got, want)
+		}
+	}
+}
+
+// TestShapeConcurrentSessions: sessions on one CN share shape bindings;
+// each must still get the row for its own literal.
+func TestShapeConcurrentSessions(t *testing.T) {
+	c := newTestCluster(t, Config{})
+	cn := c.CN(simnet.DC1)
+	seedUsers(t, cn.NewSession(), 200)
+	const sessions, rounds = 8, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for w := 0; w < sessions; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := cn.NewSession()
+			for r := 0; r < rounds; r++ {
+				id := (w*rounds + r) % 200
+				res, err := s.Execute(fmt.Sprintf("SELECT name, balance FROM users WHERE id = %d", id))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(res.Rows) != 1 || res.Rows[0][0].AsString() != fmt.Sprintf("user%d", id) ||
+					res.Rows[0][1].AsInt() != int64(id*10) {
+					errs <- fmt.Errorf("session %d: id=%d returned %v", w, id, res.Rows)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if hits, _ := cn.PlanCacheStats(); hits < sessions*rounds/2 {
+		t.Fatalf("%d plan-cache hits over %d statements of one shape", hits, sessions*rounds)
+	}
+}
+
+// TestShapeHitAllocs bounds the allocations of a repeated point select:
+// a shape hit builds no AST and renders no fingerprint.
+func TestShapeHitAllocs(t *testing.T) {
+	c := newTestCluster(t, Config{})
+	s := c.CN(simnet.DC1).NewSession()
+	seedUsers(t, s, 50)
+	queries := make([]string, 50)
+	for i := range queries {
+		queries[i] = fmt.Sprintf("SELECT name FROM users WHERE id = %d", i)
+	}
+	mustExec(t, s, queries[0])
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := s.Execute(queries[i%len(queries)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("%.1f allocations per repeated point select", allocs)
+	if allocs > shapeHitAllocBound {
+		t.Fatalf("repeated point select allocates %.1f times, want <= %d", allocs, shapeHitAllocBound)
+	}
+}
+
+// shapeHitAllocBound sits between the shape path's count (46 with
+// go1.24 on linux/amd64) and the parse path's (71: the token slice, the
+// AST, the fingerprint string and its parameter slice).
+const shapeHitAllocBound = 58

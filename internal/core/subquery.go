@@ -165,7 +165,7 @@ func (s *Session) rewriteExists(ex *sql.Exists) (sql.Expr, error) {
 		return nil, fmt.Errorf("core: unsupported correlated EXISTS (only a single equality correlation is handled)")
 	case len(correlated) == 0:
 		// Uncorrelated: the subquery's outcome is a constant.
-		res, err := s.execSelect(inner)
+		res, err := s.execSelect(inner, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: EXISTS subquery: %w", err)
 		}
@@ -261,7 +261,7 @@ func (s *Session) scalarSubquery(sub *sql.Subquery) (types.Value, error) {
 
 // subqueryRows executes an inner SELECT and checks it yields one column.
 func (s *Session) subqueryRows(sub *sql.Subquery) ([]types.Row, error) {
-	res, err := s.execSelect(sub.Sel)
+	res, err := s.execSelect(sub.Sel, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: subquery: %w", err)
 	}

@@ -32,6 +32,13 @@ const planCacheShards = 16
 // Entries store an immutable plan skeleton. Lookup returns a deep copy
 // with fresh parameter literals substituted, so concurrent sessions on
 // one CN never share mutable plan state.
+//
+// A slot is keyed either by a fingerprint or by a statement shape
+// (sql.Shape): a shape slot shares its fingerprint slot's skeleton and
+// adds the binding from the shape's lifted literals to the skeleton's
+// parameters, so a repeated text statement is found from one lexer pass,
+// without an AST (LookupShape). Both kinds live in the same shards under
+// the same LRU bound and epoch check.
 type PlanCache struct {
 	shards [planCacheShards]planShard
 	seed   maphash.Seed
@@ -53,13 +60,16 @@ type planShard struct {
 
 // cacheSlot is one cached skeleton.
 type cacheSlot struct {
-	fp    string
+	fp    string // the slot's key: a fingerprint or a shape key
 	epoch uint64
 	plan  *Plan
 	// params are the skeleton's literal nodes in fingerprint order;
 	// instantiation maps them positionally onto a fresh statement's
 	// literals.
 	params []*sql.Literal
+	// shape, in a slot keyed by a shape, builds those literals from the
+	// shape's lifted values.
+	shape sql.ShapeBinding
 }
 
 // NewPlanCache creates a cache; capacity <= 0 uses the default. The
@@ -121,21 +131,73 @@ func (pc *PlanCache) Lookup(fp string, epoch uint64, params []*sql.Literal) *Pla
 	return plan
 }
 
+// LookupShape returns the plan bound to a shape key, instantiated with
+// the statement's lifted literals, or nil. Like Lookup it drops a slot
+// whose epoch is stale; unlike Lookup it counts no miss, because a
+// statement whose shape misses goes on to parse and Lookup its
+// fingerprint, which counts the miss once.
+func (pc *PlanCache) LookupShape(key []byte, epoch uint64, lits []types.Value) *Plan {
+	sh := &pc.shards[maphash.Bytes(pc.seed, key)%planCacheShards]
+	sh.mu.Lock()
+	el, ok := sh.byFP[string(key)]
+	if !ok {
+		sh.mu.Unlock()
+		return nil
+	}
+	slot := el.Value.(*cacheSlot)
+	if slot.epoch != epoch || slot.shape.NumLits() != len(lits) {
+		sh.lru.Remove(el)
+		delete(sh.byFP, slot.fp)
+		sh.mu.Unlock()
+		return nil
+	}
+	sh.lru.MoveToFront(el)
+	pc.hits.Add(1)
+	sh.mu.Unlock()
+	plan, _ := clonePlan(slot.plan, slot.params, slot.shape.Literals(lits))
+	return plan
+}
+
+// BindShape files a shape slot under key for the skeleton cached under
+// fp at epoch, with b binding the shape's lifted literals to that
+// skeleton's parameters. It does nothing when fp has no current slot
+// (evicted, or re-planned at another epoch meanwhile).
+func (pc *PlanCache) BindShape(key string, fp string, epoch uint64, b sql.ShapeBinding) {
+	src := pc.shardFor(fp)
+	src.mu.Lock()
+	el, ok := src.byFP[fp]
+	var slot cacheSlot
+	if ok {
+		slot = *el.Value.(*cacheSlot)
+	}
+	src.mu.Unlock()
+	if !ok || slot.epoch != epoch || len(slot.params) != b.NumLits() {
+		return
+	}
+	slot.fp, slot.shape = key, b
+	pc.shardFor(key).put(&slot)
+}
+
 // Store caches a freshly planned statement. The plan is snapshotted
 // (deep-copied) so later mutation of the live plan — executor binding,
 // the session's own reuse — cannot corrupt the skeleton.
 func (pc *PlanCache) Store(fp string, epoch uint64, plan *Plan, params []*sql.Literal) {
 	skeleton, skelParams := clonePlan(plan, params, nil)
-	sh := pc.shardFor(fp)
+	pc.shardFor(fp).put(&cacheSlot{fp: fp, epoch: epoch, plan: skeleton, params: skelParams})
+}
+
+// put files slot under its key as the shard's most recent entry,
+// replacing any slot with that key and evicting from the LRU tail past
+// the shard's capacity.
+func (sh *planShard) put(slot *cacheSlot) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.byFP[fp]; ok {
-		el.Value = &cacheSlot{fp: fp, epoch: epoch, plan: skeleton, params: skelParams}
+	if el, ok := sh.byFP[slot.fp]; ok {
+		el.Value = slot
 		sh.lru.MoveToFront(el)
 		return
 	}
-	el := sh.lru.PushFront(&cacheSlot{fp: fp, epoch: epoch, plan: skeleton, params: skelParams})
-	sh.byFP[fp] = el
+	sh.byFP[slot.fp] = sh.lru.PushFront(slot)
 	for sh.lru.Len() > sh.cap {
 		tail := sh.lru.Back()
 		sh.lru.Remove(tail)

@@ -93,3 +93,64 @@ func TestLookupEpochMismatchEvicts(t *testing.T) {
 		t.Fatalf("epoch eviction miscounted as arity eviction: %d", n)
 	}
 }
+
+// TestShapeSlots: a shape bound to a fingerprint's skeleton serves the
+// skeleton with the shape's lifted literals (a folded minus sign
+// included), counts a hit but never a miss, and is dropped with a stale
+// epoch like any slot.
+func TestShapeSlots(t *testing.T) {
+	shapeOf := func(src string) (*sql.Shape, []*sql.Literal, string) {
+		var sh sql.Shape
+		if !sh.Of(src) {
+			t.Fatalf("%q not shaped", src)
+		}
+		stmt, err := sql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, params, ok := sql.FingerprintSelect(stmt.(*sql.Select))
+		if !ok {
+			t.Fatalf("%q not fingerprinted", src)
+		}
+		return &sh, params, fp
+	}
+	pc := NewPlanCache(0) // room for both slots whichever shards they hash to
+	sh, params, fp := shapeOf("SELECT a FROM t WHERE x = -3 AND y = 'p'")
+	exprs := make([]sql.Expr, len(params))
+	for i, p := range params {
+		exprs[i] = p
+	}
+	pc.Store(fp, 1, &Plan{Root: &ProjectNode{Input: &ProjectNode{}, Exprs: exprs, Names: []string{"x", "y"}}}, params)
+	b, ok := sql.BindShape(sh, params)
+	if !ok {
+		t.Fatal("shape does not bind")
+	}
+	pc.BindShape(string(sh.Key), "no such fingerprint", 1, b)
+	if pc.Len() != 1 {
+		t.Fatalf("binding to a missing fingerprint filed a slot: Len = %d", pc.Len())
+	}
+	pc.BindShape(string(sh.Key), fp, 1, b)
+	if pc.Len() != 2 {
+		t.Fatalf("Len = %d after binding, want 2 (the shape shares the cache's bound)", pc.Len())
+	}
+
+	var next sql.Shape
+	next.Of("select a from t where x = -8 and y = 'q'")
+	got := pc.LookupShape(next.Key, 1, next.Lits)
+	if got == nil {
+		t.Fatal("LookupShape missed a bound shape")
+	}
+	proj := got.Root.(*ProjectNode)
+	if x, y := proj.Exprs[0].(*sql.Literal).Val, proj.Exprs[1].(*sql.Literal).Val; x.I != -8 || y.S != "q" {
+		t.Fatalf("bound x = %v, y = %v, want -8 and 'q'", x, y)
+	}
+	if pc.LookupShape(next.Key, 2, next.Lits) != nil {
+		t.Fatal("stale-epoch LookupShape returned a plan")
+	}
+	if pc.Len() != 1 {
+		t.Fatalf("stale shape slot not evicted: Len = %d", pc.Len())
+	}
+	if hits, misses := pc.Stats(); hits != 1 || misses != 0 {
+		t.Fatalf("Stats = (%d hits, %d misses), want (1, 0): a shape miss is counted by the parse path", hits, misses)
+	}
+}

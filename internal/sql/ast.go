@@ -39,9 +39,17 @@ func (c *ColumnRef) Name() string {
 // Prepared handle's Execute) overwrites Val in place before each run.
 // Param survives binding, so the fingerprinter can keep treating the
 // node as a parameter regardless of the currently bound value.
+//
+// Src is the byte offset plus one of the number or string token the
+// parser read the value from (0 for a literal it synthesized), and Neg
+// records that unary minus was folded into Val an odd number of times.
+// Together they tie the literal to a value the shape pass lifted from
+// the same text (BindShape).
 type Literal struct {
 	Val   types.Value
 	Param bool
+	Neg   bool
+	Src   int
 }
 
 func (*Literal) expr() {}

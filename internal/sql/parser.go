@@ -76,7 +76,7 @@ func (p *Parser) expect(kind TokKind, text string) (Token, error) {
 }
 
 func (p *Parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sql: parse error at %d: %s", p.cur().Pos, fmt.Sprintf(format, args...))
+	return syntaxErrorf("sql: parse error at %d: %s", p.cur().Pos, fmt.Sprintf(format, args...))
 }
 
 func (p *Parser) parseStatement() (Statement, error) {
@@ -815,12 +815,14 @@ func (p *Parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		if lit, ok := e.(*Literal); ok {
-			// Fold negative literals.
+			// Fold negative literals. The folded node keeps its source
+			// token and records the sign flip, so a shape binding can
+			// rebuild the value from the lifted literal.
 			switch lit.Val.K {
 			case types.KindInt:
-				return &Literal{Val: types.Int(-lit.Val.I)}, nil
+				return &Literal{Val: types.Int(-lit.Val.I), Src: lit.Src, Neg: !lit.Neg}, nil
 			case types.KindFloat:
-				return &Literal{Val: types.Float(-lit.Val.F)}, nil
+				return &Literal{Val: types.Float(-lit.Val.F), Src: lit.Src, Neg: !lit.Neg}, nil
 			}
 		}
 		return &UnaryOp{Op: "-", E: e}, nil
@@ -833,21 +835,17 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.Kind == TokNumber:
 		p.pos++
-		if strings.ContainsAny(t.Text, ".eE") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
+		v, err := numberValue(t.Text)
+		if err != nil {
+			if v.K == types.KindFloat {
 				return nil, p.errf("bad number %q", t.Text)
 			}
-			return &Literal{Val: types.Float(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
 			return nil, p.errf("bad integer %q", t.Text)
 		}
-		return &Literal{Val: types.Int(n)}, nil
+		return &Literal{Val: v, Src: t.Pos + 1}, nil
 	case t.Kind == TokString:
 		p.pos++
-		return &Literal{Val: types.Str(t.Text)}, nil
+		return &Literal{Val: types.Str(t.Text), Src: t.Pos + 1}, nil
 	case t.Kind == TokOp && t.Text == "?":
 		p.pos++
 		return &Literal{Param: true}, nil
@@ -902,6 +900,18 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, p.errf("unexpected %q in expression", t.Text)
 	}
+}
+
+// numberValue converts a number token's text: a float when it has a
+// fraction or an exponent, else a 64-bit integer. On error the value's
+// kind still says which conversion failed.
+func numberValue(text string) (types.Value, error) {
+	if strings.ContainsAny(text, ".eE") {
+		f, err := strconv.ParseFloat(text, 64)
+		return types.Float(f), err
+	}
+	n, err := strconv.ParseInt(text, 10, 64)
+	return types.Int(n), err
 }
 
 func isFuncKeyword(s string) bool {

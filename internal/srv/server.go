@@ -190,18 +190,19 @@ func (s *Server) handle(c *conn, body []byte) []byte {
 // transaction-control spellings special-cased (they are session state
 // changes, not statements the parser knows).
 func (s *Server) runQuery(c *conn, text string) []byte {
-	switch strings.ToUpper(strings.TrimSuffix(strings.TrimSpace(text), ";")) {
-	case "BEGIN", "START TRANSACTION":
+	verb := strings.TrimSuffix(strings.TrimSpace(text), ";")
+	switch {
+	case strings.EqualFold(verb, "BEGIN"), strings.EqualFold(verb, "START TRANSACTION"):
 		if err := c.sess.BeginTxn(); err != nil {
 			return s.errorFrame(err)
 		}
 		return okFrame(0)
-	case "COMMIT":
+	case strings.EqualFold(verb, "COMMIT"):
 		if err := c.sess.Commit(); err != nil {
 			return s.errorFrame(err)
 		}
 		return okFrame(0)
-	case "ROLLBACK":
+	case strings.EqualFold(verb, "ROLLBACK"):
 		if err := c.sess.Rollback(); err != nil {
 			return s.errorFrame(err)
 		}
@@ -209,9 +210,6 @@ func (s *Server) runQuery(c *conn, text string) []byte {
 	}
 	res, err := c.sess.Execute(text)
 	if err != nil {
-		if _, perr := sql.Parse(text); perr != nil {
-			return errFrame(CodeParse, perr.Error())
-		}
 		return s.errorFrame(err)
 	}
 	return resultFrame(res)
@@ -228,6 +226,8 @@ func resultFrame(res *core.Result) []byte {
 // errorFrame maps cluster errors onto wire codes.
 func (s *Server) errorFrame(err error) []byte {
 	switch {
+	case errors.Is(err, sql.ErrSyntax):
+		return errFrame(CodeParse, err.Error())
 	case errors.Is(err, admission.ErrOverloaded):
 		return errFrame(CodeOverloaded, err.Error())
 	case errors.Is(err, obs.ErrDeadlineExceeded):

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -232,6 +233,29 @@ func TestPreparedMisuse(t *testing.T) {
 	}
 	if _, err := conn.Query(`SELEKT candy`); !errors.Is(err, ErrParse) {
 		t.Fatalf("query garbage: err = %v, want ErrParse", err)
+	}
+}
+
+// TestQueryErrorCodes: a statement the parser rejects comes back as a
+// parse error carrying the parser's message, while a statement that
+// parses but fails to execute does not, and lower-case transaction
+// verbs are still session-state changes.
+func TestQueryErrorCodes(t *testing.T) {
+	c, _, ep := newTestFrontDoor(t, core.Config{})
+	conn := dial(t, c, "client1", ep, HelloOptions{})
+	var we *WireError
+	_, err := conn.Query(`SELECT id FROM kv WHERE id = (`)
+	if !errors.As(err, &we) || we.Code != CodeParse || !strings.Contains(we.Msg, "sql: parse error at") {
+		t.Fatalf("malformed select: err = %v, want a %s wire error with the parser's message", err, CodeParse)
+	}
+	_, err = conn.Query(`SELECT id FROM no_such_table WHERE id = 1`)
+	if err == nil || errors.Is(err, ErrParse) || errors.As(err, &we) && we.Code == CodeParse {
+		t.Fatalf("unknown table: err = %v, want an error that is not a parse error", err)
+	}
+	for _, verb := range []string{"begin", "rollback;", " Start Transaction ", "commit"} {
+		if _, err := conn.Query(verb); err != nil {
+			t.Fatalf("%q: %v", verb, err)
+		}
 	}
 }
 
