@@ -77,10 +77,15 @@ test-short:
 # Replication runs first as well: each RO replica's tail loop reads the
 # instance's redo log while purge, eviction and Stop race it. So do the
 # lexer, shape pass and plan cache: every session of a CN shares its
-# shape bindings and plan skeletons.
+# shape bindings and plan skeletons, and a plan-cache hit is copy on
+# write, so each instance shares the skeleton's unparameterized subtrees
+# with the executor and the DN handlers of every other session; the
+# core shape and prepared-statement tests drive that sharing against a
+# prepared statement re-binding its own AST.
 test-race: vet
 	$(GO) test -race ./internal/dn/ ./internal/paxos/ ./internal/wal/
 	$(GO) test -race ./internal/sql/ ./internal/optimizer/
+	$(GO) test -race -run 'TestShape|TestPrepared' ./internal/core/
 	$(GO) test -race ./internal/executor/ ./internal/colindex/ ./internal/obs/ ./internal/vector/
 	$(GO) test -race ./...
 

@@ -219,6 +219,7 @@ func boundExpr(e sql.Expr) bool {
 // each key's position in the caller's key order.
 type pointGroup struct {
 	dn   string
+	n    int // keys routed to dn
 	gets []dn.PointGet
 	pos  []int
 }
@@ -230,7 +231,10 @@ type pointGroup struct {
 // through here: SELECT by primary key, the row fetch of UPDATE/DELETE, and
 // the base-row fetch behind a non-clustered global index.
 func (cn *CN) pointGets(ctx *queryCtx, t *partition.Table, pks [][]byte, recordLoad bool) ([]dn.ReadResp, error) {
-	var groups []pointGroup // first-seen DN order (deterministic fan-out)
+	// Route each key once: at[k] is the group of its DN, the groups in
+	// first-seen DN order (a deterministic fan-out).
+	at := make([]int, len(pks))
+	groups := make([]pointGroup, 0, min(len(pks), cn.cluster.cfg.DNGroups))
 	for k, pk := range pks {
 		shard := t.ShardOfPK(pk)
 		dnName, err := cn.cluster.GMS.DNForShard(t.Name, shard)
@@ -240,23 +244,43 @@ func (cn *CN) pointGets(ctx *queryCtx, t *partition.Table, pks [][]byte, recordL
 		if recordLoad {
 			cn.cluster.GMS.RecordLoad(t.Name, shard, 1)
 		}
-		g := -1
-		for i := range groups {
-			if groups[i].dn == dnName {
-				g = i
-				break
-			}
+		g := 0
+		for g < len(groups) && groups[g].dn != dnName {
+			g++
 		}
-		if g < 0 {
-			g = len(groups)
+		if g == len(groups) {
 			groups = append(groups, pointGroup{dn: dnName})
 		}
-		groups[g].gets = append(groups[g].gets, dn.PointGet{Table: t.PhysicalTableID(shard), PK: pk})
-		groups[g].pos = append(groups[g].pos, k)
+		groups[g].n++
+		at[k] = g
+	}
+	// Carve one slab of reads, and across DNs one of key positions, into
+	// the groups: each group's share is a capped window, filled in key
+	// order.
+	gets := make([]dn.PointGet, len(pks))
+	var pos []int
+	if len(groups) > 1 {
+		pos = make([]int, len(pks))
+	}
+	off := 0
+	for i := range groups {
+		g := &groups[i]
+		g.gets = gets[off : off : off+g.n]
+		if pos != nil {
+			g.pos = pos[off : off : off+g.n]
+		}
+		off += g.n
+	}
+	for k, pk := range pks {
+		g := &groups[at[k]]
+		g.gets = append(g.gets, dn.PointGet{Table: t.PhysicalTableID(t.ShardOfPK(pk)), PK: pk})
+		if pos != nil {
+			g.pos = append(g.pos, k)
+		}
 	}
 	if len(groups) == 1 {
 		// One DN owns every key: its reply is the answer, already in key order.
-		return ctx.target(groups[0].dn).multiGet(groups[0].gets)
+		return ctx.target(groups[0].dn).multiGet(gets)
 	}
 	// results is indexed by key position; concurrent fetches write
 	// disjoint entries.
@@ -290,7 +314,7 @@ func (cn *CN) pointRows(ctx *queryCtx, t *partition.Table, pks [][]byte, filter 
 	if err != nil {
 		return nil, err
 	}
-	var out []types.Row
+	out := make([]types.Row, 0, len(results))
 	for _, r := range results {
 		if !r.OK {
 			continue

@@ -9,10 +9,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/optimizer"
 	"repro/internal/simnet"
 	"repro/internal/sql"
+	"repro/internal/types"
 )
 
 // seedShapeTable creates sh with negative and positive keys, floats,
@@ -164,11 +166,15 @@ func TestShapeConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestShapeHitAllocs bounds the allocations of a repeated point select:
-// a shape hit builds no AST and renders no fingerprint.
+// TestShapeHitAllocs bounds the allocations of a repeated point select
+// (a shape hit builds no AST and renders no fingerprint), and checks that
+// the hit itself, the shape pass plus the plan-cache lookup, allocates
+// the same whatever the length of an IN list: a copy-on-write instance
+// routes every key through one arena.
 func TestShapeHitAllocs(t *testing.T) {
 	c := newTestCluster(t, Config{})
-	s := c.CN(simnet.DC1).NewSession()
+	cn := c.CN(simnet.DC1)
+	s := cn.NewSession()
 	seedUsers(t, s, 50)
 	queries := make([]string, 50)
 	for i := range queries {
@@ -186,9 +192,151 @@ func TestShapeHitAllocs(t *testing.T) {
 	if allocs > shapeHitAllocBound {
 		t.Fatalf("repeated point select allocates %.1f times, want <= %d", allocs, shapeHitAllocBound)
 	}
+
+	hit := map[int]float64{}
+	for _, n := range []int{1, 10, 20} {
+		for i := range queries {
+			keys := make([]string, n)
+			for k := range keys {
+				keys[k] = fmt.Sprint((i + 7*k) % 60) // some keys have no row
+			}
+			queries[i] = "SELECT id, name FROM users WHERE id IN (" + strings.Join(keys, ", ") + ")"
+		}
+		mustExec(t, s, queries[0]) // parses, plans and binds the shape
+		var sh sql.Shape
+		hit[n] = testing.AllocsPerRun(200, func() {
+			if !sh.Of(queries[i%len(queries)]) || cn.planCache.LookupShape(sh.Key, c.planEpoch(), sh.Lits) == nil {
+				t.Fatal("IN-list shape missed the plan cache")
+			}
+			i++
+		})
+		t.Logf("IN-%d: %.1f allocations per plan-cache hit", n, hit[n])
+	}
+	if hit[20] > hit[1]+2 {
+		t.Fatalf("a plan-cache hit allocates %.1f times for IN-1 and %.1f for IN-20: it grows with the list", hit[1], hit[20])
+	}
 }
 
-// shapeHitAllocBound sits between the shape path's count (46 with
-// go1.24 on linux/amd64) and the parse path's (71: the token slice, the
-// AST, the fingerprint string and its parameter slice).
-const shapeHitAllocBound = 58
+// shapeHitAllocBound sits between this path's count (37 with go1.24 on
+// linux/amd64, 38 to 40 under -race, whose sync.Pool drops items at
+// random: the copy-on-write hit, one-arena routing and sized fan-out)
+// and the count before them (46: a deep copy of the plan per hit). It
+// may be lowered, never raised.
+const shapeHitAllocBound = 43
+
+// TestShapeSharedSkeletonRace: eight sessions run one IN-list shape with
+// different keys on one CN while a prepared statement with the same
+// fingerprint runs beside them; after each DDL that another session
+// runs, unless a text session re-planned first, it re-plans (re-binding
+// the column references of its own AST) and stores a new skeleton.
+// Every instance shares the skeleton's unparameterized nodes with the
+// others, so under -race this checks that nothing writes them. Each
+// result must equal a cold parse of the statement on a second CN.
+func TestShapeSharedSkeletonRace(t *testing.T) {
+	c := newTestCluster(t, Config{CNsPerDC: 2})
+	cns := c.CNs()
+	cn, ref := cns[0], cns[1]
+	seedUsers(t, cn.NewSession(), 200)
+	const sessions, rounds, ddls = 8, 40, 4
+	text := func(a, b, d int) string {
+		return fmt.Sprintf("SELECT id, name, balance FROM users WHERE id IN (%d, %d, %d)", a, b, d)
+	}
+	keys := func(w, r int) (int, int, int) {
+		a, b := (w*37+r*11)%220, (w*13+r*7)%220 // ids from 200 up have no row
+		if r%5 == 0 {
+			return a, b, a
+		}
+		return a, b, (a + b) % 220
+	}
+	rows := func(res *Result, err error) string {
+		if err != nil {
+			return outcome(nil, err)
+		}
+		return outcome(&Result{Columns: res.Columns, Rows: res.Rows}, nil)
+	}
+	rs := ref.NewSession()
+	// A snapshot taken on the second CN right after the load may sit
+	// below the load's commits, whose timestamps its clock has not yet
+	// seen; wait until it sees every row.
+	for start := time.Now(); ; {
+		res, err := rs.Execute("SELECT COUNT(*) FROM users")
+		if err == nil && res.Rows[0][0].AsInt() == 200 {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("the second CN does not see the loaded rows: %v, %v", res, err)
+		}
+	}
+	reference := func(q string) string {
+		ref.planCache = optimizer.NewPlanCache(0)
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows(rs.ExecuteStmt(stmt))
+	}
+	want := make([][]string, sessions+1) // the last row is the prepared statement's
+	for w := range want {
+		for r := 0; r < rounds; r++ {
+			want[w] = append(want[w], reference(text(keys(w, r))))
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions+2)
+	for w := 0; w < sessions; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := cn.NewSession()
+			for r := 0; r < rounds; r++ {
+				if got := rows(s.Execute(text(keys(w, r)))); got != want[w][r] {
+					errs <- fmt.Errorf("session %d: %s:\n%s\nwant (cold parse path):\n%s", w, text(keys(w, r)), got, want[w][r])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(2)
+	replan := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		defer close(replan)
+		s := cn.NewSession()
+		for i := 0; i < ddls; i++ {
+			if _, err := s.Execute(fmt.Sprintf("CREATE TABLE bump%d (id BIGINT, PRIMARY KEY(id))", i)); err != nil {
+				errs <- err
+				return
+			}
+			replan <- struct{}{}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		defer func() {
+			for range replan { // let the DDL session finish
+			}
+		}()
+		s := cn.NewSession()
+		p, err := s.Prepare("SELECT id, name, balance FROM users WHERE id IN (?, ?, ?)")
+		if err != nil {
+			errs <- err
+			return
+		}
+		for r := 0; r < rounds; r++ {
+			if r%(rounds/ddls) == 0 {
+				<-replan // the next Execute misses and re-plans
+			}
+			a, b, d := keys(sessions, r)
+			if got := rows(p.Execute(types.Int(int64(a)), types.Int(int64(b)), types.Int(int64(d)))); got != want[sessions][r] {
+				errs <- fmt.Errorf("prepared: %s:\n%s\nwant (cold parse path):\n%s", text(a, b, d), got, want[sessions][r])
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -1,8 +1,10 @@
 package optimizer
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/partition"
@@ -576,33 +578,61 @@ func (o *Optimizer) pruneShards(scan *ScanNode, conds []sql.Expr) {
 			if !okc || n.Not || col.Index != pkIdx {
 				continue
 			}
-			var pks [][]byte
-			shardSet := map[int]bool{}
-			seen := map[string]bool{}
-			allLit := true
-			for _, item := range n.Items {
-				lit, ok := item.(*sql.Literal)
-				if !ok {
-					allLit = false
-					break
-				}
-				pk := types.EncodeKey(nil, lit.Val)
-				if seen[string(pk)] {
-					continue // IN (1, 1) must not read the row twice
-				}
-				seen[string(pk)] = true
-				pks = append(pks, pk)
-				shardSet[scan.Table.ShardOfPK(pk)] = true
-			}
-			if allLit {
-				scan.PointLookups = pks
-				scan.Shards = make([]int, 0, len(shardSet))
-				for s := range shardSet {
-					scan.Shards = append(scan.Shards, s)
-				}
+			if pks, shards := inListRouting(scan.Table, n.Items); pks != nil {
+				scan.PointLookups, scan.Shards = pks, shards
 				scan.rows = float64(len(pks))
 				return
 			}
 		}
 	}
+}
+
+// inListRouting routes `pk IN (items)`: the distinct encoded keys in
+// first-seen order (IN (1, 1) must not read the row twice) and the
+// ascending shards that own them, or nil when an item is not a literal.
+// The keys are subslices of one arena sized once, capped so that no
+// append through one can reach the next; duplicates are found on a
+// sorted permutation instead of a map, so a routing costs the same few
+// allocations whatever the list length.
+func inListRouting(t *partition.Table, items []sql.Expr) (pks [][]byte, shards []int) {
+	size := 0
+	for _, item := range items {
+		lit, ok := item.(*sql.Literal)
+		if !ok {
+			return nil, nil
+		}
+		size += types.KeyWidth(lit.Val)
+	}
+	arena := make([]byte, 0, size)
+	pks = make([][]byte, len(items))
+	for i, item := range items {
+		start := len(arena)
+		arena = types.EncodeKey(arena, item.(*sql.Literal).Val)
+		pks[i] = arena[start:len(arena):len(arena)]
+	}
+	// order lists key positions by key, equal keys by position, so every
+	// later copy of a key directly follows its first; it is then reused
+	// for the shards.
+	order := make([]int, len(pks))
+	for i := range order {
+		order[i] = i
+	}
+	if len(order) > 1 {
+		slices.SortStableFunc(order, func(a, b int) int { return bytes.Compare(pks[a], pks[b]) })
+		prev := pks[order[0]]
+		for _, k := range order[1:] {
+			if bytes.Equal(pks[k], prev) {
+				pks[k] = nil
+			} else {
+				prev = pks[k]
+			}
+		}
+		pks = slices.DeleteFunc(pks, func(pk []byte) bool { return pk == nil })
+	}
+	shards = order[:len(pks)]
+	for i, pk := range pks {
+		shards[i] = t.ShardOfPK(pk)
+	}
+	slices.Sort(shards)
+	return pks, slices.Compact(shards)
 }

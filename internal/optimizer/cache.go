@@ -29,9 +29,13 @@ const planCacheShards = 16
 // and statistics — and only re-bind parameters + recompute the
 // value-dependent routing (shard pruning, GSI choice).
 //
-// Entries store an immutable plan skeleton. Lookup returns a deep copy
-// with fresh parameter literals substituted, so concurrent sessions on
-// one CN never share mutable plan state.
+// Entries store an immutable plan skeleton that owns every one of its
+// nodes. A hit copies on write: only the plan nodes and expression
+// subtrees that hold a parameter are copied, with fresh parameter
+// literals substituted and scan routing recomputed; the rest is shared
+// with the skeleton, which nothing writes. So concurrent sessions on one
+// CN share no mutable plan state, and a hit costs the same whatever the
+// number of keys it routes.
 //
 // A slot is keyed either by a fingerprint or by a statement shape
 // (sql.Shape): a shape slot shares its fingerprint slot's skeleton and
@@ -63,10 +67,10 @@ type cacheSlot struct {
 	fp    string // the slot's key: a fingerprint or a shape key
 	epoch uint64
 	plan  *Plan
-	// params are the skeleton's literal nodes in fingerprint order;
-	// instantiation maps them positionally onto a fresh statement's
-	// literals.
-	params []*sql.Literal
+	// nparams is the skeleton's parameter count: its parameter literals
+	// carry Slot 1..nparams, which instantiation maps positionally onto
+	// a fresh statement's literals.
+	nparams int
 	// shape, in a slot keyed by a shape, builds those literals from the
 	// shape's lifted values.
 	shape sql.ShapeBinding
@@ -113,8 +117,8 @@ func (pc *PlanCache) Lookup(fp string, epoch uint64, params []*sql.Literal) *Pla
 		return nil
 	}
 	slot := el.Value.(*cacheSlot)
-	if slot.epoch != epoch || len(slot.params) != len(params) {
-		if len(slot.params) != len(params) {
+	if slot.epoch != epoch || slot.nparams != len(params) {
+		if slot.nparams != len(params) {
 			pc.arityEvictions.Add(1)
 		}
 		sh.lru.Remove(el)
@@ -127,8 +131,11 @@ func (pc *PlanCache) Lookup(fp string, epoch uint64, params []*sql.Literal) *Pla
 	pc.hits.Add(1)
 	sh.mu.Unlock()
 	// Instantiate outside the lock: the skeleton is immutable.
-	plan, _ := clonePlan(slot.plan, slot.params, params)
-	return plan
+	lits := make([]sql.Literal, len(params))
+	for i, p := range params {
+		lits[i] = *p
+	}
+	return clonePlan(slot.plan, lits, false)
 }
 
 // LookupShape returns the plan bound to a shape key, instantiated with
@@ -154,8 +161,7 @@ func (pc *PlanCache) LookupShape(key []byte, epoch uint64, lits []types.Value) *
 	sh.lru.MoveToFront(el)
 	pc.hits.Add(1)
 	sh.mu.Unlock()
-	plan, _ := clonePlan(slot.plan, slot.params, slot.shape.Literals(lits))
-	return plan
+	return clonePlan(slot.plan, slot.shape.Literals(lits), false)
 }
 
 // BindShape files a shape slot under key for the skeleton cached under
@@ -171,7 +177,7 @@ func (pc *PlanCache) BindShape(key string, fp string, epoch uint64, b sql.ShapeB
 		slot = *el.Value.(*cacheSlot)
 	}
 	src.mu.Unlock()
-	if !ok || slot.epoch != epoch || len(slot.params) != b.NumLits() {
+	if !ok || slot.epoch != epoch || slot.nparams != b.NumLits() {
 		return
 	}
 	slot.fp, slot.shape = key, b
@@ -179,11 +185,20 @@ func (pc *PlanCache) BindShape(key string, fp string, epoch uint64, b sql.ShapeB
 }
 
 // Store caches a freshly planned statement. The plan is snapshotted
-// (deep-copied) so later mutation of the live plan — executor binding,
-// the session's own reuse — cannot corrupt the skeleton.
+// (deep-copied) so later mutation of the live plan's statement — a
+// prepared statement binds new values into its literals and, when it
+// re-plans, re-binds its column references — cannot reach the skeleton.
+// params are the statement's parameter literals in fingerprint order:
+// each is stamped with its Slot for the copy and unstamped after.
 func (pc *PlanCache) Store(fp string, epoch uint64, plan *Plan, params []*sql.Literal) {
-	skeleton, skelParams := clonePlan(plan, params, nil)
-	pc.shardFor(fp).put(&cacheSlot{fp: fp, epoch: epoch, plan: skeleton, params: skelParams})
+	for i, p := range params {
+		p.Slot = i + 1
+	}
+	skeleton := clonePlan(plan, nil, true)
+	for _, p := range params {
+		p.Slot = 0
+	}
+	pc.shardFor(fp).put(&cacheSlot{fp: fp, epoch: epoch, plan: skeleton, nparams: len(params)})
 }
 
 // put files slot under its key as the shard's most recent entry,
@@ -226,100 +241,129 @@ func (pc *PlanCache) Len() int {
 	return n
 }
 
-// clonePlan deep-copies a plan, substituting parameter literals. params
-// are the source plan's literal nodes in fingerprint order; with, when
-// non-nil, supplies the replacement literal for each position (parameter
-// re-binding). With with == nil fresh literal nodes are minted carrying
-// the same values (used to snapshot a skeleton the cache owns). Returns
-// the clone and its parameter nodes in the same order.
-func clonePlan(p *Plan, params, with []*sql.Literal) (*Plan, []*sql.Literal) {
-	repl := make(map[*sql.Literal]*sql.Literal, len(params))
-	out := make([]*sql.Literal, len(params))
-	for i, old := range params {
-		var lit *sql.Literal
-		if with != nil {
-			lit = with[i]
-		} else {
-			cp := *old
-			lit = &cp
-		}
-		repl[old] = lit
-		out[i] = lit
+// clonePlan copies a plan for the cache: the deep snapshot Store keeps
+// (deep set), or a hit's copy-on-write instance of a skeleton with its
+// parameters taken from params (see sql.CloneExpr). An instance copies a
+// node only when it, or a node below it, holds a parameter: a scan whose
+// filter holds one also has its value-dependent routing recomputed.
+// Everything else, from column references to projections and names, is
+// the skeleton's own.
+func clonePlan(p *Plan, params []sql.Literal, deep bool) *Plan {
+	root, changed := cloneNode(p.Root, params, deep)
+	if !changed {
+		return p
 	}
 	cp := *p
-	cp.Root = cloneNode(p.Root, repl)
-	return &cp, out
+	cp.Root = root
+	return &cp
 }
 
-// cloneNode deep-copies a plan node tree, substituting literals and
-// recomputing value-dependent scan routing for the new parameters.
-func cloneNode(n Node, repl map[*sql.Literal]*sql.Literal) Node {
+// cloneNode is clonePlan over one node tree; changed reports whether the
+// result is a new node.
+func cloneNode(n Node, params []sql.Literal, deep bool) (out Node, changed bool) {
 	switch x := n.(type) {
 	case *ScanNode:
+		filter, fc := sql.CloneExpr(x.Filter, params, deep)
+		if !fc && !deep {
+			// Routing is a function of the filter's values alone.
+			return x, false
+		}
 		s := *x
-		s.Filter = sql.CloneExpr(x.Filter, repl)
-		s.Shards = append([]int(nil), x.Shards...)
-		s.PointLookups = append([][]byte(nil), x.PointLookups...)
-		s.Projection = append([]int(nil), x.Projection...)
-		s.GSIVals = append([]types.Value(nil), x.GSIVals...)
-		if x.PushedAgg != nil {
-			pa := &PushedAgg{GroupBy: append([]int(nil), x.PushedAgg.GroupBy...)}
-			for _, a := range x.PushedAgg.Aggs {
-				a.Arg = sql.CloneExpr(a.Arg, repl)
-				pa.Aggs = append(pa.Aggs, a)
-			}
-			s.PushedAgg = pa
+		s.Filter = filter
+		if deep {
+			s.Shards = append([]int(nil), x.Shards...)
+			s.PointLookups = append([][]byte(nil), x.PointLookups...)
+			s.Projection = append([]int(nil), x.Projection...)
+			s.GSIVals = append([]types.Value(nil), x.GSIVals...)
+		} else {
+			reprune(&s)
 		}
-		reprune(&s)
-		return &s
+		return &s, true
 	case *JoinNode:
+		l, lc := cloneNode(x.Left, params, deep)
+		r, rc := cloneNode(x.Right, params, deep)
+		lk, lkc := sql.CloneExprs(x.LeftKeys, params, deep)
+		rk, rkc := sql.CloneExprs(x.RightKeys, params, deep)
+		on, oc := sql.CloneExpr(x.On, params, deep)
+		if !lc && !rc && !lkc && !rkc && !oc && !deep {
+			return x, false
+		}
 		j := *x
-		j.Left = cloneNode(x.Left, repl)
-		j.Right = cloneNode(x.Right, repl)
-		j.LeftKeys = cloneExprs(x.LeftKeys, repl)
-		j.RightKeys = cloneExprs(x.RightKeys, repl)
-		j.On = sql.CloneExpr(x.On, repl)
-		return &j
+		j.Left, j.Right, j.LeftKeys, j.RightKeys, j.On = l, r, lk, rk, on
+		return &j, true
 	case *AggNode:
+		in, ic := cloneNode(x.Input, params, deep)
+		gb, gc := sql.CloneExprs(x.GroupBy, params, deep)
+		aggs, ac := x.Aggs, deep
+		if deep {
+			aggs = append([]AggItem(nil), x.Aggs...)
+		}
+		for i, it := range x.Aggs {
+			arg, c := sql.CloneExpr(it.Arg, params, deep)
+			if !c {
+				continue
+			}
+			if !ac {
+				aggs, ac = append([]AggItem(nil), x.Aggs...), true
+			}
+			aggs[i].Arg = arg
+		}
+		if !ic && !gc && !ac && !deep {
+			return x, false
+		}
 		a := *x
-		a.Input = cloneNode(x.Input, repl)
-		a.GroupBy = cloneExprs(x.GroupBy, repl)
-		a.Aggs = append([]AggItem(nil), x.Aggs...)
-		for i := range a.Aggs {
-			a.Aggs[i].Arg = sql.CloneExpr(a.Aggs[i].Arg, repl)
+		a.Input, a.GroupBy, a.Aggs = in, gb, aggs
+		if deep {
+			a.Names = append([]string(nil), x.Names...)
 		}
-		a.Names = append([]string(nil), x.Names...)
-		return &a
+		return &a, true
 	case *FilterNode:
-		return &FilterNode{Input: cloneNode(x.Input, repl), Pred: sql.CloneExpr(x.Pred, repl)}
+		in, ic := cloneNode(x.Input, params, deep)
+		pred, pc := sql.CloneExpr(x.Pred, params, deep)
+		if !ic && !pc && !deep {
+			return x, false
+		}
+		return &FilterNode{Input: in, Pred: pred}, true
 	case *ProjectNode:
-		return &ProjectNode{
-			Input: cloneNode(x.Input, repl),
-			Exprs: cloneExprs(x.Exprs, repl),
-			Names: append([]string(nil), x.Names...),
+		in, ic := cloneNode(x.Input, params, deep)
+		exprs, ec := sql.CloneExprs(x.Exprs, params, deep)
+		if !ic && !ec && !deep {
+			return x, false
 		}
+		names := x.Names
+		if deep {
+			names = append([]string(nil), x.Names...)
+		}
+		return &ProjectNode{Input: in, Exprs: exprs, Names: names}, true
 	case *SortNode:
-		s := &SortNode{Input: cloneNode(x.Input, repl)}
-		for _, k := range x.Keys {
-			s.Keys = append(s.Keys, SortItem{Expr: sql.CloneExpr(k.Expr, repl), Desc: k.Desc})
+		in, ic := cloneNode(x.Input, params, deep)
+		keys, kc := x.Keys, deep
+		if deep {
+			keys = append([]SortItem(nil), x.Keys...)
 		}
-		return s
+		for i, k := range x.Keys {
+			e, c := sql.CloneExpr(k.Expr, params, deep)
+			if !c {
+				continue
+			}
+			if !kc {
+				keys, kc = append([]SortItem(nil), x.Keys...), true
+			}
+			keys[i].Expr = e
+		}
+		if !ic && !kc && !deep {
+			return x, false
+		}
+		return &SortNode{Input: in, Keys: keys}, true
 	case *LimitNode:
-		return &LimitNode{Input: cloneNode(x.Input, repl), N: x.N}
+		in, ic := cloneNode(x.Input, params, deep)
+		if !ic && !deep {
+			return x, false
+		}
+		return &LimitNode{Input: in, N: x.N}, true
 	default:
-		return n
+		return n, false
 	}
-}
-
-func cloneExprs(es []sql.Expr, repl map[*sql.Literal]*sql.Literal) []sql.Expr {
-	if es == nil {
-		return nil
-	}
-	out := make([]sql.Expr, len(es))
-	for i, e := range es {
-		out[i] = sql.CloneExpr(e, repl)
-	}
-	return out
 }
 
 // reprune recomputes a cloned scan's value-dependent routing from its

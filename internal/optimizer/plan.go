@@ -47,9 +47,6 @@ type ScanNode struct {
 	// UseColumnIndex routes the scan to the in-memory column index on an
 	// AP-serving RO node (§VI-E).
 	UseColumnIndex bool
-	// PushedAgg, when non-nil, offloads partial aggregation to the
-	// storage node (column index pushdown).
-	PushedAgg *PushedAgg
 	// GSI, when non-nil, routes the scan through a global secondary
 	// index (§II-B): GSIVals are the equality literals on the index's
 	// leading columns, pinning one hidden-table shard. Clustered indexes
@@ -60,12 +57,6 @@ type ScanNode struct {
 
 	cols []string
 	rows float64
-}
-
-// PushedAgg mirrors dn.PushAgg at plan level.
-type PushedAgg struct {
-	GroupBy []int
-	Aggs    []AggItem
 }
 
 // Columns implements Node.
@@ -99,9 +90,6 @@ func (s *ScanNode) Explain() string {
 	fmt.Fprintf(&b, ", store=%s", store)
 	if s.Filter != nil {
 		fmt.Fprintf(&b, ", filter=%s", sql.String(s.Filter))
-	}
-	if s.PushedAgg != nil {
-		fmt.Fprintf(&b, ", pushed-agg")
 	}
 	b.WriteString(")")
 	return b.String()

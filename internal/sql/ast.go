@@ -45,11 +45,16 @@ func (c *ColumnRef) Name() string {
 // records that unary minus was folded into Val an odd number of times.
 // Together they tie the literal to a value the shape pass lifted from
 // the same text (BindShape).
+//
+// Slot is set only on a plan-cache skeleton's own copy of a parameter
+// literal: the parameter's position plus one. CloneExpr substitutes the
+// instance's literal for it.
 type Literal struct {
 	Val   types.Value
 	Param bool
 	Neg   bool
 	Src   int
+	Slot  int
 }
 
 func (*Literal) expr() {}

@@ -232,59 +232,124 @@ func (w *fingerprinter) expr(e Expr) {
 	}
 }
 
-// CloneExpr deep-copies an expression tree. repl maps old literal nodes
-// to their replacements (parameter re-binding); literals not in repl are
-// copied fresh so the clone shares no mutable nodes with the original.
-func CloneExpr(e Expr, repl map[*Literal]*Literal) Expr {
+// CloneExpr copies an expression for the plan cache. With deep set it
+// copies every node, so the copy shares nothing with e (a literal keeps
+// its Slot): the snapshot a cached skeleton owns. Otherwise it is copy on
+// write over a skeleton: a literal with a Slot is replaced by
+// &params[Slot-1], the nodes on the path to one are copied, and every
+// subtree without one is returned as it is, shared. changed reports
+// whether the result is a new node.
+func CloneExpr(e Expr, params []Literal, deep bool) (out Expr, changed bool) {
 	switch x := e.(type) {
 	case nil:
-		return nil
+		return nil, false
 	case *ColumnRef:
+		if !deep {
+			return x, false
+		}
 		c := *x
-		return &c
+		return &c, true
 	case *Literal:
-		if n, ok := repl[x]; ok {
-			return n
+		if deep {
+			c := *x
+			return &c, true
 		}
-		c := *x
-		return &c
+		if x.Slot > 0 {
+			return &params[x.Slot-1], true
+		}
+		return x, false
 	case *BinaryOp:
-		return &BinaryOp{Op: x.Op, L: CloneExpr(x.L, repl), R: CloneExpr(x.R, repl)}
+		l, lc := CloneExpr(x.L, params, deep)
+		r, rc := CloneExpr(x.R, params, deep)
+		if !lc && !rc {
+			return x, false
+		}
+		return &BinaryOp{Op: x.Op, L: l, R: r}, true
 	case *UnaryOp:
-		return &UnaryOp{Op: x.Op, E: CloneExpr(x.E, repl)}
+		in, c := CloneExpr(x.E, params, deep)
+		if !c {
+			return x, false
+		}
+		return &UnaryOp{Op: x.Op, E: in}, true
 	case *InList:
-		c := &InList{E: CloneExpr(x.E, repl), Not: x.Not, Sub: x.Sub}
-		for _, it := range x.Items {
-			c.Items = append(c.Items, CloneExpr(it, repl))
+		in, ec := CloneExpr(x.E, params, deep)
+		items, ic := CloneExprs(x.Items, params, deep)
+		if !ec && !ic {
+			return x, false
 		}
-		return c
+		return &InList{E: in, Items: items, Not: x.Not, Sub: x.Sub}, true
 	case *Exists:
-		return &Exists{Sub: x.Sub, Not: x.Not}
+		if !deep {
+			return x, false
+		}
+		return &Exists{Sub: x.Sub, Not: x.Not}, true
 	case *Subquery:
-		return &Subquery{Sel: x.Sel}
+		if !deep {
+			return x, false
+		}
+		return &Subquery{Sel: x.Sel}, true
 	case *Between:
-		return &Between{
-			E: CloneExpr(x.E, repl), Lo: CloneExpr(x.Lo, repl),
-			Hi: CloneExpr(x.Hi, repl), Not: x.Not,
+		in, ec := CloneExpr(x.E, params, deep)
+		lo, lc := CloneExpr(x.Lo, params, deep)
+		hi, hc := CloneExpr(x.Hi, params, deep)
+		if !ec && !lc && !hc {
+			return x, false
 		}
+		return &Between{E: in, Lo: lo, Hi: hi, Not: x.Not}, true
 	case *IsNull:
-		return &IsNull{E: CloneExpr(x.E, repl), Not: x.Not}
+		in, c := CloneExpr(x.E, params, deep)
+		if !c {
+			return x, false
+		}
+		return &IsNull{E: in, Not: x.Not}, true
 	case *FuncCall:
-		c := &FuncCall{Name: x.Name, Star: x.Star, Distinct: x.Distinct}
-		for _, a := range x.Args {
-			c.Args = append(c.Args, CloneExpr(a, repl))
+		args, c := CloneExprs(x.Args, params, deep)
+		if !c && !deep {
+			return x, false
 		}
-		return c
+		return &FuncCall{Name: x.Name, Args: args, Star: x.Star, Distinct: x.Distinct}, true
 	case *CaseExpr:
-		c := &CaseExpr{Else: CloneExpr(x.Else, repl)}
-		for _, wh := range x.Whens {
-			c.Whens = append(c.Whens, WhenClause{
-				Cond:   CloneExpr(wh.Cond, repl),
-				Result: CloneExpr(wh.Result, repl),
-			})
+		els, changed := CloneExpr(x.Else, params, deep)
+		var whens []WhenClause
+		for i, wh := range x.Whens {
+			cond, cc := CloneExpr(wh.Cond, params, deep)
+			res, rc := CloneExpr(wh.Result, params, deep)
+			if (cc || rc) && whens == nil {
+				whens = append(make([]WhenClause, 0, len(x.Whens)), x.Whens[:i]...)
+			}
+			if whens != nil {
+				whens = append(whens, WhenClause{Cond: cond, Result: res})
+			}
 		}
-		return c
+		if whens == nil {
+			whens = x.Whens
+		} else {
+			changed = true
+		}
+		if !changed && !deep {
+			return x, false
+		}
+		return &CaseExpr{Whens: whens, Else: els}, true
 	default:
-		return e
+		return e, false
 	}
+}
+
+// CloneExprs applies CloneExpr to each expression of es. The slice is
+// copied from the first element that changed; when none did, es itself
+// is returned and changed is false.
+func CloneExprs(es []Expr, params []Literal, deep bool) (out []Expr, changed bool) {
+	for i, e := range es {
+		c, ch := CloneExpr(e, params, deep)
+		if ch && out == nil {
+			out = append(make([]Expr, 0, len(es)), es[:i]...)
+		}
+		if out != nil {
+			out = append(out, c)
+		}
+	}
+	if out == nil {
+		return es, false
+	}
+	return out, true
 }

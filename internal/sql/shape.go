@@ -129,9 +129,8 @@ func (b ShapeBinding) NumLits() int { return len(b.slots) }
 
 // Literals builds fresh parameter literals, in fingerprint order, from
 // lits: the Lits of a Shape with the bound key.
-func (b ShapeBinding) Literals(lits []types.Value) []*Literal {
-	nodes := make([]Literal, len(b.slots))
-	out := make([]*Literal, len(b.slots))
+func (b ShapeBinding) Literals(lits []types.Value) []Literal {
+	out := make([]Literal, len(b.slots))
 	for i, sl := range b.slots {
 		v := lits[sl.lit]
 		if sl.neg {
@@ -142,8 +141,7 @@ func (b ShapeBinding) Literals(lits []types.Value) []*Literal {
 				v = types.Float(-v.F)
 			}
 		}
-		nodes[i] = Literal{Val: v}
-		out[i] = &nodes[i]
+		out[i].Val = v
 	}
 	return out
 }

@@ -53,6 +53,20 @@ func putStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// valueSize is the number of bytes putValue writes for v.
+func valueSize(v types.Value) int {
+	switch v.K {
+	case types.KindInt, types.KindBool, types.KindFloat:
+		return 1 + 8
+	case types.KindString:
+		return 1 + 4 + len(v.S)
+	case types.KindBytes:
+		return 1 + 4 + len(v.B)
+	default:
+		return 1
+	}
+}
+
 func putValue(b []byte, v types.Value) []byte {
 	b = append(b, byte(v.K))
 	switch v.K {
@@ -72,9 +86,11 @@ func putValue(b []byte, v types.Value) []byte {
 
 // --- decoding -----------------------------------------------------------
 
-// cursor is a sticky-error frame reader.
+// cursor is a sticky-error frame reader. s, when set, is b as one
+// string: str then returns substrings of it instead of copying each.
 type cursor struct {
 	b   []byte
+	s   string
 	off int
 	err error
 }
@@ -84,6 +100,9 @@ func (c *cursor) fail() {
 		c.err = ErrMalformedFrame
 	}
 }
+
+// left is the number of bytes not yet read.
+func (c *cursor) left() int { return len(c.b) - c.off }
 
 func (c *cursor) byte() byte {
 	if c.err != nil || c.off >= len(c.b) {
@@ -121,7 +140,12 @@ func (c *cursor) str() string {
 		c.fail()
 		return ""
 	}
-	s := string(c.b[c.off : c.off+n])
+	var s string
+	if c.s != "" {
+		s = c.s[c.off : c.off+n]
+	} else {
+		s = string(c.b[c.off : c.off+n])
+	}
 	c.off += n
 	return s
 }
@@ -172,7 +196,16 @@ func okFrame(affected int) []byte {
 }
 
 func rowsFrame(cols []string, rows []types.Row) []byte {
-	b := []byte{respRows}
+	size := 1 + 4 + 4*len(cols) + 4
+	for _, c := range cols {
+		size += len(c)
+	}
+	for _, r := range rows {
+		for _, v := range r {
+			size += valueSize(v)
+		}
+	}
+	b := append(make([]byte, 0, size), respRows)
 	b = putU32(b, uint32(len(cols)))
 	for _, c := range cols {
 		b = putStr(b, c)
@@ -216,21 +249,32 @@ func decodeResponse(b []byte) (*Result, error) {
 		}
 		return res, nil
 	case respRows:
+		// A column name takes at least 4 bytes of the frame and a value
+		// at least 1, so counts the rest of the frame cannot hold are
+		// refused before anything is allocated for them; so are rows
+		// without columns, which no statement returns.
 		ncols := int(c.u32())
-		if c.err != nil || ncols < 0 || ncols > maxFrame {
+		if c.err != nil || ncols < 0 || ncols > c.left()/4 {
 			return nil, ErrMalformedFrame
 		}
+		// Every string of the result is a substring of one copy of the
+		// frame, so decoding allocates per frame, not per row or value
+		// (a string kept keeps the whole frame).
+		c.s = string(b)
 		res := &Result{Columns: make([]string, ncols)}
 		for i := range res.Columns {
 			res.Columns[i] = c.str()
 		}
 		nrows := int(c.u32())
-		if c.err != nil || nrows < 0 || nrows > maxFrame {
+		if c.err != nil || nrows < 0 || nrows > 0 && (ncols == 0 || nrows > c.left()/ncols) {
 			return nil, ErrMalformedFrame
 		}
+		// Every row is a capped window of one slab, so an append to one
+		// row cannot overwrite the next.
+		slab := make([]types.Value, nrows*ncols)
 		res.Rows = make([]types.Row, nrows)
 		for i := range res.Rows {
-			row := make(types.Row, ncols)
+			row := slab[i*ncols : (i+1)*ncols : (i+1)*ncols]
 			for j := range row {
 				row[j] = c.value()
 			}

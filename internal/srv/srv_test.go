@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -449,4 +450,62 @@ func mustQuery(t *testing.T, c *Conn, q string) *Result {
 		t.Fatalf("%s: %v", q, err)
 	}
 	return res
+}
+
+// TestDecodeRowsBoundsCounts: a ROWS frame's column and row counts are
+// checked against the bytes left in the frame before anything is sized
+// by them. A 5-byte frame claiming 16 Mi columns, and a 9-byte one
+// claiming 16 Mi rows of no columns, are malformed and cost no more
+// than a few allocations to refuse.
+func TestDecodeRowsBoundsCounts(t *testing.T) {
+	frames := map[string][]byte{
+		"16 Mi columns":          putU32([]byte{respRows}, 16<<20),
+		"16 Mi rows, no columns": putU32(putU32([]byte{respRows}, 0), 16<<20),
+		"2 rows, 1 value":        putValue(putU32(putStr(putU32([]byte{respRows}, 1), "c"), 2), types.Int(1)),
+	}
+	for name, f := range frames {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeResponse(f)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMalformedFrame) {
+			t.Errorf("%s: err %v, want ErrMalformedFrame", name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: refusing a %d-byte frame allocated %d bytes", name, len(f), n)
+		}
+	}
+}
+
+// TestDecodeRowsSlab: decoded rows share one slab of values, each capped
+// so that appending to a row never overwrites the next, and their
+// strings share one copy of the frame: decoding costs the same number of
+// allocations for 2 rows as for 40.
+func TestDecodeRowsSlab(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, n := range []int{2, 40} {
+		var rows []types.Row
+		for i := 0; i < n; i++ {
+			rows = append(rows, types.Row{types.Int(int64(i)), types.Str(fmt.Sprint("c", i))})
+		}
+		f := rowsFrame([]string{"id", "c"}, rows)
+		allocs[n] = testing.AllocsPerRun(50, func() {
+			if _, err := decodeResponse(f); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[40] != allocs[2] {
+		t.Fatalf("decoding allocates %.0f times for 2 rows and %.0f for 40", allocs[2], allocs[40])
+	}
+
+	rows := []types.Row{{types.Int(1), types.Str("a")}, {types.Int(2), types.Str("b")}}
+	res, err := decodeResponse(rowsFrame([]string{"id", "c"}, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(res.Rows[0], types.Int(99))
+	if len(res.Rows) != 2 || res.Rows[1][0].I != 2 || res.Rows[1][1].S != "b" || res.Rows[0][1].S != "a" {
+		t.Fatalf("rows = %v", res.Rows)
+	}
 }

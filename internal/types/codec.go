@@ -30,12 +30,35 @@ var ErrCorruptKey = errors.New("types: corrupt key encoding")
 // ErrCorruptRow reports an undecodable row payload.
 var ErrCorruptRow = errors.New("types: corrupt row encoding")
 
-// EncodeKey appends the memcomparable encoding of vals to dst.
+// EncodeKey appends the memcomparable encoding of vals to dst, growing
+// dst at most once (by KeyWidth of every value).
 func EncodeKey(dst []byte, vals ...Value) []byte {
+	n := 0
+	for _, v := range vals {
+		n += KeyWidth(v)
+	}
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	for _, v := range vals {
 		dst = encodeKeyValue(dst, v)
 	}
 	return dst
+}
+
+// KeyWidth is the number of bytes EncodeKey writes for v: exact, except
+// that each 0x00 byte of a string or bytes value takes one more.
+func KeyWidth(v Value) int {
+	switch v.K {
+	case KindNull:
+		return 1
+	case KindString:
+		return 1 + len(v.S) + 2
+	case KindBytes:
+		return 1 + len(v.B) + 2
+	default:
+		return 1 + 8
+	}
 }
 
 func encodeKeyValue(dst []byte, v Value) []byte {
@@ -50,7 +73,7 @@ func encodeKeyValue(dst []byte, v Value) []byte {
 		return encodeOrderedFloat(dst, v.F)
 	case KindString:
 		dst = append(dst, tagString)
-		return encodeOrderedBytes(dst, []byte(v.S))
+		return encodeOrderedBytes(dst, v.S)
 	case KindBytes:
 		dst = append(dst, tagBytes)
 		return encodeOrderedBytes(dst, v.B)
@@ -92,9 +115,9 @@ func decodeOrderedFloat(b []byte) (float64, []byte, error) {
 // encodeOrderedBytes writes the escaped form: 0x00 bytes become
 // 0x00 0xFF, terminated by 0x00 0x01. Lexicographic order is preserved
 // and shorter prefixes sort first.
-func encodeOrderedBytes(dst, b []byte) []byte {
-	for _, c := range b {
-		if c == 0x00 {
+func encodeOrderedBytes[T string | []byte](dst []byte, b T) []byte {
+	for i := 0; i < len(b); i++ {
+		if c := b[i]; c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
 			dst = append(dst, c)

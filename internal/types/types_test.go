@@ -378,3 +378,24 @@ func TestPrefixSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEncodeKeyGrowsOnce: a fresh key is allocated once, at its full
+// width, and KeyWidth is that width.
+func TestEncodeKeyGrowsOnce(t *testing.T) {
+	for _, vals := range [][]Value{
+		{Int(-7)}, {Float(2.5)}, {Null()}, {Str("sbtest")}, {Bytes([]byte{1, 2})},
+		{Int(1), Str("ab"), Null()},
+	} {
+		width := 0
+		for _, v := range vals {
+			width += KeyWidth(v)
+		}
+		var key []byte
+		if allocs := testing.AllocsPerRun(100, func() { key = EncodeKey(nil, vals...) }); allocs != 1 {
+			t.Errorf("EncodeKey(nil, %v) allocates %.0f times, want 1", vals, allocs)
+		}
+		if len(key) != width || cap(key) < width {
+			t.Errorf("EncodeKey(nil, %v): len %d cap %d, KeyWidth %d", vals, len(key), cap(key), width)
+		}
+	}
+}

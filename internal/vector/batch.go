@@ -90,11 +90,22 @@ func (b *Batch) RowInto(dst types.Row, i int) {
 	}
 }
 
-// AppendRows materializes every selected row onto dst.
+// AppendRows materializes every selected row onto dst. The rows share
+// one slab of values, each a capped window of it, so an append to one
+// row cannot overwrite the next.
 func (b *Batch) AppendRows(dst []types.Row) []types.Row {
-	n := b.NumRows()
+	n, w := b.NumRows(), len(b.Vecs)
+	if n == 0 {
+		return dst
+	}
+	slab := make([]types.Value, n*w)
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]types.Row, 0, 2*len(dst)+n), dst...)
+	}
 	for i := 0; i < n; i++ {
-		dst = append(dst, b.Row(i))
+		row := slab[i*w : (i+1)*w : (i+1)*w]
+		b.RowInto(row, i)
+		dst = append(dst, row)
 	}
 	return dst
 }

@@ -112,3 +112,25 @@ func TestReleaseAfterOwnershipTransfer(t *testing.T) {
 		t.Fatalf("ownership-transfer pipeline triggered %d double releases", dblAfter-dblBefore)
 	}
 }
+
+// TestAppendRowsSlab: the rows of one batch share one slab of values,
+// honour the selection vector, and are capped so that appending to a
+// row never overwrites the next.
+func TestAppendRowsSlab(t *testing.T) {
+	b := FromRows([]types.Row{
+		{types.Int(1), types.Str("a")},
+		{types.Int(2), types.Str("b")},
+		{types.Int(3), types.Str("c")},
+	}, 2)
+	b.Sel = []int{0, 2}
+	prefix := []types.Row{{types.Int(0)}}
+	rows := b.AppendRows(prefix)
+	if allocs := testing.AllocsPerRun(50, func() { b.AppendRows(make([]types.Row, 0, 2)) }); allocs != 1 {
+		t.Fatalf("AppendRows of 2 rows allocates %.0f times, want 1 (the slab)", allocs)
+	}
+	_ = append(rows[1], types.Int(99))
+	if len(rows) != 3 || rows[0][0].I != 0 || rows[1][0].I != 1 || rows[1][1].S != "a" ||
+		rows[2][0].I != 3 || rows[2][1].S != "c" {
+		t.Fatalf("rows = %v", rows)
+	}
+}
