@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet delay-guard test test-short test-race stress bench-check-build chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
+.PHONY: build vet delay-guard test test-short test-race fuzz stress bench-check-build chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,20 @@ test-race: vet
 	$(GO) test -race -run 'TestShape|TestPrepared' ./internal/core/
 	$(GO) test -race ./internal/executor/ ./internal/colindex/ ./internal/obs/ ./internal/vector/
 	$(GO) test -race ./...
+
+# Every Fuzz* target, found with `go test -list`, fuzzed for FUZZTIME
+# each. Not part of `make test`: tier-1 `go test` replays each target's
+# seeds and testdata/fuzz/ corpus only. A failing input is written to the
+# package's testdata/fuzz/, where tier-1 then replays it.
+#   make fuzz FUZZTIME=30s
+FUZZTIME ?= 30s
+fuzz:
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+		while read pkg target; do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done
 
 # "Green under load and at more than one GOMAXPROCS" (ROADMAP ground
 # rule): PKGS run N times each at -cpu 1,2,4 while internal/bench, the

@@ -108,7 +108,7 @@ type Config struct {
 	// SkewThreshold is the max/mean per-node window load ratio above
 	// which a group is skewed (default 2.0).
 	SkewThreshold float64
-	// HotFactor feeds hotspot.PlanShards to pick the shard to act on
+	// HotFactor feeds planShards to pick the shard to act on
 	// (default 2.0).
 	HotFactor float64
 	// ConfirmTicks is how many consecutive skewed observations a group
@@ -203,11 +203,11 @@ type Controller struct {
 	target Target
 	clock  obs.Clock
 
-	mTicks, mActions, mNoops         *obs.Counter
-	mRetries, mFailures, mRollbacks  *obs.Counter
-	mOscSkips, mCooldownSkips        *obs.Counter
-	mConverged, mVerifyTimeouts      *obs.Counter
-	hConverge                        *obs.Histogram
+	mTicks, mActions, mNoops        *obs.Counter
+	mRetries, mFailures, mRollbacks *obs.Counter
+	mOscSkips, mCooldownSkips       *obs.Counter
+	mConverged, mVerifyTimeouts     *obs.Counter
+	hConverge                       *obs.Histogram
 
 	mu         sync.Mutex
 	prev       map[string][]int64 // cumulative loads at last tick, per table

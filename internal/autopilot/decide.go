@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/gms"
-	"repro/internal/hotspot"
 )
 
 // GroupObs is one table group's window observation: per-shard load over
@@ -46,13 +45,60 @@ func skewOf(window []int64, placement []string, nodes []string) (float64, map[st
 	return float64(max) / mean, perNode
 }
 
-// ChooseMove picks the action for a skewed group: the hotspot planner
+// shardAction is a planned mitigation for a skewed shard.
+type shardAction struct {
+	Shard int
+	Load  int64
+	// Split recommends re-sharding by another hash function; false means
+	// migrate the shard to a less-loaded DN instead.
+	Split bool
+}
+
+// String renders a shardAction.
+func (a shardAction) String() string {
+	if a.Split {
+		return fmt.Sprintf("split shard %d (load %d) by a secondary hash", a.Shard, a.Load)
+	}
+	return fmt.Sprintf("migrate shard %d (load %d) to a less-loaded DN", a.Shard, a.Load)
+}
+
+// planShards inspects per-shard window loads and returns actions for
+// shards loaded beyond factor× the *median* (robust to the outliers being
+// hunted), hottest first: moderate outliers migrate, extreme outliers
+// split (§VIII: "when a shard grows larger due to data skew, we will
+// split the shard according to another hash function").
+func planShards(loads []int64, factor float64) []shardAction {
+	if len(loads) == 0 {
+		return nil
+	}
+	sorted := append([]int64(nil), loads...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	median := float64(sorted[len(sorted)/2]+sorted[(len(sorted)-1)/2]) / 2
+	if median == 0 {
+		return nil
+	}
+	var out []shardAction
+	for shard, l := range loads {
+		if float64(l) <= median*factor {
+			continue
+		}
+		out = append(out, shardAction{
+			Shard: shard,
+			Load:  l,
+			Split: float64(l) > median*factor*2,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Load > out[j].Load })
+	return out
+}
+
+// ChooseMove picks the action for a skewed group: planShards
 // nominates the shard (split for extreme outliers, migrate otherwise) and
 // the least-loaded node (ties: fewest shards, then name) is the
 // destination. ok is false when no sensible move exists (e.g. the hot
 // shard already sits on the coolest node).
 func ChooseMove(g GroupObs, nodes []string, hotFactor float64) (Action, bool) {
-	planned := hotspot.PlanShards(g.Window, hotFactor)
+	planned := planShards(g.Window, hotFactor)
 	var shard int
 	var split bool
 	if len(planned) > 0 {

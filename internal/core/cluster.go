@@ -64,8 +64,6 @@ type Config struct {
 	// Topology is the network latency model (default ZeroTopology for
 	// tests; benches use DefaultTopology).
 	Topology *simnet.Topology
-	// DefaultShards per table when CREATE TABLE has no PARTITIONS clause.
-	DefaultShards int
 	// SchedulerCfg tunes each CN's local scheduler.
 	SchedulerCfg htap.Config
 	// TPCostThreshold overrides the optimizer's TP/AP boundary.
@@ -105,19 +103,9 @@ type Config struct {
 	// class, plan-cache hit/miss, txn outcomes, Paxos quorum waits. Off by
 	// default for the same reason as Tracing.
 	Metrics bool
-	// GroupCommitWindow tunes the DN leaders' group-commit accumulation
-	// window (0 = dn.DefaultGroupCommitWindow; negative disables group
-	// commit — the per-MTR flush ablation).
-	GroupCommitWindow time.Duration
-	// DNFlushDelay models the latency of one DN redo flush to PolarFS
-	// (default 0: free).
-	DNFlushDelay time.Duration
 	// SlowQueryThreshold, when > 0, logs statements whose wall time meets
-	// it to the cluster slow-query log (and OnSlowQuery, if set).
+	// it to the cluster slow-query log.
 	SlowQueryThreshold time.Duration
-	// OnSlowQuery, when non-nil, is invoked synchronously for each slow
-	// statement in addition to the in-memory log.
-	OnSlowQuery func(sql string, d time.Duration)
 	// Autopilot, when non-nil, starts the closed-loop elastic controller:
 	// it watches shard-load windows, migrates hot shards between DN
 	// groups online, and verifies convergence (internal/autopilot). With
@@ -150,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Oracle == "" {
 		c.Oracle = OracleHLC
-	}
-	if c.DefaultShards <= 0 {
-		c.DefaultShards = 2 * c.DNGroups
 	}
 	if c.InDoubtTimeout <= 0 {
 		c.InDoubtTimeout = 2 * time.Second
@@ -243,9 +228,6 @@ func (c *Cluster) noteSlowQuery(query string, d time.Duration, cnName string) {
 		c.slowHead = (c.slowHead + 1) % slowQueryLogCap
 	}
 	c.slowMu.Unlock()
-	if fn := c.cfg.OnSlowQuery; fn != nil {
-		fn(query, d)
-	}
 }
 
 // SlowQueries returns a copy of the slow-query log, oldest first.
@@ -417,11 +399,9 @@ func (c *Cluster) addDNGroup(g int) error {
 			// Benchmark clusters run heavy goroutine load on one host;
 			// a generous election timeout keeps scheduler hiccups from
 			// triggering spurious leader changes mid-experiment.
-			ElectionTimeout:   2 * time.Second,
-			InDoubtAfter:      c.cfg.InDoubtTimeout,
-			GroupCommitWindow: c.cfg.GroupCommitWindow,
-			FlushDelay:        c.cfg.DNFlushDelay,
-			Metrics:           c.metrics,
+			ElectionTimeout: 2 * time.Second,
+			InDoubtAfter:    c.cfg.InDoubtTimeout,
+			Metrics:         c.metrics,
 		})
 		if err != nil {
 			return err

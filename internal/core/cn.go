@@ -11,7 +11,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/dn"
 	"repro/internal/gms"
-	"repro/internal/hotspot"
 	"repro/internal/htap"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
@@ -35,9 +34,6 @@ type CN struct {
 	// roCounter round-robins AP reads across a DN's replicas, across
 	// queries (per-query rotation would pin load to the first RO).
 	roCounter atomic.Uint64
-	// traffic, when non-nil, meters statements per SQL class and clamps
-	// anomalous classes (§VIII automated traffic control).
-	traffic *hotspot.Controller
 	// admit, when non-nil, is the CN's admission gate (Config.Admission):
 	// a bounded execution semaphore with priority classes, per-tenant
 	// quotas, queue-wait shedding and AP brownout.
@@ -465,19 +461,12 @@ func (s *Session) Execute(query string) (*Result, error) {
 }
 
 // run is the statement pipeline shared by Execute and Prepared.Execute:
-// traffic control, deadline arming, tracing, dispatch (with the
-// auto-commit retry ladders) and slow-query logging. stmt, when non-nil,
-// is the pre-parsed statement to run; query is always the statement text
-// (traffic fingerprinting, traces and the slow-query log key on it). The
-// caller must hold the session's statement slot (beginStmt).
+// deadline arming, tracing, dispatch (with the auto-commit retry ladders)
+// and slow-query logging. stmt, when non-nil, is the pre-parsed statement
+// to run; query is always the statement text (traces and the slow-query
+// log key on it). The caller must hold the session's statement slot
+// (beginStmt).
 func (s *Session) run(query string, stmt sql.Statement) (*Result, error) {
-	if tc := s.cn.traffic; tc != nil {
-		ok, release := tc.Admit(hotspot.Fingerprint(query))
-		if !ok {
-			return nil, ErrThrottled
-		}
-		defer release()
-	}
 	cfg := &s.cn.cluster.cfg
 	// Arm the statement deadline before anything can block: it rides
 	// every branch RPC as metadata and bounds admission queueing, 2PC
@@ -648,8 +637,9 @@ func (s *Session) executeStmt(stmt sql.Statement) (*Result, error) {
 // tables on the owning DN groups.
 func (cn *CN) createTable(st *sql.CreateTable) (*Result, error) {
 	shards := st.Partitions
-	if shards <= 1 && cn.cluster.cfg.DefaultShards > 0 && st.Partitions == 1 {
-		shards = cn.cluster.cfg.DefaultShards
+	if shards == 1 {
+		// No PARTITIONS clause (or PARTITIONS 1): two shards per DN group.
+		shards = 2 * cn.cluster.cfg.DNGroups
 	}
 	schema := st.Schema()
 	t, err := cn.cluster.GMS.CreateTable(st.Name, schema, shards, st.TableGroup)

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/advisor"
 	"repro/internal/dn"
 	"repro/internal/simnet"
 )
@@ -472,105 +469,6 @@ func TestTwoSessionsConflict(t *testing.T) {
 	if res.Rows[0][0].AsInt() != 1 {
 		t.Fatalf("winner's write lost: %v", res.Rows[0])
 	}
-}
-
-func TestAdvisorThroughCN(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	s := c.CN(simnet.DC1).NewSession()
-	seedUsers(t, s, 100)
-	rec, err := c.CN(simnet.DC1).Advise([]string{
-		"SELECT name FROM users WHERE city = 'city1'",
-		"SELECT balance FROM users WHERE city = 'city2'",
-		"SELECT COUNT(*) FROM users WHERE city = 'city0' AND balance > 100",
-	}, advisor.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Chosen) == 0 {
-		t.Fatal("no recommendation for a repeated city filter")
-	}
-	if rec.Chosen[0].Table != "users" || rec.Chosen[0].Columns[0] != "city" {
-		t.Fatalf("top = %+v", rec.Chosen[0])
-	}
-	// The recommended DDL actually applies.
-	for _, ddl := range rec.DDL() {
-		mustExec(t, s, ddl)
-	}
-	gmsTable, _ := c.GMS.Table("users")
-	if len(gmsTable.Indexes) == 0 {
-		t.Fatal("recommended index not created")
-	}
-}
-
-func TestHotShardPlanThroughCluster(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	s := c.CN(simnet.DC1).NewSession()
-	seedUsers(t, s, 50)
-	// Hammer one shard with point reads to skew the load counters.
-	for i := 0; i < 300; i++ {
-		mustExec(t, s, "SELECT name FROM users WHERE id = 7")
-	}
-	actions, err := c.HotShardPlan("users", 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(actions) == 0 {
-		t.Fatal("hot shard not detected")
-	}
-	if _, err := c.HotShardPlan("ghost", 2.0); err == nil {
-		t.Fatal("unknown table accepted")
-	}
-}
-
-func TestTrafficControlThrottlesBurst(t *testing.T) {
-	c := newTestCluster(t, Config{})
-	s := c.CN(simnet.DC1).NewSession()
-	seedUsers(t, s, 20)
-	c.EnableTrafficControl()
-
-	tc := c.CN(simnet.DC1).traffic
-	tc.AnomalyFactor = 2 // quicker detection for the test
-	tc.SetWindow(20 * time.Millisecond)
-
-	// Calm baseline for one statement class (a slow-ish scan, the §VIII
-	// "slow SQL without proper indexes").
-	burstQ := func(i int) string {
-		return fmt.Sprintf("SELECT COUNT(*) FROM users WHERE balance >= %d AND name LIKE 'u%%'", i%3)
-	}
-	for w := 0; w < 16; w++ {
-		mustExec(t, s, burstQ(w))
-		time.Sleep(25 * time.Millisecond)
-	}
-	// Burst the same class massively from many connections; once the
-	// anomaly is detected the class's concurrency is clamped and excess
-	// requests fail with ErrThrottled.
-	throttled := 0
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := c.CN(simnet.DC1).NewSession()
-			for i := 0; i < 400; i++ {
-				_, err := sess.Execute(burstQ(i))
-				if errors.Is(err, ErrThrottled) {
-					mu.Lock()
-					throttled++
-					mu.Unlock()
-				} else if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if throttled == 0 {
-		t.Fatal("burst was never throttled")
-	}
-	// Other classes unaffected.
-	mustExec(t, s, "SELECT COUNT(*) FROM users")
 }
 
 func TestPartitionWiseJoinCorrectness(t *testing.T) {

@@ -62,6 +62,23 @@ func outcome(res *Result, err error) string {
 	return fmt.Sprintf("columns %v\nrows %v\nplan:\n%s", res.Columns, rows, explain)
 }
 
+// awaitRows waits until s counts n rows in table. A snapshot taken on a
+// second CN right after a load through the first may sit below the
+// load's commits, whose timestamps its clock has not yet seen; a test
+// that compares the two CNs waits for the second to see every row.
+func awaitRows(t *testing.T, s *Session, table string, n int64) {
+	t.Helper()
+	for start := time.Now(); ; {
+		res, err := s.Execute("SELECT COUNT(*) FROM " + table)
+		if err == nil && res.Rows[0][0].AsInt() == n {
+			return
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("the second CN does not see the loaded rows of %s: %v, %v", table, res, err)
+		}
+	}
+}
+
 // TestShapeDifferential runs each statement pair on one session (the
 // first primes the cache, the second has new literals and, when
 // cacheable, is served by its shape) and compares each outcome with a
@@ -73,6 +90,7 @@ func TestShapeDifferential(t *testing.T) {
 	cn, ref := cns[0], cns[1]
 	s, rs := cn.NewSession(), ref.NewSession()
 	seedShapeTable(t, s)
+	awaitRows(t, rs, "sh", 37)
 
 	cases := []struct {
 		miss, hit string
@@ -123,6 +141,50 @@ func TestShapeDifferential(t *testing.T) {
 		}
 		if got, want := outcome(s.Execute(tc.hit)), reference(tc.hit); got != want {
 			t.Errorf("%q (new literals):\n%s\nwant (cold parse path):\n%s", tc.hit, got, want)
+		}
+	}
+}
+
+// TestShapeHitColumnNames: an output column named after an expression
+// that holds a literal takes its name from the hit's literals, not the
+// literals of the statement the cached plan was built from. Aliases and
+// plain column names stay as written.
+func TestShapeHitColumnNames(t *testing.T) {
+	c := newTestCluster(t, Config{CNsPerDC: 2})
+	cns := c.CNs()
+	cn, ref := cns[0], cns[1]
+	s, rs := cn.NewSession(), ref.NewSession()
+	seedUsers(t, s, 20)
+	awaitRows(t, rs, "users", 20)
+	pairs := [][2]string{
+		{"SELECT name, balance * 2 FROM users WHERE id = 1", "SELECT name, balance * 3 FROM users WHERE id = 2"},
+		{"SELECT balance * 2 AS b, name FROM users WHERE id = 1", "SELECT balance * 3 AS b, name FROM users WHERE id = 2"},
+		{"SELECT 'x', id FROM users WHERE id = 1", "SELECT 'y', id FROM users WHERE id = 2"},
+		{"SELECT SUM(balance * 2) FROM users WHERE id > 1", "SELECT SUM(balance * 3) FROM users WHERE id > 2"},
+		{"SELECT COUNT(*) + 1, MAX(balance) FROM users WHERE id > 1", "SELECT COUNT(*) + 2, MAX(balance) FROM users WHERE id > 2"},
+		{"SELECT city, SUM(balance) - 5 AS s FROM users WHERE id > 1 GROUP BY city ORDER BY city",
+			"SELECT city, SUM(balance) - 6 AS s FROM users WHERE id > 2 GROUP BY city ORDER BY city"},
+		{"SELECT city, SUM(balance * 2) FROM users WHERE id > 1 GROUP BY city HAVING COUNT(*) > 1 ORDER BY city",
+			"SELECT city, SUM(balance * 3) FROM users WHERE id > 2 GROUP BY city HAVING COUNT(*) > 2 ORDER BY city"},
+		{"SELECT balance * 2, COUNT(*) FROM users WHERE id > 1 GROUP BY balance * 2",
+			"SELECT balance * 3, COUNT(*) FROM users WHERE id > 2 GROUP BY balance * 3"},
+	}
+	cold := func(q string) string {
+		ref.planCache = optimizer.NewPlanCache(0)
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome(rs.ExecuteStmt(stmt))
+	}
+	for _, p := range pairs {
+		mustExec(t, s, p[0])
+		var shape sql.Shape
+		if !shape.Of(p[1]) || cn.planCache.LookupShape(shape.Key, c.planEpoch(), shape.Lits) == nil {
+			t.Fatalf("%q: no plan-cache binding after %q", p[1], p[0])
+		}
+		if got, want := outcome(s.Execute(p[1])), cold(p[1]); got != want {
+			t.Errorf("%q after %q:\n%s\nwant (cold parse path):\n%s", p[1], p[0], got, want)
 		}
 	}
 }
@@ -255,18 +317,7 @@ func TestShapeSharedSkeletonRace(t *testing.T) {
 		return outcome(&Result{Columns: res.Columns, Rows: res.Rows}, nil)
 	}
 	rs := ref.NewSession()
-	// A snapshot taken on the second CN right after the load may sit
-	// below the load's commits, whose timestamps its clock has not yet
-	// seen; wait until it sees every row.
-	for start := time.Now(); ; {
-		res, err := rs.Execute("SELECT COUNT(*) FROM users")
-		if err == nil && res.Rows[0][0].AsInt() == 200 {
-			break
-		}
-		if time.Since(start) > 10*time.Second {
-			t.Fatalf("the second CN does not see the loaded rows: %v, %v", res, err)
-		}
-	}
+	awaitRows(t, rs, "users", 200)
 	reference := func(q string) string {
 		ref.planCache = optimizer.NewPlanCache(0)
 		stmt, err := sql.Parse(q)

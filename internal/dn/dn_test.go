@@ -593,3 +593,25 @@ func TestRONeverServesUndurableData(t *testing.T) {
 		t.Fatalf("RO advanced past DLSN: %d > %d", got, durableLSN)
 	}
 }
+
+// FuzzDecodeSchema: DecodeSchema refuses a payload it cannot turn into a
+// usable schema instead of panicking, and a schema it accepts round-trips
+// and keys a row of its own width.
+func FuzzDecodeSchema(f *testing.F) {
+	f.Add(EncodeSchema(usersSchema()))
+	f.Add([]byte(`{"cols":["a"],"kinds":[1],"pk":[1]}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := DecodeSchema(b)
+		if err != nil {
+			return
+		}
+		again, err := DecodeSchema(EncodeSchema(s))
+		if err != nil {
+			t.Fatalf("re-encoded schema does not decode: %v", err)
+		}
+		if fmt.Sprint(again) != fmt.Sprint(s) {
+			t.Fatalf("schema %v round-trips to %v", s, again)
+		}
+		s.PKKey(make(types.Row, len(s.Columns)))
+	})
+}

@@ -57,23 +57,8 @@ type Config struct {
 	// their own capacity — which is precisely why adding RO nodes scales
 	// read throughput (§II-C, Fig. 9b).
 	ServiceRate float64
-	// PaxosHeartbeat tunes the replication cadence (default 2ms).
-	PaxosHeartbeat time.Duration
 	// ElectionTimeout tunes failover detection (default 150ms).
 	ElectionTimeout time.Duration
-
-	// GroupCommitWindow tunes the leader's group-commit accumulation
-	// window: 0 means the default (DefaultGroupCommitWindow); a negative
-	// value disables group commit entirely (the per-MTR flush ablation).
-	GroupCommitWindow time.Duration
-	// GroupCommitBytes closes an accumulation window early (default 64KB).
-	GroupCommitBytes int
-	// FlushDelay models the latency of one redo flush to PolarFS
-	// (default 0: free, as before this knob existed).
-	FlushDelay time.Duration
-	// PipelineDepth caps in-flight replication windows per peer
-	// (default 8).
-	PipelineDepth int
 
 	// InDoubtAfter is how long a branch may sit PREPARED before the
 	// instance treats its coordinator as dead and consults the
@@ -93,10 +78,13 @@ type Config struct {
 // DefaultInDoubtAfter is the default in-doubt resolution timeout.
 const DefaultInDoubtAfter = 400 * time.Millisecond
 
-// DefaultGroupCommitWindow is the default leader group-commit
-// accumulation window: long enough for concurrent committers to share a
-// flush, short enough to be invisible next to cross-DC RTTs.
+// DefaultGroupCommitWindow is the leader group-commit accumulation
+// window: long enough for concurrent committers to share a flush, short
+// enough to be invisible next to cross-DC RTTs.
 const DefaultGroupCommitWindow = 50 * time.Microsecond
+
+// paxosHeartbeat is the replication cadence of every DN's Paxos node.
+const paxosHeartbeat = 2 * time.Millisecond
 
 // txnEntry tracks one CN-coordinated transaction branch.
 type txnEntry struct {
@@ -191,9 +179,6 @@ func NewInstance(cfg Config) (*Instance, error) {
 	if cfg.ROLagLimit == 0 {
 		cfg.ROLagLimit = DefaultROLagLimit
 	}
-	if cfg.PaxosHeartbeat == 0 {
-		cfg.PaxosHeartbeat = 2 * time.Millisecond
-	}
 	if cfg.ElectionTimeout == 0 {
 		cfg.ElectionTimeout = 150 * time.Millisecond
 	}
@@ -216,25 +201,15 @@ func NewInstance(cfg Config) (*Instance, error) {
 	}
 	inst.applier = storage.NewApplier(inst.eng)
 	inst.svc = newSvcModel(cfg.ServiceRate, 0)
-	gcWindow := cfg.GroupCommitWindow
-	if gcWindow == 0 {
-		gcWindow = DefaultGroupCommitWindow
-	}
-	if gcWindow < 0 {
-		gcWindow = 0 // ablation: per-MTR flushes
-	}
 	node, err := paxos.NewNode(paxos.Config{
 		Group:             cfg.Group,
 		Self:              cfg.Name,
 		Members:           cfg.Members,
 		Net:               cfg.Net,
-		HeartbeatEvery:    cfg.PaxosHeartbeat,
+		HeartbeatEvery:    paxosHeartbeat,
 		ElectionTimeout:   cfg.ElectionTimeout,
 		Pipelined:         true,
-		PipelineDepth:     cfg.PipelineDepth,
-		GroupCommitWindow: gcWindow,
-		GroupCommitBytes:  cfg.GroupCommitBytes,
-		FlushDelay:        cfg.FlushDelay,
+		GroupCommitWindow: DefaultGroupCommitWindow,
 		OnApply:           inst.onApply,
 		Clock:             cfg.TimeSource,
 		Metrics:           cfg.Metrics,

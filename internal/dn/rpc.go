@@ -14,6 +14,7 @@ package dn
 
 import (
 	"encoding/json"
+	"fmt"
 	"time"
 
 	"repro/internal/hlc"
@@ -286,6 +287,14 @@ func DecodeSchema(b []byte) (*types.Schema, error) {
 	var j schemaJSON
 	if err := json.Unmarshal(b, &j); err != nil {
 		return nil, err
+	}
+	if len(j.Kinds) != len(j.Cols) {
+		return nil, fmt.Errorf("dn: schema %q has %d columns and %d kinds", j.Name, len(j.Cols), len(j.Kinds))
+	}
+	for _, pk := range j.PKCols {
+		if pk < 0 || pk >= len(j.Cols) {
+			return nil, fmt.Errorf("dn: schema %q has primary-key column %d of %d", j.Name, pk, len(j.Cols))
+		}
 	}
 	s := &types.Schema{Name: j.Name, PKCols: j.PKCols, ImplicitPK: j.ImplicitPK}
 	for i, name := range j.Cols {

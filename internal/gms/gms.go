@@ -81,8 +81,8 @@ type GMS struct {
 	cns     map[string]*CNInfo
 	nextID  uint32
 
-	// shardLoad tracks request counts per (table, shard) for hotspot
-	// detection and balance planning. Slices are sized at CreateTable and
+	// shardLoad tracks request counts per (table, shard) for the
+	// autopilot's skew detection and balance planning. Slices are sized at CreateTable and
 	// never resized; entries are bumped atomically under the read lock so
 	// per-statement load reporting doesn't contend.
 	shardLoad map[string][]int64

@@ -64,7 +64,7 @@ func (g *GMS) PlanRebalance() []MigrationStep {
 		hs := holding[maxDN]
 		// Prefer moving the highest-load shard groups first, approximated
 		// by stable order here; load-aware ordering happens in the
-		// hotspot planner.
+		// autopilot's shard planner.
 		s := hs[len(hs)-1]
 		holding[maxDN] = hs[:len(hs)-1]
 		holding[minDN] = append(holding[minDN], s)

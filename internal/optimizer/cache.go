@@ -313,8 +313,22 @@ func cloneNode(n Node, params []sql.Literal, deep bool) (out Node, changed bool)
 		}
 		a := *x
 		a.Input, a.GroupBy, a.Aggs = in, gb, aggs
-		if deep {
+		if deep || gc || ac {
 			a.Names = append([]string(nil), x.Names...)
+		}
+		if !deep {
+			// An output named after a copied expression is named after
+			// this statement's literals.
+			for i, g := range gb {
+				if g != x.GroupBy[i] {
+					a.Names[i] = outputName(g)
+				}
+			}
+			for i, it := range aggs {
+				if it.Arg != x.Aggs[i].Arg {
+					a.Names[len(gb)+i] = aggName(it)
+				}
+			}
 		}
 		return &a, true
 	case *FilterNode:
@@ -333,6 +347,8 @@ func cloneNode(n Node, params []sql.Literal, deep bool) (out Node, changed bool)
 		names := x.Names
 		if deep {
 			names = append([]string(nil), x.Names...)
+		} else {
+			names = hitNames(x, in, exprs)
 		}
 		return &ProjectNode{Input: in, Exprs: exprs, Names: names}, true
 	case *SortNode:
@@ -364,6 +380,50 @@ func cloneNode(n Node, params []sql.Literal, deep bool) (out Node, changed bool)
 	default:
 		return n, false
 	}
+}
+
+// hitNames returns the output names of a hit's copy of projection x,
+// which reads in and computes exprs. An item whose expression was copied
+// because it holds a parameter is renamed by outputName, and a column
+// reference follows its aggregate input's renamed column; an item whose
+// planned name is neither of those is aliased and keeps it. x.Names is
+// shared unless a name changes.
+func hitNames(x *ProjectNode, in Node, exprs []sql.Expr) []string {
+	var oldCols, newCols []string
+	if a := aggInput(in); a != nil {
+		if old := aggInput(x.Input); a != old {
+			oldCols, newCols = old.Names, a.Names
+		}
+	}
+	names := x.Names
+	for i, e := range exprs {
+		name := names[i]
+		if e != x.Exprs[i] {
+			if x.Names[i] == outputName(x.Exprs[i]) {
+				name = outputName(e)
+			}
+		} else if c, ok := e.(*sql.ColumnRef); ok && oldCols != nil && x.Names[i] == oldCols[c.Index] {
+			name = newCols[c.Index]
+		}
+		if name == names[i] {
+			continue
+		}
+		if &names[0] == &x.Names[0] {
+			names = append([]string(nil), x.Names...)
+		}
+		names[i] = name
+	}
+	return names
+}
+
+// aggInput returns the aggregate a projection reads, through a HAVING
+// filter, or nil.
+func aggInput(n Node) *AggNode {
+	if f, ok := n.(*FilterNode); ok {
+		n = f.Input
+	}
+	a, _ := n.(*AggNode)
+	return a
 }
 
 // reprune recomputes a cloned scan's value-dependent routing from its

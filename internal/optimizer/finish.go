@@ -57,13 +57,10 @@ func (o *Optimizer) finishPlan(root Node, sel *sql.Select) (Node, error) {
 	exprs := make([]sql.Expr, len(items))
 	for i, it := range items {
 		exprs[i] = it.Expr
-		switch {
-		case it.Alias != "":
+		if it.Alias != "" {
 			names[i] = strings.ToLower(it.Alias)
-		case isColRef(it.Expr):
-			names[i] = strings.ToLower(it.Expr.(*sql.ColumnRef).Name())
-		default:
-			names[i] = strings.ToLower(sql.String(it.Expr))
+		} else {
+			names[i] = outputName(it.Expr)
 		}
 	}
 	proj := &ProjectNode{Input: root, Exprs: exprs, Names: names}
@@ -123,11 +120,6 @@ func (o *Optimizer) finishPlan(root Node, sel *sql.Select) (Node, error) {
 	return root, nil
 }
 
-func isColRef(e sql.Expr) bool {
-	_, ok := e.(*sql.ColumnRef)
-	return ok
-}
-
 // matchItem finds the projection item an ORDER BY key refers to, by
 // alias or rendered-text equality.
 func matchItem(key sql.Expr, items []sql.SelectItem, names []string) int {
@@ -161,7 +153,7 @@ func (o *Optimizer) buildAgg(root Node, sel *sql.Select, items []sql.SelectItem,
 		}
 		groupBy[i] = g
 		mapping[key] = i
-		names = append(names, keyName(g, key))
+		names = append(names, outputName(g))
 	}
 
 	// Collect distinct aggregate calls from items, having and order by.
@@ -256,12 +248,19 @@ func (o *Optimizer) buildAgg(root Node, sel *sql.Select, items []sql.SelectItem,
 	return node, items, nil
 }
 
-// keyName derives a stable output name for a group-by expression.
-func keyName(g sql.Expr, rendered string) string {
-	if c, ok := g.(*sql.ColumnRef); ok {
+// outputName names an unaliased output column: a column reference by
+// its name, any other expression by its rendered text.
+func outputName(e sql.Expr) string {
+	if c, ok := e.(*sql.ColumnRef); ok {
 		return strings.ToLower(c.Name())
 	}
-	return rendered
+	return strings.ToLower(sql.String(e))
+}
+
+// aggName renders a one-argument aggregate's output name as buildAgg
+// names it from its sql.FuncCall.
+func aggName(it AggItem) string {
+	return strings.ToLower(it.Func + "(" + sql.String(it.Arg) + ")")
 }
 
 // rewriteOntoAgg replaces group-by expressions and aggregate calls with

@@ -33,8 +33,7 @@ func Parse(src string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseExpr parses a standalone expression (used by tests and the index
-// advisor's predicate analysis).
+// ParseExpr parses a standalone expression (used by tests).
 func ParseExpr(src string) (Expr, error) {
 	toks, err := Tokenize(src)
 	if err != nil {

@@ -221,6 +221,9 @@ func DecodeRow(b []byte) (Row, error) {
 		return nil, ErrCorruptRow
 	}
 	b = b[sz:]
+	if n > uint64(len(b)) { // every value takes at least its kind byte
+		return nil, ErrCorruptRow
+	}
 	out := make(Row, 0, n)
 	for i := uint64(0); i < n; i++ {
 		if len(b) == 0 {

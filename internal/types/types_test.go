@@ -221,6 +221,28 @@ func TestDecodeRowCorrupt(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRow: DecodeRow refuses what it cannot decode instead of
+// crashing or allocating for values the input cannot hold, and a row it
+// accepts re-encodes to bytes that decode to the same encoding.
+func FuzzDecodeRow(f *testing.F) {
+	f.Add(EncodeRow(nil, Row{Int(1), Float(2.5), Str("abc"), Null(), Bool(true), Bytes([]byte{0, 1})}))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := DecodeRow(b)
+		if err != nil {
+			return
+		}
+		enc := EncodeRow(nil, r)
+		again, err := DecodeRow(enc)
+		if err != nil {
+			t.Fatalf("re-encoded row %x does not decode: %v", enc, err)
+		}
+		if !bytes.Equal(EncodeRow(nil, again), enc) {
+			t.Fatalf("row %x changes when re-encoded", enc)
+		}
+	})
+}
+
 func TestSchemaImplicitPK(t *testing.T) {
 	s := NewSchema("t", []Column{{Name: "a", Kind: KindInt}}, nil)
 	if !s.ImplicitPK {
