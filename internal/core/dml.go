@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -353,6 +354,7 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 		col int
 		e   sql.Expr
 	}, len(st.Sets))
+	moves := false // a partition-key column is set: a row may change shard
 	for i, a := range st.Sets {
 		idx := t.Schema.ColIndex(a.Column)
 		if idx < 0 {
@@ -366,6 +368,7 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 		}
 		sets[i].col = idx
 		sets[i].e = a.Value
+		moves = moves || slices.Contains(t.PartCols, idx)
 	}
 	tx, done, err := s.txnFor()
 	if err != nil {
@@ -386,12 +389,9 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 				}
 				newRow[a.col] = v
 			}
-			shard := t.ShardOfRow(newRow)
-			dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)
-			if err != nil {
+			if err := s.stageUpdateRow(batch, t, old, newRow, moves); err != nil {
 				return i, err
 			}
-			batch.add(dnName, dn.WriteItem{Table: t.PhysicalTableID(shard), Op: dn.OpUpdate, Row: newRow})
 			if err := s.stageRefreshIndexes(batch, t, old, newRow); err != nil {
 				return i, err
 			}
@@ -405,6 +405,33 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Affected: n}, nil
+}
+
+// stageUpdateRow stages new in place of old. When moves is set, a row
+// whose new partition key routes to another shard moves there: a delete
+// on the old shard and an insert on the new one, as stageRefreshIndexes
+// moves an index row.
+func (s *Session) stageUpdateRow(b *writeBatch, t *partition.Table, old, new types.Row, moves bool) error {
+	nshard := t.ShardOfRow(new)
+	oshard := nshard
+	if moves {
+		oshard = t.ShardOfRow(old)
+	}
+	ndn, err := s.cn.cluster.GMS.DNForShard(t.Name, nshard)
+	if err != nil {
+		return err
+	}
+	if oshard == nshard {
+		b.add(ndn, dn.WriteItem{Table: t.PhysicalTableID(nshard), Op: dn.OpUpdate, Row: new})
+		return nil
+	}
+	odn, err := s.cn.cluster.GMS.DNForShard(t.Name, oshard)
+	if err != nil {
+		return err
+	}
+	b.add(odn, dn.WriteItem{Table: t.PhysicalTableID(oshard), Op: dn.OpDelete, PK: t.Schema.PKKey(old)})
+	b.add(ndn, dn.WriteItem{Table: t.PhysicalTableID(nshard), Op: dn.OpInsert, Row: new})
+	return nil
 }
 
 func containsPK(t *partition.Table, col int) bool {

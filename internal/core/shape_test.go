@@ -166,8 +166,7 @@ func TestShapeHitColumnNames(t *testing.T) {
 			"SELECT city, SUM(balance) - 6 AS s FROM users WHERE id > 2 GROUP BY city ORDER BY city"},
 		{"SELECT city, SUM(balance * 2) FROM users WHERE id > 1 GROUP BY city HAVING COUNT(*) > 1 ORDER BY city",
 			"SELECT city, SUM(balance * 3) FROM users WHERE id > 2 GROUP BY city HAVING COUNT(*) > 2 ORDER BY city"},
-		{"SELECT balance * 2, COUNT(*) FROM users WHERE id > 1 GROUP BY balance * 2",
-			"SELECT balance * 3, COUNT(*) FROM users WHERE id > 2 GROUP BY balance * 3"},
+		{"SELECT SUM(balance + 1) + 1 FROM users WHERE id > 1", "SELECT SUM(balance + 2) + 2 FROM users WHERE id > 2"},
 	}
 	cold := func(q string) string {
 		ref.planCache = optimizer.NewPlanCache(0)
@@ -182,6 +181,48 @@ func TestShapeHitColumnNames(t *testing.T) {
 		var shape sql.Shape
 		if !shape.Of(p[1]) || cn.planCache.LookupShape(shape.Key, c.planEpoch(), shape.Lits) == nil {
 			t.Fatalf("%q: no plan-cache binding after %q", p[1], p[0])
+		}
+		if got, want := outcome(s.Execute(p[1])), cold(p[1]); got != want {
+			t.Errorf("%q after %q:\n%s\nwant (cold parse path):\n%s", p[1], p[0], got, want)
+		}
+	}
+}
+
+// TestShapeLiteralsThatPrintAlike: when two literals of a statement
+// print alike, the planner may compute their expressions once, so the
+// plan holds one of the two. Such a plan is not cached (a hit would
+// compute with the wrong literal); the statement plans every time, and
+// each result equals a cold parse on a second CN.
+func TestShapeLiteralsThatPrintAlike(t *testing.T) {
+	c := newTestCluster(t, Config{CNsPerDC: 2})
+	cns := c.CNs()
+	cn, ref := cns[0], cns[1]
+	s, rs := cn.NewSession(), ref.NewSession()
+	seedUsers(t, s, 20)
+	awaitRows(t, rs, "users", 20)
+	pairs := [][2]string{
+		{"SELECT SUM(balance * 2), SUM(balance * 2) FROM users WHERE id > 1",
+			"SELECT SUM(balance * 2), SUM(balance * 3) FROM users WHERE id > 1"},
+		{"SELECT balance * 2, COUNT(*) FROM users WHERE id > 1 GROUP BY balance * 2",
+			"SELECT balance * 3, COUNT(*) FROM users WHERE id > 1 GROUP BY balance * 2"},
+		{"SELECT balance * 2, COUNT(*) FROM users WHERE id > 1 GROUP BY balance * 2",
+			"SELECT balance * 3, COUNT(*) FROM users WHERE id > 2 GROUP BY balance * 3"},
+	}
+	cold := func(q string) string {
+		ref.planCache = optimizer.NewPlanCache(0)
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome(rs.ExecuteStmt(stmt))
+	}
+	for _, p := range pairs {
+		if got, want := outcome(s.Execute(p[0])), cold(p[0]); got != want {
+			t.Errorf("%q:\n%s\nwant (cold parse path):\n%s", p[0], got, want)
+		}
+		var shape sql.Shape
+		if shape.Of(p[1]) && cn.planCache.LookupShape(shape.Key, c.planEpoch(), shape.Lits) != nil {
+			t.Errorf("%q: a plan that holds one of two alike literals was cached", p[0])
 		}
 		if got, want := outcome(s.Execute(p[1])), cold(p[1]); got != want {
 			t.Errorf("%q after %q:\n%s\nwant (cold parse path):\n%s", p[1], p[0], got, want)

@@ -437,21 +437,7 @@ func samePartitionKeys(j *JoinNode, l, r *ScanNode) bool {
 // primary-key reads a non-clustered hit must perform.
 func (o *Optimizer) chooseGSI(scan *ScanNode, conds []sql.Expr) {
 	eq := make(map[int]types.Value) // schema col -> literal
-	for _, c := range conds {
-		b, ok := c.(*sql.BinaryOp)
-		if !ok || b.Op != "=" {
-			continue
-		}
-		col, okc := b.L.(*sql.ColumnRef)
-		lit, okl := b.R.(*sql.Literal)
-		if !okc || !okl {
-			col, okc = b.R.(*sql.ColumnRef)
-			lit, okl = b.L.(*sql.Literal)
-		}
-		if okc && okl && col.Index >= 0 {
-			eq[col.Index] = lit.Val
-		}
-	}
+	equalityLiterals(conds, eq)
 	if len(eq) == 0 {
 		return
 	}
@@ -486,9 +472,9 @@ func (o *Optimizer) chooseGSI(scan *ScanNode, conds []sql.Expr) {
 	scan.Shards = []int{best.ShardOfIndexedValues(bestVals...)}
 }
 
-// equalityLiterals extracts bound `col = literal` conjuncts.
-func equalityLiterals(conds []sql.Expr) map[int]types.Value {
-	eq := make(map[int]types.Value)
+// equalityLiterals adds the bound `col = literal` conjuncts to eq. The
+// caller makes eq, so a small map stays on its stack.
+func equalityLiterals(conds []sql.Expr, eq map[int]types.Value) {
 	for _, c := range conds {
 		b, ok := c.(*sql.BinaryOp)
 		if !ok || b.Op != "=" {
@@ -504,7 +490,6 @@ func equalityLiterals(conds []sql.Expr) map[int]types.Value {
 			eq[col.Index] = lit.Val
 		}
 	}
-	return eq
 }
 
 // prunePartition pins the scan to one shard when equality literals
@@ -514,7 +499,8 @@ func (o *Optimizer) prunePartition(scan *ScanNode, conds []sql.Expr) {
 	if scan.Shards != nil || scan.Table.PartitionedByPK() {
 		return // PK pruning already handles the common case
 	}
-	eq := equalityLiterals(conds)
+	eq := make(map[int]types.Value)
+	equalityLiterals(conds, eq)
 	vals := make([]types.Value, 0, len(scan.Table.PartCols))
 	for _, ci := range scan.Table.PartCols {
 		v, ok := eq[ci]
@@ -538,7 +524,8 @@ func (o *Optimizer) pruneShards(scan *ScanNode, conds []sql.Expr) {
 		// Composite PK: equality conjuncts must cover every PK column;
 		// the residual filter stays on the scan, so over-approximating
 		// here is safe.
-		eq := equalityLiterals(conds)
+		eq := make(map[int]types.Value)
+		equalityLiterals(conds, eq)
 		vals := make([]types.Value, 0, len(schema.PKCols))
 		for _, ci := range schema.PKCols {
 			v, ok := eq[ci]

@@ -190,6 +190,11 @@ func (pc *PlanCache) BindShape(key string, fp string, epoch uint64, b sql.ShapeB
 // re-plans, re-binds its column references — cannot reach the skeleton.
 // params are the statement's parameter literals in fingerprint order:
 // each is stamped with its Slot for the copy and unstamped after.
+//
+// A plan that does not hold every parameter is not stored: the planner
+// computes two expressions that print alike once, so of two equal
+// literals it may keep one, and a hit whose literals differ there would
+// compute both expressions with that one.
 func (pc *PlanCache) Store(fp string, epoch uint64, plan *Plan, params []*sql.Literal) {
 	for i, p := range params {
 		p.Slot = i + 1
@@ -198,7 +203,78 @@ func (pc *PlanCache) Store(fp string, epoch uint64, plan *Plan, params []*sql.Li
 	for _, p := range params {
 		p.Slot = 0
 	}
+	if !holdsSlots(skeleton.Root, len(params)) {
+		return
+	}
 	pc.shardFor(fp).put(&cacheSlot{fp: fp, epoch: epoch, plan: skeleton, nparams: len(params)})
+}
+
+// holdsSlots reports whether the expressions of the plan under root hold
+// a literal of every parameter slot, 1 to n.
+func holdsSlots(root Node, n int) bool {
+	var small [16]bool // a plan rarely has more parameters: no allocation
+	s := slotSet{held: small[:0], missing: n}
+	if n <= len(small) {
+		s.held = small[:n]
+	} else {
+		s.held = make([]bool, n)
+	}
+	s.node(root)
+	return s.missing == 0
+}
+
+// slotSet records the parameter slots a plan's expressions hold.
+type slotSet struct {
+	held    []bool
+	missing int
+}
+
+func (s *slotSet) node(n Node) {
+	switch x := n.(type) {
+	case *ScanNode:
+		s.expr(x.Filter)
+	case *JoinNode:
+		s.expr(x.On)
+		s.exprs(x.LeftKeys)
+		s.exprs(x.RightKeys)
+		s.node(x.Left)
+		s.node(x.Right)
+	case *AggNode:
+		s.exprs(x.GroupBy)
+		for _, it := range x.Aggs {
+			s.expr(it.Arg)
+		}
+		s.node(x.Input)
+	case *FilterNode:
+		s.expr(x.Pred)
+		s.node(x.Input)
+	case *ProjectNode:
+		s.exprs(x.Exprs)
+		s.node(x.Input)
+	case *SortNode:
+		for _, k := range x.Keys {
+			s.expr(k.Expr)
+		}
+		s.node(x.Input)
+	case *LimitNode:
+		s.node(x.Input)
+	}
+}
+
+func (s *slotSet) exprs(es []sql.Expr) {
+	for _, e := range es {
+		s.expr(e)
+	}
+}
+
+func (s *slotSet) expr(e sql.Expr) {
+	sql.Walk(e, func(x sql.Expr) bool {
+		if l, ok := x.(*sql.Literal); ok && l.Slot > 0 && !s.held[l.Slot-1] {
+			s.held[l.Slot-1] = true
+			s.missing--
+		}
+		return true
+	})
 }
 
 // put files slot under its key as the shard's most recent entry,
@@ -321,7 +397,7 @@ func cloneNode(n Node, params []sql.Literal, deep bool) (out Node, changed bool)
 			// this statement's literals.
 			for i, g := range gb {
 				if g != x.GroupBy[i] {
-					a.Names[i] = outputName(g)
+					a.Names[i] = sql.Key(g)
 				}
 			}
 			for i, it := range aggs {
@@ -384,10 +460,11 @@ func cloneNode(n Node, params []sql.Literal, deep bool) (out Node, changed bool)
 
 // hitNames returns the output names of a hit's copy of projection x,
 // which reads in and computes exprs. An item whose expression was copied
-// because it holds a parameter is renamed by outputName, and a column
-// reference follows its aggregate input's renamed column; an item whose
-// planned name is neither of those is aliased and keeps it. x.Names is
-// shared unless a name changes.
+// because it holds a parameter is renamed by its key, read over the
+// hit's aggregate output names, and a column reference follows its
+// aggregate input's renamed column; an item whose planned name is
+// neither of those is aliased and keeps it. x.Names is shared unless a
+// name changes.
 func hitNames(x *ProjectNode, in Node, exprs []sql.Expr) []string {
 	var oldCols, newCols []string
 	if a := aggInput(in); a != nil {
@@ -399,8 +476,8 @@ func hitNames(x *ProjectNode, in Node, exprs []sql.Expr) []string {
 	for i, e := range exprs {
 		name := names[i]
 		if e != x.Exprs[i] {
-			if x.Names[i] == outputName(x.Exprs[i]) {
-				name = outputName(e)
+			if x.Names[i] == sql.Key(x.Exprs[i]) {
+				name = sql.Key(renamed(e, newCols))
 			}
 		} else if c, ok := e.(*sql.ColumnRef); ok && oldCols != nil && x.Names[i] == oldCols[c.Index] {
 			name = newCols[c.Index]
@@ -414,6 +491,22 @@ func hitNames(x *ProjectNode, in Node, exprs []sql.Expr) []string {
 		names[i] = name
 	}
 	return names
+}
+
+// renamed returns e with each column reference named after cols, the
+// output names of the aggregate it reads; e itself when cols is nil.
+func renamed(e sql.Expr, cols []string) sql.Expr {
+	if cols == nil {
+		return e
+	}
+	c, _ := sql.CloneExpr(e, nil, true)
+	sql.Walk(c, func(n sql.Expr) bool {
+		if r, ok := n.(*sql.ColumnRef); ok {
+			r.Column = cols[r.Index]
+		}
+		return true
+	})
+	return c
 }
 
 // aggInput returns the aggregate a projection reads, through a HAVING

@@ -60,7 +60,7 @@ func (o *Optimizer) finishPlan(root Node, sel *sql.Select) (Node, error) {
 		if it.Alias != "" {
 			names[i] = strings.ToLower(it.Alias)
 		} else {
-			names[i] = outputName(it.Expr)
+			names[i] = sql.Key(it.Expr)
 		}
 	}
 	proj := &ProjectNode{Input: root, Exprs: exprs, Names: names}
@@ -121,17 +121,11 @@ func (o *Optimizer) finishPlan(root Node, sel *sql.Select) (Node, error) {
 }
 
 // matchItem finds the projection item an ORDER BY key refers to, by
-// alias or rendered-text equality.
+// its output name or, for an aliased item, its expression's key.
 func matchItem(key sql.Expr, items []sql.SelectItem, names []string) int {
-	keyText := strings.ToLower(sql.String(key))
-	if c, ok := key.(*sql.ColumnRef); ok && c.Table == "" {
-		keyText = strings.ToLower(c.Column)
-	}
+	keyText := sql.Key(key)
 	for i, it := range items {
-		if names[i] == keyText {
-			return i
-		}
-		if strings.ToLower(sql.String(it.Expr)) == keyText {
+		if names[i] == keyText || it.Alias != "" && sql.Key(it.Expr) == keyText {
 			return i
 		}
 	}
@@ -144,23 +138,23 @@ func (o *Optimizer) buildAgg(root Node, sel *sql.Select, items []sql.SelectItem,
 	inScope scope) (Node, []sql.SelectItem, error) {
 	// Bind group-by expressions against the input.
 	groupBy := make([]sql.Expr, len(sel.GroupBy))
-	mapping := make(map[string]int) // rendered expr -> agg output position
+	mapping := make(map[string]int) // sql.Key -> agg output position
 	var names []string
 	for i, g := range sel.GroupBy {
-		key := strings.ToLower(sql.String(g)) // render before binding
 		if err := inScope.bind(g); err != nil {
 			return nil, nil, err
 		}
 		groupBy[i] = g
+		key := sql.Key(g)
 		mapping[key] = i
-		names = append(names, outputName(g))
+		names = append(names, key)
 	}
 
 	// Collect distinct aggregate calls from items, having and order by.
 	var aggs []AggItem
 	distinctTwoPhaseBlock := false
 	addAgg := func(f *sql.FuncCall) error {
-		key := strings.ToLower(sql.String(f))
+		key := sql.Key(f)
 		if _, dup := mapping[key]; dup {
 			return nil
 		}
@@ -248,19 +242,10 @@ func (o *Optimizer) buildAgg(root Node, sel *sql.Select, items []sql.SelectItem,
 	return node, items, nil
 }
 
-// outputName names an unaliased output column: a column reference by
-// its name, any other expression by its rendered text.
-func outputName(e sql.Expr) string {
-	if c, ok := e.(*sql.ColumnRef); ok {
-		return strings.ToLower(c.Name())
-	}
-	return strings.ToLower(sql.String(e))
-}
-
-// aggName renders a one-argument aggregate's output name as buildAgg
-// names it from its sql.FuncCall.
+// aggName is the output name buildAgg gives a one-argument aggregate:
+// its call's key.
 func aggName(it AggItem) string {
-	return strings.ToLower(it.Func + "(" + sql.String(it.Arg) + ")")
+	return sql.Key(&sql.FuncCall{Name: it.Func, Args: []sql.Expr{it.Arg}, Distinct: it.Distinct})
 }
 
 // rewriteOntoAgg replaces group-by expressions and aggregate calls with
@@ -269,7 +254,7 @@ func rewriteOntoAgg(e sql.Expr, mapping map[string]int, names []string) (sql.Exp
 	if e == nil {
 		return nil, nil
 	}
-	if idx, ok := mapping[strings.ToLower(sql.String(e))]; ok {
+	if idx, ok := mapping[sql.Key(e)]; ok {
 		return &sql.ColumnRef{Column: names[idx], Index: idx}, nil
 	}
 	switch n := e.(type) {

@@ -37,7 +37,7 @@ func (c *ColumnRef) Name() string {
 // Literal is a constant value. Param marks a '?' placeholder from a
 // prepared statement: the parser leaves Val NULL and binding (the
 // Prepared handle's Execute) overwrites Val in place before each run.
-// Param survives binding, so the fingerprinter can keep treating the
+// Param survives binding, so FingerprintSelect can keep treating the
 // node as a parameter regardless of the currently bound value.
 //
 // Src is the byte offset plus one of the number or string token the

@@ -3,7 +3,6 @@ package sql
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/types"
 )
@@ -313,67 +312,4 @@ func HasAggregate(e Expr) bool {
 		return true
 	})
 	return found
-}
-
-// String renders an expression for diagnostics and plan display.
-func String(e Expr) string {
-	switch n := e.(type) {
-	case nil:
-		return ""
-	case *Literal:
-		if n.Val.K == types.KindString {
-			return "'" + n.Val.S + "'"
-		}
-		return n.Val.AsString()
-	case *ColumnRef:
-		return n.Name()
-	case *BinaryOp:
-		return "(" + String(n.L) + " " + n.Op + " " + String(n.R) + ")"
-	case *UnaryOp:
-		return n.Op + " " + String(n.E)
-	case *InList:
-		op := " IN ("
-		if n.Not {
-			op = " NOT IN ("
-		}
-		if n.Sub != nil {
-			return String(n.E) + op + "SELECT ...)"
-		}
-		parts := make([]string, len(n.Items))
-		for i, it := range n.Items {
-			parts[i] = String(it)
-		}
-		return String(n.E) + op + strings.Join(parts, ", ") + ")"
-	case *Between:
-		op := " BETWEEN "
-		if n.Not {
-			op = " NOT BETWEEN "
-		}
-		return String(n.E) + op + String(n.Lo) + " AND " + String(n.Hi)
-	case *IsNull:
-		if n.Not {
-			return String(n.E) + " IS NOT NULL"
-		}
-		return String(n.E) + " IS NULL"
-	case *FuncCall:
-		if n.Star {
-			return n.Name + "(*)"
-		}
-		parts := make([]string, len(n.Args))
-		for i, a := range n.Args {
-			parts[i] = String(a)
-		}
-		return n.Name + "(" + strings.Join(parts, ", ") + ")"
-	case *CaseExpr:
-		return "CASE ... END"
-	case *Subquery:
-		return "(SELECT ...)"
-	case *Exists:
-		if n.Not {
-			return "NOT EXISTS (SELECT ...)"
-		}
-		return "EXISTS (SELECT ...)"
-	default:
-		return fmt.Sprintf("%T", e)
-	}
 }

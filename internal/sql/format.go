@@ -8,324 +8,89 @@ import (
 	"repro/internal/types"
 )
 
+// formatter is the one traversal that renders statements and
+// expressions, as SQL text the parser accepts. Every other rendering is
+// an entry into it: FormatStmt, FingerprintSelect, Params, HasSubquery,
+// String and Key. It visits literals in the parser's textual order, so
+// the literals it collects line up with the '?' of its own lifted text
+// and with Literal.Src.
+type formatter struct {
+	b strings.Builder
+	// lift writes as '?' each placeholder and each int, float, string or
+	// bytes literal. Bool and NULL stay inline: the optimizer treats them
+	// structurally (a constant-true conjunct is dropped), so one plan
+	// cannot serve every value of theirs.
+	lift bool
+	// fold lowers the case of everything but literals (Key).
+	fold bool
+	// lits collects the lifted literals (lift), or else the placeholders.
+	lits []*Literal
+	sub  bool // met a subquery
+	err  error
+}
+
 // FormatStmt renders a parsed statement back to SQL text the parser
 // accepts — the wire client's bridge from the workload drivers'
 // pre-bound ASTs to the PREPARE/EXECUTE protocol. With paramize true,
-// int/float/string/bytes literals become '?' placeholders and their
+// placeholders and int/float/string/bytes literals become '?' and their
 // current values are returned in placeholder order (bool and NULL stay
-// inline: the optimizer treats them structurally, so they belong in the
-// statement shape, not the parameter vector). With paramize false every
-// literal is inlined — the fallback for one-shot QUERY frames.
+// inline). With paramize false every literal is inlined — the fallback
+// for one-shot QUERY frames.
 //
 // Only executable statements render (SELECT / INSERT / UPDATE / DELETE);
 // DDL and EXPLAIN return an error — clients send those as raw text.
 func FormatStmt(stmt Statement, paramize bool) (text string, args []types.Value, err error) {
-	f := &formatter{paramize: paramize}
-	switch st := stmt.(type) {
-	case *Select:
-		f.sel(st)
-	case *Insert:
-		f.insert(st)
-	case *Update:
-		f.update(st)
-	case *Delete:
-		f.del(st)
+	switch stmt.(type) {
+	case *Select, *Insert, *Update, *Delete:
 	default:
 		return "", nil, fmt.Errorf("sql: cannot format %T", stmt)
 	}
+	f := formatter{lift: paramize}
+	f.stmt(stmt)
 	if f.err != nil {
 		return "", nil, f.err
 	}
-	return f.b.String(), f.args, nil
+	if paramize {
+		args = make([]types.Value, len(f.lits))
+		for i, l := range f.lits {
+			args[i] = l.Val
+		}
+	}
+	return f.b.String(), args, nil
 }
 
-// formatter renders statements; the traversal order here defines
-// placeholder order and matches the parser's textual order, so a
-// round-trip through Parse + Params binds values to the same positions.
-type formatter struct {
-	b        strings.Builder
-	paramize bool
-	args     []types.Value
-	err      error
-}
-
-func (f *formatter) sel(s *Select) {
-	f.b.WriteString("SELECT ")
-	for i, it := range s.Items {
-		if i > 0 {
-			f.b.WriteString(", ")
-		}
-		if it.Star {
-			f.b.WriteByte('*')
-			continue
-		}
-		f.expr(it.Expr)
-		if it.Alias != "" {
-			f.b.WriteString(" AS ")
-			f.b.WriteString(it.Alias)
+// FingerprintSelect renders a SELECT with its literals lifted (as
+// FormatStmt does with paramize): the plan-cache key. params are the
+// lifted literals in textual order, so two queries that differ only in
+// those literals share a fingerprint and hence a cached plan skeleton.
+//
+// ok is false when the statement is not cacheable: it still contains a
+// subquery (the CN substitutes uncorrelated subquery results as literals
+// before planning; anything left is dynamic in ways a skeleton cannot
+// capture), or a placeholder is bound to a bool or NULL, whose skeleton
+// could be wrong for another value.
+func FingerprintSelect(sel *Select) (fp string, params []*Literal, ok bool) {
+	f := formatter{lift: true}
+	f.sel(sel)
+	if f.err != nil || f.sub {
+		return "", nil, false
+	}
+	for _, l := range f.lits {
+		if l.Param && (l.Val.K == types.KindBool || l.Val.K == types.KindNull) {
+			return "", nil, false
 		}
 	}
-	f.b.WriteString(" FROM ")
-	f.tableRef(s.From)
-	for _, j := range s.Joins {
-		if j.Left {
-			f.b.WriteString(" LEFT JOIN ")
-		} else {
-			f.b.WriteString(" JOIN ")
-		}
-		f.tableRef(j.Table)
-		f.b.WriteString(" ON ")
-		f.expr(j.On)
-	}
-	if s.Where != nil {
-		f.b.WriteString(" WHERE ")
-		f.expr(s.Where)
-	}
-	if len(s.GroupBy) > 0 {
-		f.b.WriteString(" GROUP BY ")
-		for i, e := range s.GroupBy {
-			if i > 0 {
-				f.b.WriteString(", ")
-			}
-			f.expr(e)
-		}
-	}
-	if s.Having != nil {
-		f.b.WriteString(" HAVING ")
-		f.expr(s.Having)
-	}
-	if len(s.OrderBy) > 0 {
-		f.b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				f.b.WriteString(", ")
-			}
-			f.expr(o.Expr)
-			if o.Desc {
-				f.b.WriteString(" DESC")
-			}
-		}
-	}
-	if s.Limit >= 0 {
-		f.b.WriteString(" LIMIT ")
-		f.b.WriteString(strconv.Itoa(s.Limit))
-	}
-}
-
-func (f *formatter) insert(st *Insert) {
-	f.b.WriteString("INSERT INTO ")
-	f.b.WriteString(st.Table)
-	if len(st.Columns) > 0 {
-		f.b.WriteString(" (")
-		f.b.WriteString(strings.Join(st.Columns, ", "))
-		f.b.WriteByte(')')
-	}
-	f.b.WriteString(" VALUES ")
-	for i, row := range st.Rows {
-		if i > 0 {
-			f.b.WriteString(", ")
-		}
-		f.b.WriteByte('(')
-		for j, e := range row {
-			if j > 0 {
-				f.b.WriteString(", ")
-			}
-			f.expr(e)
-		}
-		f.b.WriteByte(')')
-	}
-}
-
-func (f *formatter) update(st *Update) {
-	f.b.WriteString("UPDATE ")
-	f.b.WriteString(st.Table)
-	f.b.WriteString(" SET ")
-	for i, a := range st.Sets {
-		if i > 0 {
-			f.b.WriteString(", ")
-		}
-		f.b.WriteString(a.Column)
-		f.b.WriteString(" = ")
-		f.expr(a.Value)
-	}
-	if st.Where != nil {
-		f.b.WriteString(" WHERE ")
-		f.expr(st.Where)
-	}
-}
-
-func (f *formatter) del(st *Delete) {
-	f.b.WriteString("DELETE FROM ")
-	f.b.WriteString(st.Table)
-	if st.Where != nil {
-		f.b.WriteString(" WHERE ")
-		f.expr(st.Where)
-	}
-}
-
-func (f *formatter) tableRef(t TableRef) {
-	f.b.WriteString(t.Name)
-	if t.Alias != "" {
-		f.b.WriteByte(' ')
-		f.b.WriteString(t.Alias)
-	}
-}
-
-func (f *formatter) expr(e Expr) {
-	if f.err != nil {
-		return
-	}
-	switch x := e.(type) {
-	case nil:
-		f.err = fmt.Errorf("sql: cannot format nil expression")
-	case *ColumnRef:
-		f.b.WriteString(x.Name())
-	case *Literal:
-		f.literal(x)
-	case *BinaryOp:
-		f.b.WriteByte('(')
-		f.expr(x.L)
-		f.b.WriteByte(' ')
-		f.b.WriteString(x.Op)
-		f.b.WriteByte(' ')
-		f.expr(x.R)
-		f.b.WriteByte(')')
-	case *UnaryOp:
-		f.b.WriteByte('(')
-		f.b.WriteString(x.Op)
-		f.b.WriteByte(' ')
-		f.expr(x.E)
-		f.b.WriteByte(')')
-	case *InList:
-		f.expr(x.E)
-		if x.Not {
-			f.b.WriteString(" NOT")
-		}
-		f.b.WriteString(" IN (")
-		if x.Sub != nil {
-			f.sel(x.Sub.Sel)
-		} else {
-			for i, it := range x.Items {
-				if i > 0 {
-					f.b.WriteString(", ")
-				}
-				f.expr(it)
-			}
-		}
-		f.b.WriteByte(')')
-	case *Exists:
-		if x.Not {
-			f.b.WriteString("NOT ")
-		}
-		f.b.WriteString("EXISTS (")
-		f.sel(x.Sub.Sel)
-		f.b.WriteByte(')')
-	case *Subquery:
-		f.b.WriteByte('(')
-		f.sel(x.Sel)
-		f.b.WriteByte(')')
-	case *Between:
-		f.expr(x.E)
-		if x.Not {
-			f.b.WriteString(" NOT")
-		}
-		f.b.WriteString(" BETWEEN ")
-		f.expr(x.Lo)
-		f.b.WriteString(" AND ")
-		f.expr(x.Hi)
-	case *IsNull:
-		f.expr(x.E)
-		f.b.WriteString(" IS ")
-		if x.Not {
-			f.b.WriteString("NOT ")
-		}
-		f.b.WriteString("NULL")
-	case *FuncCall:
-		f.b.WriteString(x.Name)
-		f.b.WriteByte('(')
-		if x.Distinct {
-			f.b.WriteString("DISTINCT ")
-		}
-		if x.Star {
-			f.b.WriteByte('*')
-		}
-		for i, a := range x.Args {
-			if i > 0 {
-				f.b.WriteString(", ")
-			}
-			f.expr(a)
-		}
-		f.b.WriteByte(')')
-	case *CaseExpr:
-		f.b.WriteString("CASE")
-		for _, wh := range x.Whens {
-			f.b.WriteString(" WHEN ")
-			f.expr(wh.Cond)
-			f.b.WriteString(" THEN ")
-			f.expr(wh.Result)
-		}
-		if x.Else != nil {
-			f.b.WriteString(" ELSE ")
-			f.expr(x.Else)
-		}
-		f.b.WriteString(" END")
-	default:
-		f.err = fmt.Errorf("sql: cannot format %T", e)
-	}
-}
-
-func (f *formatter) literal(x *Literal) {
-	switch x.Val.K {
-	case types.KindBool, types.KindNull:
-		// Structural kinds stay inline even under paramization (see
-		// FormatStmt doc); render in parser-accepted spelling.
-		switch {
-		case x.Val.K == types.KindNull:
-			f.b.WriteString("NULL")
-		case x.Val.I != 0:
-			f.b.WriteString("TRUE")
-		default:
-			f.b.WriteString("FALSE")
-		}
-		return
-	}
-	if f.paramize {
-		f.b.WriteByte('?')
-		f.args = append(f.args, x.Val)
-		return
-	}
-	switch x.Val.K {
-	case types.KindInt:
-		f.b.WriteString(strconv.FormatInt(x.Val.I, 10))
-	case types.KindFloat:
-		s := strconv.FormatFloat(x.Val.F, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0" // keep the float kind through a re-parse
-		}
-		f.b.WriteString(s)
-	case types.KindString, types.KindBytes:
-		f.b.WriteString(QuoteString(x.Val.AsString()))
-	default:
-		f.err = fmt.Errorf("sql: cannot format literal kind %v", x.Val.K)
-	}
-}
-
-// QuoteString renders a string literal in the lexer's escape syntax
-// (single quotes; embedded quotes doubled, backslashes doubled).
-func QuoteString(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "'", "''")
-	return "'" + s + "'"
+	return f.b.String(), f.lits, true
 }
 
 // Params collects a statement's '?' placeholder literals in textual
-// (parse) order — the binding vector for a prepared statement. The walk
-// mirrors the parser's clause order exactly; a statement re-parsed from
-// its own text yields positionally identical parameters.
+// (parse) order — the binding vector for a prepared statement. A
+// statement re-parsed from its own text yields positionally identical
+// parameters.
 func Params(stmt Statement) []*Literal {
-	var w paramWalker
-	w.stmt(stmt)
-	return w.out
+	var f formatter
+	f.stmt(stmt)
+	return f.lits
 }
 
 // HasSubquery reports whether any expression in the statement contains a
@@ -333,98 +98,340 @@ func Params(stmt Statement) []*Literal {
 // literal lists in place, so prepared handles re-parse such statements
 // per execution instead of reusing a mutated AST.
 func HasSubquery(stmt Statement) bool {
-	var w paramWalker
-	w.stmt(stmt)
-	return w.sub
+	var f formatter
+	f.stmt(stmt)
+	return f.sub
 }
 
-type paramWalker struct {
-	out []*Literal
-	sub bool
+// String renders an expression for diagnostics and plan display.
+func String(e Expr) string {
+	var f formatter
+	f.expr(e)
+	return f.b.String()
 }
 
-func (w *paramWalker) stmt(stmt Statement) {
+// Key renders an expression as its identity: two expressions share a key
+// only when they are the same tree, up to the case of identifiers and
+// keywords, which it lowers. The optimizer names output columns by their
+// keys and computes an expression once per key.
+func Key(e Expr) string {
+	if c, ok := e.(*ColumnRef); ok && c.Table == "" && !strings.ContainsFunc(c.Column, isUpper) {
+		return c.Column // a bare lower-case name is its own key: no copy
+	}
+	f := formatter{fold: true}
+	f.expr(e)
+	return f.b.String()
+}
+
+func (f *formatter) fail(format string, args ...any) {
+	if f.err == nil {
+		f.err = fmt.Errorf(format, args...)
+	}
+}
+
+func isUpper(r rune) bool { return 'A' <= r && r <= 'Z' }
+
+// word writes a keyword, operator or identifier. In a key it is written
+// in lower case, except inside single quotes: a column that names an
+// aggregate's output is that aggregate's key, literals and all.
+func (f *formatter) word(s string) {
+	if !f.fold {
+		f.b.WriteString(s)
+		return
+	}
+	quoted := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '\'':
+			quoted = !quoted
+		case !quoted && isUpper(rune(c)):
+			c += 'a' - 'A'
+		}
+		f.b.WriteByte(c)
+	}
+}
+
+func (f *formatter) stmt(stmt Statement) {
 	switch st := stmt.(type) {
 	case *Select:
-		w.sel(st)
+		f.sel(st)
 	case *Insert:
-		for _, row := range st.Rows {
-			for _, e := range row {
-				w.expr(e)
-			}
+		f.word("INSERT INTO ")
+		f.word(st.Table)
+		if len(st.Columns) > 0 {
+			f.b.WriteString(" (")
+			f.list(len(st.Columns), func(i int) { f.word(st.Columns[i]) })
+			f.b.WriteByte(')')
 		}
+		f.word(" VALUES ")
+		f.list(len(st.Rows), func(i int) {
+			f.b.WriteByte('(')
+			f.exprs(st.Rows[i])
+			f.b.WriteByte(')')
+		})
 	case *Update:
-		for _, a := range st.Sets {
-			w.expr(a.Value)
-		}
-		w.expr(st.Where)
+		f.word("UPDATE ")
+		f.word(st.Table)
+		f.word(" SET ")
+		f.list(len(st.Sets), func(i int) {
+			f.word(st.Sets[i].Column)
+			f.b.WriteString(" = ")
+			f.expr(st.Sets[i].Value)
+		})
+		f.where(st.Where)
 	case *Delete:
-		w.expr(st.Where)
+		f.word("DELETE FROM ")
+		f.word(st.Table)
+		f.where(st.Where)
 	case *Explain:
-		w.stmt(st.Stmt)
+		f.word("EXPLAIN ")
+		if st.Analyze {
+			f.word("ANALYZE ")
+		}
+		f.stmt(st.Stmt)
+	default:
+		f.fail("sql: cannot format %T", stmt)
 	}
 }
 
-func (w *paramWalker) sel(s *Select) {
-	for _, it := range s.Items {
-		w.expr(it.Expr)
-	}
+func (f *formatter) sel(s *Select) {
+	f.word("SELECT ")
+	f.list(len(s.Items), func(i int) {
+		it := s.Items[i]
+		if it.Star {
+			f.b.WriteByte('*')
+			return
+		}
+		f.expr(it.Expr)
+		if it.Alias != "" {
+			f.word(" AS ")
+			f.word(it.Alias)
+		}
+	})
+	f.word(" FROM ")
+	f.tableRef(s.From)
 	for _, j := range s.Joins {
-		w.expr(j.On)
+		if j.Left {
+			f.word(" LEFT")
+		}
+		f.word(" JOIN ")
+		f.tableRef(j.Table)
+		f.word(" ON ")
+		f.expr(j.On)
 	}
-	w.expr(s.Where)
-	for _, e := range s.GroupBy {
-		w.expr(e)
+	f.where(s.Where)
+	if len(s.GroupBy) > 0 {
+		f.word(" GROUP BY ")
+		f.exprs(s.GroupBy)
 	}
-	w.expr(s.Having)
-	for _, o := range s.OrderBy {
-		w.expr(o.Expr)
+	if s.Having != nil {
+		f.word(" HAVING ")
+		f.expr(s.Having)
+	}
+	if len(s.OrderBy) > 0 {
+		f.word(" ORDER BY ")
+		f.list(len(s.OrderBy), func(i int) {
+			f.expr(s.OrderBy[i].Expr)
+			if s.OrderBy[i].Desc {
+				f.word(" DESC")
+			}
+		})
+	}
+	if s.Limit >= 0 {
+		// LIMIT shapes the plan (a node constant, not a *Literal), so
+		// it stays in a fingerprint.
+		f.word(" LIMIT ")
+		f.b.WriteString(strconv.Itoa(s.Limit))
 	}
 }
 
-func (w *paramWalker) expr(e Expr) {
+func (f *formatter) where(e Expr) {
+	if e != nil {
+		f.word(" WHERE ")
+		f.expr(e)
+	}
+}
+
+func (f *formatter) tableRef(t TableRef) {
+	f.word(t.Name)
+	if t.Alias != "" {
+		f.word(" AS ")
+		f.word(t.Alias)
+	}
+}
+
+// list writes n comma-separated elements.
+func (f *formatter) list(n int, elem func(i int)) {
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			f.b.WriteString(", ")
+		}
+		elem(i)
+	}
+}
+
+func (f *formatter) exprs(es []Expr) {
+	for i, e := range es {
+		if i > 0 {
+			f.b.WriteString(", ")
+		}
+		f.expr(e)
+	}
+}
+
+func (f *formatter) expr(e Expr) {
 	switch x := e.(type) {
+	case nil:
+		f.fail("sql: cannot format nil expression")
+	case *ColumnRef:
+		if x.Table != "" {
+			f.word(x.Table)
+			f.b.WriteByte('.')
+		}
+		f.word(x.Column)
 	case *Literal:
-		if x.Param {
-			w.out = append(w.out, x)
-		}
+		f.literal(x)
 	case *BinaryOp:
-		w.expr(x.L)
-		w.expr(x.R)
+		side := f.operand
+		if x.Op == "AND" || x.Op == "OR" {
+			side = f.expr // the parser reads a whole predicate there
+		}
+		f.b.WriteByte('(')
+		side(x.L)
+		f.b.WriteByte(' ')
+		f.word(x.Op)
+		f.b.WriteByte(' ')
+		side(x.R)
+		f.b.WriteByte(')')
 	case *UnaryOp:
-		w.expr(x.E)
+		f.b.WriteByte('(')
+		f.word(x.Op)
+		f.b.WriteByte(' ')
+		f.operand(x.E)
+		f.b.WriteByte(')')
 	case *InList:
-		w.expr(x.E)
-		for _, it := range x.Items {
-			w.expr(it)
+		f.operand(x.E)
+		if x.Not {
+			f.word(" NOT")
 		}
+		f.word(" IN (")
 		if x.Sub != nil {
-			w.sub = true
-			w.sel(x.Sub.Sel)
+			f.sub = true
+			f.sel(x.Sub.Sel)
+		} else {
+			f.exprs(x.Items)
 		}
+		f.b.WriteByte(')')
 	case *Exists:
-		w.sub = true
-		if x.Sub != nil {
-			w.sel(x.Sub.Sel)
+		f.sub = true
+		if x.Not {
+			f.word("NOT ")
 		}
+		f.word("EXISTS (")
+		f.sel(x.Sub.Sel)
+		f.b.WriteByte(')')
 	case *Subquery:
-		w.sub = true
-		w.sel(x.Sel)
+		f.sub = true
+		f.b.WriteByte('(')
+		f.sel(x.Sel)
+		f.b.WriteByte(')')
 	case *Between:
-		w.expr(x.E)
-		w.expr(x.Lo)
-		w.expr(x.Hi)
+		f.operand(x.E)
+		if x.Not {
+			f.word(" NOT")
+		}
+		f.word(" BETWEEN ")
+		f.operand(x.Lo)
+		f.word(" AND ")
+		f.operand(x.Hi)
 	case *IsNull:
-		w.expr(x.E)
+		f.operand(x.E)
+		f.word(" IS ")
+		if x.Not {
+			f.word("NOT ")
+		}
+		f.word("NULL")
 	case *FuncCall:
-		for _, a := range x.Args {
-			w.expr(a)
+		f.word(x.Name)
+		f.b.WriteByte('(')
+		if x.Distinct {
+			f.word("DISTINCT ")
 		}
+		if x.Star {
+			f.b.WriteByte('*')
+		}
+		f.exprs(x.Args)
+		f.b.WriteByte(')')
 	case *CaseExpr:
+		f.word("CASE")
 		for _, wh := range x.Whens {
-			w.expr(wh.Cond)
-			w.expr(wh.Result)
+			f.word(" WHEN ")
+			f.expr(wh.Cond)
+			f.word(" THEN ")
+			f.expr(wh.Result)
 		}
-		w.expr(x.Else)
+		if x.Else != nil {
+			f.word(" ELSE ")
+			f.expr(x.Else)
+		}
+		f.word(" END")
+	default:
+		f.fail("sql: cannot format %T", e)
+	}
+}
+
+// operand writes e where the parser reads an additive expression: the
+// forms that end in a keyword clause are parenthesized there.
+func (f *formatter) operand(e Expr) {
+	switch e.(type) {
+	case *InList, *Between, *IsNull, *Exists:
+		f.b.WriteByte('(')
+		f.expr(e)
+		f.b.WriteByte(')')
+	default:
+		f.expr(e)
+	}
+}
+
+func (f *formatter) literal(x *Literal) {
+	structural := x.Val.K == types.KindBool || x.Val.K == types.KindNull
+	if x.Param || f.lift && !structural {
+		f.lits = append(f.lits, x)
+		if f.lift {
+			f.b.WriteByte('?')
+			return
+		}
+	}
+	switch x.Val.K {
+	case types.KindNull:
+		f.word("NULL")
+	case types.KindBool:
+		if x.Val.I != 0 {
+			f.word("TRUE")
+		} else {
+			f.word("FALSE")
+		}
+	case types.KindInt:
+		f.b.WriteString(strconv.FormatInt(x.Val.I, 10))
+	case types.KindFloat:
+		s := strconv.FormatFloat(x.Val.F, 'g', -1, 64)
+		f.b.WriteString(s)
+		if !strings.ContainsAny(s, ".eE") {
+			f.b.WriteString(".0") // keep the float kind through a re-parse
+		}
+	case types.KindString, types.KindBytes:
+		// The lexer's escapes: embedded quotes and backslashes doubled.
+		s := x.Val.AsString()
+		f.b.WriteByte('\'')
+		for i := 0; i < len(s); i++ {
+			if s[i] == '\'' || s[i] == '\\' {
+				f.b.WriteByte(s[i])
+			}
+			f.b.WriteByte(s[i])
+		}
+		f.b.WriteByte('\'')
+	default:
+		f.fail("sql: cannot format literal kind %v", x.Val.K)
 	}
 }
