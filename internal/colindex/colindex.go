@@ -325,7 +325,10 @@ func (b *Builder) Apply(recs []wal.Record) error {
 			if len(rows) == 0 {
 				continue
 			}
-			ts := storage.DecodeTS(rec.Payload)
+			ts, err := storage.DecodeTS(rec.Payload)
+			if err != nil {
+				return fmt.Errorf("colindex: commit of txn %d: %w", rec.TxnID, err)
+			}
 			byTable := make(map[uint32][]wal.Record)
 			for _, r := range rows {
 				byTable[r.TableID] = append(byTable[r.TableID], r)

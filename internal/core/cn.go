@@ -394,11 +394,11 @@ func (s *Session) Rollback() error {
 func (s *Session) absorb(tx *txn.Tx) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for dnName, lsn := range tx.BranchLSNs() {
-		if lsn > s.lsnByDN[dnName] {
-			s.lsnByDN[dnName] = lsn
+	tx.EachBranch(func(b txn.Branch) {
+		if b.LSN > s.lsnByDN[b.DN] {
+			s.lsnByDN[b.DN] = b.LSN
 		}
-	}
+	})
 }
 
 // minLSNFor returns the session watermark for a DN group.
@@ -410,12 +410,11 @@ func (s *Session) minLSNFor(dnName string) wal.LSN {
 
 // txnFor returns the open transaction or an auto-commit one; done must
 // be called with the execution error.
-func (s *Session) txnFor() (tx *txn.Tx, done func(error) error, err error) {
+func (s *Session) txnFor() (*txn.Tx, func(error) error, error) {
 	s.mu.Lock()
 	tr := s.curTrace
 	dl := s.curDeadline
-	if s.tx != nil {
-		tx = s.tx
+	if tx := s.tx; tx != nil {
 		s.mu.Unlock()
 		if tr != nil {
 			// Re-point the open transaction's spans at the current
@@ -428,7 +427,7 @@ func (s *Session) txnFor() (tx *txn.Tx, done func(error) error, err error) {
 		return tx, func(execErr error) error { return execErr }, nil
 	}
 	s.mu.Unlock()
-	tx, err = s.cn.coord.Begin()
+	tx, err := s.cn.coord.Begin()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -736,7 +735,7 @@ func (cn *CN) createIndex(s *Session, st *sql.CreateIndex) (*Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			batch := newWriteBatch()
+			var batch writeBatch
 			for _, row := range resp.Rows {
 				irow := gi.IndexRow(t, row)
 				ishard := gi.ShardOfIndexRow(irow)

@@ -36,7 +36,7 @@ func (s *Session) execInsert(st *sql.Insert) (*Result, error) {
 		return nil, err
 	}
 	n, execErr := func() (int, error) {
-		batch := newWriteBatch()
+		var batch writeBatch
 		count := 0
 		for _, exprRow := range st.Rows {
 			if len(exprRow) != len(colPos) {
@@ -53,7 +53,7 @@ func (s *Session) execInsert(st *sql.Insert) (*Result, error) {
 			if t.Schema.ImplicitPK {
 				row[len(row)-1] = types.Int(autoInc.Add(1))
 			}
-			if err := s.stageInsert(batch, t, row); err != nil {
+			if err := s.stageInsert(&batch, t, row); err != nil {
 				return count, err
 			}
 			count++
@@ -77,19 +77,34 @@ func (s *Session) execInsert(st *sql.Insert) (*Result, error) {
 // operations on the same key always route to the same DN (GSI
 // delete-then-insert pairs stay ordered).
 type writeBatch struct {
-	order []string // first-staged DN order (deterministic fan-out)
-	byDN  map[string][]dn.WriteItem
+	// groups holds one entry per touched DN in first-staged order (the
+	// deterministic fan-out order). A statement touches a DN or two, so a
+	// scan beats a map, and the first two groups, with their first items,
+	// live in the batch itself.
+	groups []dnWrites
+	inline [2]dnWrites
+	first  [2]dn.WriteItem
 }
 
-func newWriteBatch() *writeBatch {
-	return &writeBatch{byDN: make(map[string][]dn.WriteItem)}
+// dnWrites is one DN's share of a writeBatch.
+type dnWrites struct {
+	dn    string
+	items []dn.WriteItem
 }
 
 func (b *writeBatch) add(dnName string, item dn.WriteItem) {
-	if _, ok := b.byDN[dnName]; !ok {
-		b.order = append(b.order, dnName)
+	for i := range b.groups {
+		if b.groups[i].dn == dnName {
+			b.groups[i].items = append(b.groups[i].items, item)
+			return
+		}
 	}
-	b.byDN[dnName] = append(b.byDN[dnName], item)
+	if i := len(b.groups); i < len(b.inline) {
+		b.first[i] = item
+		b.groups = append(b.inline[:i], dnWrites{dn: dnName, items: b.first[i : i+1 : i+1]})
+		return
+	}
+	b.groups = append(b.groups, dnWrites{dn: dnName, items: []dn.WriteItem{item}})
 }
 
 // flush issues one MultiWrite per DN, all DNs in parallel (the write
@@ -97,18 +112,18 @@ func (b *writeBatch) add(dnName string, item dn.WriteItem) {
 // the caller's transaction handling aborts the branches, rolling back
 // any partially applied batch.
 func (b *writeBatch) flush(tx *txn.Tx) error {
-	switch len(b.order) {
+	switch len(b.groups) {
 	case 0:
 		return nil
 	case 1:
-		return tx.MultiWrite(b.order[0], b.byDN[b.order[0]])
+		return tx.MultiWrite(b.groups[0].dn, b.groups[0].items)
 	}
-	errs := make(chan error, len(b.order))
-	for _, dnName := range b.order {
-		go func(dnName string) { errs <- tx.MultiWrite(dnName, b.byDN[dnName]) }(dnName)
+	errs := make(chan error, len(b.groups))
+	for _, g := range b.groups {
+		go func(g dnWrites) { errs <- tx.MultiWrite(g.dn, g.items) }(g)
 	}
 	var firstErr error
-	for range b.order {
+	for range b.groups {
 		if err := <-errs; err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -379,7 +394,7 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		batch := newWriteBatch()
+		var batch writeBatch
 		for i, old := range rows {
 			newRow := old.Clone()
 			for _, a := range sets {
@@ -389,10 +404,10 @@ func (s *Session) execUpdate(st *sql.Update) (*Result, error) {
 				}
 				newRow[a.col] = v
 			}
-			if err := s.stageUpdateRow(batch, t, old, newRow, moves); err != nil {
+			if err := s.stageUpdateRow(&batch, t, old, newRow, moves); err != nil {
 				return i, err
 			}
-			if err := s.stageRefreshIndexes(batch, t, old, newRow); err != nil {
+			if err := s.stageRefreshIndexes(&batch, t, old, newRow); err != nil {
 				return i, err
 			}
 		}
@@ -512,7 +527,7 @@ func (s *Session) execDelete(st *sql.Delete) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		batch := newWriteBatch()
+		var batch writeBatch
 		for i, row := range rows {
 			shard := t.ShardOfRow(row)
 			dnName, err := s.cn.cluster.GMS.DNForShard(t.Name, shard)

@@ -150,7 +150,7 @@ func (n *Node) committerLoop() {
 
 func (n *Node) commitOnce() {
 	n.mu.Lock()
-	ready := n.releaseWaitersLocked()
+	n.releaseWaitersLocked()
 	var applyFrom, applyTo wal.LSN
 	if n.cfg.OnApply != nil && n.applied < n.dlsn {
 		limit := n.dlsn
@@ -165,9 +165,6 @@ func (n *Node) commitOnce() {
 	}
 	n.mu.Unlock()
 
-	for _, w := range ready {
-		w.ch <- nil
-	}
 	if applyTo > applyFrom {
 		// The cursor advances only after a successful read: if the range
 		// cannot be served (e.g. it was purged out from under us), the next

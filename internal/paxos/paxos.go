@@ -31,7 +31,6 @@
 package paxos
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -596,17 +595,27 @@ func (n *Node) AwaitDurable(lsn wal.LSN) error {
 		n.mu.Unlock()
 		return ErrStopped
 	}
-	ch := make(chan error, 1)
-	heap.Push(&n.waiters, commitWaiter{lsn: lsn, ch: ch})
+	ch := waitChans.Get().(chan error)
+	n.waiters.push(commitWaiter{lsn: lsn, ch: ch})
 	n.mu.Unlock()
-	if h := n.cfg.QuorumWait; h != nil {
-		start := time.Now()
-		err := <-ch
-		h.Observe(time.Since(start))
-		return err
+	h := n.cfg.QuorumWait
+	var start time.Time
+	if h != nil {
+		start = time.Now()
 	}
-	return <-ch
+	err := <-ch
+	waitChans.Put(ch)
+	if h != nil {
+		h.Observe(time.Since(start))
+	}
+	return err
 }
+
+// waitChans recycles waiter channels. A parked waiter's channel receives
+// exactly one verdict, which the waiter consumes, or none once the waiter
+// has removed itself (AwaitDurableUntil's expiry); either way it is empty
+// when the waiter puts it back.
+var waitChans = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // AwaitDurableUntil is AwaitDurable bounded by an absolute deadline: a
 // caller whose statement deadline expires is unparked, its waiter is
@@ -634,8 +643,8 @@ func (n *Node) AwaitDurableUntil(lsn wal.LSN, deadline time.Time) error {
 		n.mu.Unlock()
 		return fmt.Errorf("paxos %s: await lsn %d: %w", n.endpoint(), lsn, obs.ErrDeadlineExceeded)
 	}
-	ch := make(chan error, 1)
-	heap.Push(&n.waiters, commitWaiter{lsn: lsn, ch: ch})
+	ch := waitChans.Get().(chan error)
+	n.waiters.push(commitWaiter{lsn: lsn, ch: ch})
 	n.mu.Unlock()
 
 	timeout, cancel := obs.After(n.clock, left)
@@ -643,6 +652,7 @@ func (n *Node) AwaitDurableUntil(lsn wal.LSN, deadline time.Time) error {
 	start := time.Now()
 	select {
 	case err := <-ch:
+		waitChans.Put(ch)
 		n.cfg.QuorumWait.Observe(time.Since(start))
 		return err
 	case <-timeout:
@@ -654,9 +664,11 @@ func (n *Node) AwaitDurableUntil(lsn wal.LSN, deadline time.Time) error {
 		// The verdict raced in before we could remove the waiter; the
 		// channel is buffered, so it is already there. Honor it.
 		err := <-ch
+		waitChans.Put(ch)
 		n.cfg.QuorumWait.Observe(time.Since(start))
 		return err
 	}
+	waitChans.Put(ch)
 	return fmt.Errorf("paxos %s: await lsn %d after %v: %w", n.endpoint(), lsn, time.Since(start), obs.ErrDeadlineExceeded)
 }
 
@@ -665,7 +677,7 @@ func (n *Node) AwaitDurableUntil(lsn wal.LSN, deadline time.Time) error {
 func (n *Node) removeWaiterLocked(ch chan error) bool {
 	for i := range n.waiters {
 		if n.waiters[i].ch == ch {
-			heap.Remove(&n.waiters, i)
+			n.waiters.removeAt(i)
 			return true
 		}
 	}

@@ -1,7 +1,6 @@
 package paxos
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -38,19 +37,60 @@ type peerShip struct {
 // waiterHeap is the async-commit map ordered by LSN, so releasing the
 // waiters covered by a DLSN advance pops from the top instead of
 // scanning every parked transaction (10k parked commits cost
-// O(released·log n), not O(n) per committer pass).
+// O(released·log n), not O(n) per committer pass). It is a binary
+// min-heap on lsn, typed so that no waiter is boxed on the way in or out.
 type waiterHeap []commitWaiter
 
-func (h waiterHeap) Len() int           { return len(h) }
-func (h waiterHeap) Less(i, j int) bool { return h[i].lsn < h[j].lsn }
-func (h waiterHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x any)        { *h = append(*h, x.(commitWaiter)) }
-func (h *waiterHeap) Pop() any {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	*h = old[:n-1]
+// push parks w.
+func (h *waiterHeap) push(w commitWaiter) {
+	*h = append(*h, w)
+	h.up(len(*h) - 1)
+}
+
+// removeAt unparks and returns the waiter at index i; index 0 holds the
+// lowest LSN.
+func (h *waiterHeap) removeAt(i int) commitWaiter {
+	s := *h
+	last := len(s) - 1
+	w := s[i]
+	s[i] = s[last]
+	s[last] = commitWaiter{}
+	*h = s[:last]
+	if i < last && !h.down(i) {
+		h.up(i)
+	}
 	return w
+}
+
+func (h waiterHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].lsn <= h[i].lsn {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// down sifts i toward the leaves and reports whether it moved.
+func (h waiterHeap) down(i int) bool {
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].lsn < h[c].lsn {
+			c = r
+		}
+		if h[i].lsn <= h[c].lsn {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return i > start
 }
 
 // dlsnTracker maintains the majority-persisted LSN incrementally: one
@@ -117,9 +157,11 @@ func (n *Node) majority() int { return len(n.cfg.Members)/2 + 1 }
 // pending), grabs everything that joined, and pays ONE serialized redo
 // flush for the whole batch. The window timer runs on real time like
 // the other pacing loops — only lease/election logic uses the
-// injectable clock.
+// injectable clock. One timer serves every window.
 func (n *Node) flusherLoop() {
 	defer n.wg.Done()
+	window := time.NewTimer(time.Hour)
+	window.Stop()
 	for {
 		select {
 		case <-n.done:
@@ -127,14 +169,9 @@ func (n *Node) flusherLoop() {
 		case <-n.kickFlush:
 		}
 		if w := n.cfg.GroupCommitWindow; w > 0 {
-			t := time.NewTimer(w)
-			select {
-			case <-n.done:
-				t.Stop()
+			window.Reset(w)
+			if !n.awaitWindow(window) {
 				return
-			case <-n.gcFull:
-				t.Stop()
-			case <-t.C:
 			}
 		}
 		n.mu.Lock()
@@ -151,6 +188,27 @@ func (n *Node) flusherLoop() {
 		}
 		n.flushAs(end, mtrs, epoch)
 	}
+}
+
+// awaitWindow waits until the window timer, just Reset, fires or the byte
+// cap closes the window early, and reports false if the node stopped.
+// It leaves the timer stopped with its channel empty: when the cap wins
+// over a timer that has already fired, the stale tick is drained, or it
+// would close the next window at once. (go.mod's go version keeps the
+// asynchronous timer channel, where Stop returning false means a tick is
+// in flight.)
+func (n *Node) awaitWindow(window *time.Timer) bool {
+	select {
+	case <-n.done:
+		window.Stop()
+		return false
+	case <-n.gcFull:
+		if !window.Stop() {
+			<-window.C
+		}
+	case <-window.C:
+	}
+	return true
 }
 
 // flushAs performs one serialized redo flush making everything below
@@ -255,16 +313,15 @@ func (n *Node) ConfirmLeadership() error {
 	return nil
 }
 
-// releaseWaitersLocked pops waiters satisfied by the current DLSN and
-// returns them; the caller completes them outside the lock. This is the
-// async_log_committer's scan of the transaction-context map — with the
-// heap it touches only the waiters it releases.
-func (n *Node) releaseWaitersLocked() []commitWaiter {
-	var ready []commitWaiter
+// releaseWaitersLocked completes every parked waiter the current DLSN
+// covers. This is the async_log_committer's scan of the
+// transaction-context map — with the heap it touches only the waiters it
+// releases. Waiter channels are buffered, so sending under the lock
+// cannot block.
+func (n *Node) releaseWaitersLocked() {
 	for len(n.waiters) > 0 && n.waiters[0].lsn <= n.dlsn {
-		ready = append(ready, heap.Pop(&n.waiters).(commitWaiter))
+		n.waiters.removeAt(0).ch <- nil
 	}
-	return ready
 }
 
 // failWaitersLocked completes every parked waiter with err. Waiter

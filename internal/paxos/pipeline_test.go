@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -329,5 +331,98 @@ func TestLeaseAndLeaseReadsDrivenByFakeClock(t *testing.T) {
 	}
 	if qr := g.regs["dn1"].Counter("paxos.quorum_reads").Value(); qr < 1 {
 		t.Fatalf("quorum_reads = %d, want >= 1", qr)
+	}
+}
+
+// TestWaiterHeapMatchesSortedModel drives the typed waiter heap with
+// random parks, removals by position and DLSN releases, and checks every
+// step against a plain slice: the heap holds the same waiters, its top is
+// the lowest LSN, and a release hands back exactly the waiters at or
+// below the DLSN, in LSN order.
+func TestWaiterHeapMatchesSortedModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var h waiterHeap
+	var model []commitWaiter
+	heapOrdered := func() {
+		t.Helper()
+		for i := 1; i < len(h); i++ {
+			if h[(i-1)/2].lsn > h[i].lsn {
+				t.Fatalf("heap order broken at %d: parent %d > child %d", i, h[(i-1)/2].lsn, h[i].lsn)
+			}
+		}
+		if len(h) != len(model) {
+			t.Fatalf("heap holds %d waiters, model %d", len(h), len(model))
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5: // park
+			w := commitWaiter{lsn: wal.LSN(rng.Intn(500)), ch: make(chan error, 1)}
+			h.push(w)
+			model = append(model, w)
+		case op < 7 && len(h) > 0: // a deadline unparks one waiter
+			i := rng.Intn(len(h))
+			w := h.removeAt(i)
+			j := slices.IndexFunc(model, func(m commitWaiter) bool { return m.ch == w.ch })
+			if j < 0 {
+				t.Fatalf("removeAt(%d) returned a waiter that was not parked", i)
+			}
+			model = slices.Delete(model, j, j+1)
+		default: // DLSN advances: release everything it covers
+			dlsn := wal.LSN(rng.Intn(500))
+			var got []wal.LSN
+			for len(h) > 0 && h[0].lsn <= dlsn {
+				got = append(got, h.removeAt(0).lsn)
+			}
+			var want []wal.LSN
+			model = slices.DeleteFunc(model, func(m commitWaiter) bool {
+				if m.lsn <= dlsn {
+					want = append(want, m.lsn)
+					return true
+				}
+				return false
+			})
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("release at DLSN %d = %v, want %v", dlsn, got, want)
+			}
+		}
+		heapOrdered()
+	}
+}
+
+// TestGroupCommitWindowAfterStaleTick: when the byte cap closes a window
+// whose timer has already fired, the timer's tick must not close the next
+// window early. Each round lets the window timer fire, signals the byte
+// cap, and waits the window out; then the next window must last at least
+// GroupCommitWindow. Only the lower bound is asserted: a wait may run
+// late, never early.
+func TestGroupCommitWindowAfterStaleTick(t *testing.T) {
+	const window = 2 * time.Millisecond
+	n := &Node{done: make(chan struct{}), gcFull: make(chan struct{}, 1)}
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	capClosed := 0
+	for round := 0; round < 40; round++ {
+		timer.Reset(time.Microsecond)
+		time.Sleep(200 * time.Microsecond) // the window's timer fires...
+		n.gcFull <- struct{}{}             // ...and the byte cap closes the same window
+		if !n.awaitWindow(timer) {
+			t.Fatal("awaitWindow reported a stop")
+		}
+		select {
+		case <-n.gcFull: // the timer won; drop the cap signal as flusherLoop does
+		default:
+			capClosed++
+		}
+		start := time.Now()
+		timer.Reset(window)
+		n.awaitWindow(timer)
+		if d := time.Since(start); d < window {
+			t.Fatalf("round %d: the window after a cap-closed one lasted %v, want >= %v", round, d, window)
+		}
+	}
+	if capClosed == 0 {
+		t.Fatal("the byte cap never closed a window in 40 rounds")
 	}
 }

@@ -108,13 +108,20 @@ func (a *Applier) Apply(recs []wal.Record) error {
 			// Prepared-but-unresolved transactions stay pending; a commit
 			// or abort marker resolves them. Track the branch so a
 			// failed-over leader can drive resolution itself.
-			ts, globalID, primary := DecodePrepareMeta(rec.Payload)
+			ts, globalID, primary, err := DecodePrepareMeta(rec.Payload)
+			if err != nil {
+				return fmt.Errorf("storage: apply: prepare of txn %d: %w", rec.TxnID, err)
+			}
 			a.prepared[rec.TxnID] = PreparedBranch{
 				TxnID: rec.TxnID, PrepareTS: ts, GlobalID: globalID, Primary: primary,
 			}
 		case wal.RecCommit:
+			ts, err := DecodeTS(rec.Payload)
+			if err != nil {
+				return fmt.Errorf("storage: apply: commit of txn %d: %w", rec.TxnID, err)
+			}
 			delete(a.prepared, rec.TxnID)
-			if err := a.commit(rec.TxnID, DecodeTS(rec.Payload)); err != nil {
+			if err := a.commit(rec.TxnID, ts); err != nil {
 				return err
 			}
 		case wal.RecAbort:
@@ -133,7 +140,11 @@ func (a *Applier) Apply(recs []wal.Record) error {
 			// Commit decision on the primary branch: remembered so the
 			// failed-over leader can answer in-doubt resolvers.
 			if _, ok := a.commitPoints[rec.TxnID]; !ok {
-				a.commitPoints[rec.TxnID] = DecodeTS(rec.Payload)
+				ts, err := DecodeTS(rec.Payload)
+				if err != nil {
+					return fmt.Errorf("storage: apply: commit point of txn %d: %w", rec.TxnID, err)
+				}
+				a.commitPoints[rec.TxnID] = ts
 				a.commitPointFIFO = capFIFOts(a.commitPointFIFO, rec.TxnID, a.commitPoints)
 			}
 		case wal.RecDDL, wal.RecTenant, wal.RecCheckpt, wal.RecPaxos:

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -476,14 +477,20 @@ func encodeTS(ts hlc.Timestamp) []byte {
 	}
 }
 
+// ErrShortPayload is a prepare or commit record whose payload is shorter
+// than its fixed fields. Every producer writes them in full, so such a
+// record is corrupt; decoding it as timestamp 0 would commit below every
+// snapshot.
+var ErrShortPayload = errors.New("storage: redo payload shorter than its fixed fields")
+
 // DecodeTS parses a timestamp payload from prepare/commit redo records.
-func DecodeTS(b []byte) hlc.Timestamp {
+func DecodeTS(b []byte) (hlc.Timestamp, error) {
 	if len(b) < 8 {
-		return 0
+		return 0, fmt.Errorf("%w: %d-byte timestamp", ErrShortPayload, len(b))
 	}
 	return hlc.Timestamp(uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 |
 		uint64(b[3])<<32 | uint64(b[4])<<24 | uint64(b[5])<<16 |
-		uint64(b[6])<<8 | uint64(b[7]))
+		uint64(b[6])<<8 | uint64(b[7])), nil
 }
 
 // EncodeTS encodes a timestamp for commit/commit-point redo payloads.
@@ -501,16 +508,15 @@ func EncodePrepareMeta(ts hlc.Timestamp, globalID uint64, primary string) []byte
 }
 
 // DecodePrepareMeta parses a RecPrepare payload back into its prepare
-// timestamp, global transaction ID, and primary branch instance name.
-// Short payloads (pre-recovery format, or prepares issued without 2PC
-// metadata) decode with zero globalID and empty primary.
-func DecodePrepareMeta(b []byte) (ts hlc.Timestamp, globalID uint64, primary string) {
-	ts = DecodeTS(b)
+// timestamp, global transaction ID, and primary branch instance name. A
+// payload shorter than the 16 bytes of timestamp and ID is refused.
+func DecodePrepareMeta(b []byte) (ts hlc.Timestamp, globalID uint64, primary string, err error) {
 	if len(b) < 16 {
-		return ts, 0, ""
+		return 0, 0, "", fmt.Errorf("%w: %d-byte prepare record", ErrShortPayload, len(b))
 	}
+	ts, _ = DecodeTS(b)
 	globalID = uint64(b[8])<<56 | uint64(b[9])<<48 | uint64(b[10])<<40 |
 		uint64(b[11])<<32 | uint64(b[12])<<24 | uint64(b[13])<<16 |
 		uint64(b[14])<<8 | uint64(b[15])
-	return ts, globalID, string(b[16:])
+	return ts, globalID, string(b[16:]), nil
 }

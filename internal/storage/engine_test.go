@@ -438,7 +438,7 @@ func TestRedoGeneration(t *testing.T) {
 			t.Fatalf("redo[%d] = %v, want %v", i, redo[i].Type, w)
 		}
 	}
-	if DecodeTS(redo[3].Payload) != ts {
+	if got, err := DecodeTS(redo[3].Payload); err != nil || got != ts {
 		t.Fatal("commit record timestamp mismatch")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/tso"
 	"repro/internal/types"
+	"repro/internal/wal"
 )
 
 func usersSchema() *types.Schema {
@@ -696,7 +697,16 @@ func TestSessionConsistentROReadAfterWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := coord.MultiGetAt("dn1-ro1", []dn.PointGet{{Table: 1, PK: pkOf(1)}}, commitTS, tx.BranchLSNs()["dn1"], time.Time{})
+	var minLSN wal.LSN
+	tx.EachBranch(func(b Branch) {
+		if b.DN == "dn1" {
+			minLSN = b.LSN
+		}
+	})
+	if minLSN == 0 {
+		t.Fatal("committed branch dn1 has no commit LSN")
+	}
+	rs, err := coord.MultiGetAt("dn1-ro1", []dn.PointGet{{Table: 1, PK: pkOf(1)}}, commitTS, minLSN, time.Time{})
 	if err != nil || !rs[0].OK || rs[0].Row[1].AsString() != "fresh" {
 		t.Fatalf("RO read = %+v %v", rs, err)
 	}

@@ -99,19 +99,19 @@ func (r *Record) EncodedSize() int {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // encode appends the record's wire form to dst and returns the result.
+// The header is appended in place and checksummed where it lies.
 func (r *Record) encode(dst []byte) []byte {
-	var hdr [recHeaderSize]byte
-	hdr[0] = byte(r.Type)
-	binary.LittleEndian.PutUint32(hdr[2:], r.TenantID)
-	binary.LittleEndian.PutUint32(hdr[6:], r.TableID)
-	binary.LittleEndian.PutUint64(hdr[10:], r.TxnID)
-	binary.LittleEndian.PutUint32(hdr[18:], uint32(len(r.Key)))
-	binary.LittleEndian.PutUint32(hdr[22:], uint32(len(r.Payload)))
-	crc := crc32.Checksum(hdr[:recHeaderSize-4], castagnoli)
+	at := len(dst)
+	dst = append(dst, byte(r.Type), 0)
+	dst = binary.LittleEndian.AppendUint32(dst, r.TenantID)
+	dst = binary.LittleEndian.AppendUint32(dst, r.TableID)
+	dst = binary.LittleEndian.AppendUint64(dst, r.TxnID)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Key)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Payload)))
+	crc := crc32.Checksum(dst[at:], castagnoli)
 	crc = crc32.Update(crc, castagnoli, r.Key)
 	crc = crc32.Update(crc, castagnoli, r.Payload)
-	binary.LittleEndian.PutUint32(hdr[26:], crc)
-	dst = append(dst, hdr[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
 	dst = append(dst, r.Key...)
 	dst = append(dst, r.Payload...)
 	return dst
