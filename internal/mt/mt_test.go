@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/simnet"
+	"repro/internal/storage"
 	"repro/internal/types"
 	"repro/internal/wal"
 )
@@ -336,6 +337,27 @@ func TestFailRWRedistributesTenants(t *testing.T) {
 	rw1, _ := c.RWNode("rw1")
 	if _, err := rw1.Begin(1); err == nil {
 		t.Fatal("dead RW accepted a transaction")
+	}
+}
+
+// A commit record too short to hold its timestamp fails the adoption
+// before anything moves: the tenant stays bound to the dead node and the
+// adopter has not opened it, even though the record is another tenant's.
+func TestFailRWShortCommitRecordLeavesBinding(t *testing.T) {
+	c := newMT(t, "rw1", "rw2")
+	seedTenant(t, c, 1, "rw1", 1)
+	rw1, _ := c.RWNode("rw1")
+	_, end := rw1.RedoLog().AppendMTR(wal.Record{Type: wal.RecCommit, TenantID: 2, TxnID: 99, Payload: []byte{1, 2, 3}})
+	rw1.RedoLog().SetFlushed(end)
+	if _, err := c.FailRW("rw1"); !errors.Is(err, storage.ErrShortPayload) {
+		t.Fatalf("FailRW = %v, want ErrShortPayload", err)
+	}
+	if bound, _, err := c.BindingOf(1); err != nil || bound != "rw1" {
+		t.Fatalf("tenant 1 bound to %s (%v), want rw1", bound, err)
+	}
+	rw2, _ := c.RWNode("rw2")
+	if _, err := rw2.Begin(1); !errors.Is(err, ErrNotBound) {
+		t.Fatalf("adopter began a transaction of a tenant it never adopted: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,5 +63,29 @@ func TestCallRetryBackoffDeterministic(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("callRetry did not finish after final backoff was released")
+	}
+}
+
+// A statement deadline taken from the wall clock keeps its monotonic
+// reading through SetDeadline, so a wall-clock step neither expires nor
+// extends it; one from a fake clock, which has none, keeps its wall time.
+func TestDeadlineKeepsMonotonicReading(t *testing.T) {
+	var tx Tx
+	if got := tx.Deadline(); !got.IsZero() {
+		t.Fatalf("new Tx has deadline %v", got)
+	}
+	d := time.Now().Add(time.Minute)
+	tx.SetDeadline(d)
+	if got := tx.Deadline(); !got.Equal(d) || !strings.Contains(got.String(), " m=") {
+		t.Fatalf("Deadline() = %v, want %v with its monotonic reading", got, d)
+	}
+	fake := time.Unix(1_000_000, 0)
+	tx.SetDeadline(fake)
+	if got := tx.Deadline(); !got.Equal(fake) {
+		t.Fatalf("Deadline() = %v, want %v", got, fake)
+	}
+	tx.SetDeadline(time.Time{})
+	if got := tx.Deadline(); !got.IsZero() {
+		t.Fatalf("cleared deadline reads %v", got)
 	}
 }
