@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet delay-guard test test-short test-race fuzz stress allocprof bench-check-build chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
+.PHONY: build vet fmt-check delay-guard contended test test-short test-race fuzz stress allocprof bench-check-build chaos chaos-autopilot chaos-overload chaos-frontdoor bench-fig7 bench-fig10 bench-commit bench-compress bench-overload bench-frontdoor trace-demo
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,21 @@ build:
 vet:
 	$(GO) vet ./...
 
-test: vet delay-guard chaos bench-check-build
+test: vet fmt-check delay-guard contended chaos bench-check-build
 	$(GO) test ./...
+
+# Fails on any Go file of the root module (benchmark/ is its own module)
+# that gofmt would rewrite.
+fmt-check:
+	@bad=$$(find . -name '*.go' ! -path './benchmark/*' -exec gofmt -l {} +); \
+	[ -z "$$bad" ] || { echo "gofmt would rewrite:"; echo "$$bad"; exit 1; }
+
+# The lost-update regressions (§IV: a writer leaves ACTIVE before it
+# draws its timestamp), repeated at several GOMAXPROCS: the storage-level
+# transfer ledger and the SQL-level contended counter.
+contended:
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestConcurrentTransfersConserveMoney' ./internal/storage/
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestContendedCounterLosesNoIncrement' ./internal/core/
 
 # One injected-delay path: non-test code in simnet, paxos, dn and mt
 # waits out simulated time only through simnet.Delay, the deadline queue in
@@ -109,7 +122,7 @@ fuzz:
 # Fails if either side fails. SKIP, when set, is passed to go test -skip,
 # so a package can be stressed while a known failure in it stays open.
 #   make stress PKGS="./internal/core" N=10
-#   make stress PKGS=./internal/storage SKIP=TestConcurrentTransfersConserveMoney
+#   make stress PKGS=./internal/paxos SKIP=TestIdleLeaderKeepsLease
 N ?= 50
 PKGS ?= ./internal/executor ./internal/sql ./internal/admission
 SKIP ?=

@@ -299,12 +299,13 @@ func scanResp(rows []types.Row, wantBatch bool) ScanResp {
 	return ScanResp{Batch: vector.FromRows(rows, len(rows[0]))}
 }
 
-// handlePrepare is 2PC phase one (§IV step 4): validate, mark PREPARED
-// at ClockAdvance(), persist the branch's redo durably (writes + prepare
-// marker through Paxos), then return prepare_ts to the coordinator. The
-// prepare record carries the coordinator's txn ID and the primary branch
-// name so the branch stays resolvable after any crash. A retried prepare
-// (lost reply) answers the already-recorded prepare timestamp.
+// handlePrepare is 2PC phase one (§IV step 4): mark PREPARED at a
+// ClockAdvance() the engine draws after the flip, persist the branch's
+// redo durably (writes + prepare marker through Paxos), then return
+// prepare_ts to the coordinator. The prepare record carries the
+// coordinator's txn ID and the primary branch name so the branch stays
+// resolvable after any crash. A retried prepare (lost reply) answers the
+// already-recorded prepare timestamp.
 func (i *Instance) handlePrepare(m PrepareReq, deadline time.Time) (PrepareResp, error) {
 	e, err := i.branch(m.TxnID)
 	if err != nil {
@@ -315,22 +316,22 @@ func (i *Instance) handlePrepare(m PrepareReq, deadline time.Time) (PrepareResp,
 	if e.txn.Status() == storage.TxnPrepared {
 		return PrepareResp{PrepareTS: e.txn.PrepareTS()}, nil
 	}
-	prepareTS := i.clock.Advance()
-	if err := i.eng.Prepare(e.txn, prepareTS, m.TxnID, m.Primary); err != nil {
+	prepareTS, err := i.eng.Prepare(e.txn, i.clock, m.TxnID, m.Primary)
+	if err != nil {
 		return PrepareResp{}, err
 	}
 	e.primary = m.Primary
 	e.preparedAt = i.timeSrc.Now()
-	if err := i.proposeTailUntil(e, true, deadline); err != nil {
+	if err := i.proposeTail(e, deadline); err != nil {
 		return PrepareResp{}, err
 	}
 	return PrepareResp{PrepareTS: prepareTS}, nil
 }
 
 // handleCommit finalizes a branch. Two-phase path: the coordinator sends
-// the decided commit_ts (max of prepare timestamps), we fold it into the
-// clock (§IV step 7) and commit. 1PC fast path (CommitTS zero): the
-// branch is the only participant, so choose commit_ts locally.
+// the decided commit_ts (max of prepare timestamps). 1PC fast path
+// (CommitTS zero): the branch is the only participant, and the engine
+// chooses commit_ts locally (commitBranch).
 //
 // CommitPoint (primary branch only): the commit decision record is
 // proposed immediately ahead of the branch's redo tail, so the single
@@ -352,38 +353,21 @@ func (i *Instance) handleCommit(m CommitReq, deadline time.Time) (CommitResp, er
 		// A duplicate raced us to the entry before it was removed.
 		return commitRespFromFinished(m.TxnID, fin)
 	}
-	commitTS := m.CommitTS
-	if commitTS.IsZero() {
-		commitTS = i.clock.Advance()
-	} else {
-		i.clock.Update(commitTS)
-	}
 	if m.CommitPoint {
-		if d, won := i.decide(m.TxnID, true, commitTS); !won && !d.commit {
+		if d, won := i.decide(m.TxnID, true, m.CommitTS); !won && !d.commit {
 			return CommitResp{}, fmt.Errorf("dn: txn %d: commit point refused, resolver already aborted", m.TxnID)
 		}
 		if _, err := i.node.Propose(wal.Record{Type: wal.RecCommitPoint,
-			TxnID: m.TxnID, Payload: storage.EncodeTS(commitTS)}); err != nil {
+			TxnID: m.TxnID, Payload: storage.EncodeTS(m.CommitTS)}); err != nil {
 			i.dropDecision(m.TxnID)
 			return CommitResp{}, err
 		}
 	}
-	if err := i.eng.Commit(e.txn, commitTS); err != nil {
-		return CommitResp{}, err
-	}
-	if err := i.proposeTailUntil(e, true, deadline); err != nil {
-		return CommitResp{CommitTS: commitTS}, err
-	}
-	if m.CommitPoint {
+	fin, err := i.commitBranch(m.TxnID, e, m.CommitTS, deadline)
+	if err == nil && m.CommitPoint {
 		i.markDecisionDurable(m.TxnID)
 	}
-	i.markDirtyPages(e.txn)
-	i.mu.Lock()
-	delete(i.txns, m.TxnID)
-	i.mu.Unlock()
-	lsn := i.node.DLSN()
-	i.noteFinished(m.TxnID, finishedTxn{committed: true, commitTS: commitTS, lsn: lsn})
-	return CommitResp{CommitTS: commitTS, LSN: lsn}, nil
+	return CommitResp{CommitTS: fin.commitTS, LSN: fin.lsn}, err
 }
 
 // commitRespFromFinished answers a retried commit from the recorded
@@ -409,45 +393,69 @@ func (i *Instance) handleAbort(m AbortReq) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.txn.Status()
-	if st == storage.TxnAborted {
+	switch e.txn.Status() {
+	case storage.TxnAborted:
 		return nil
-	}
-	if st == storage.TxnCommitted {
+	case storage.TxnCommitted:
 		return fmt.Errorf("dn: txn %d already committed", m.TxnID)
 	}
-	proposedAny := e.proposed > 0
+	return i.abortBranch(m.TxnID, e)
+}
+
+// commitBranch settles branch e of transaction globalID as committed:
+// the engine transition, the redo tail made durable (by deadline, zero =
+// none), dirty pages, and the outcome kept for retried RPCs. A zero
+// commitTS is a one-phase commit, whose commit_ts the engine draws after
+// the branch leaves ACTIVE (§IV). Any other was decided elsewhere and is
+// folded into the clock first (§IV step 7). After a failed durability
+// wait the branch stays registered. Caller holds e.mu.
+func (i *Instance) commitBranch(globalID uint64, e *txnEntry, commitTS hlc.Timestamp, deadline time.Time) (finishedTxn, error) {
+	var err error
+	if commitTS.IsZero() {
+		commitTS, err = i.eng.CommitOnePhase(e.txn, i.clock)
+	} else {
+		i.clock.Update(commitTS)
+		err = i.eng.Commit(e.txn, commitTS)
+	}
+	if err != nil {
+		return finishedTxn{}, err
+	}
+	if err := i.proposeTail(e, deadline); err != nil {
+		return finishedTxn{commitTS: commitTS}, err
+	}
+	i.markDirtyPages(e.txn)
+	fin := finishedTxn{committed: true, commitTS: commitTS, lsn: i.node.DLSN()}
+	i.finish(globalID, fin)
+	return fin, nil
+}
+
+// abortBranch settles branch e of transaction globalID as aborted: the
+// engine transition, a RecAbort marker if followers hold any of its redo,
+// and the outcome kept for retried RPCs. The outcome is kept even when
+// the marker fails to ship, since the abort cannot be undone and a leader
+// that inherits the branch resolves it from its prepare record; that
+// error is returned. Caller holds e.mu.
+func (i *Instance) abortBranch(globalID uint64, e *txnEntry) error {
 	if err := i.eng.Abort(e.txn); err != nil {
 		return err
 	}
-	if proposedAny {
-		// Followers buffered this txn's rows: ship an abort marker so
-		// they drop it.
-		if _, err := i.node.Propose(wal.Record{Type: wal.RecAbort, TxnID: e.txn.ID}); err != nil {
-			return err
-		}
+	var err error
+	if e.proposed > 0 {
+		_, err = i.node.Propose(wal.Record{Type: wal.RecAbort, TxnID: e.txn.ID})
 	}
-	i.mu.Lock()
-	delete(i.txns, m.TxnID)
-	i.mu.Unlock()
-	i.noteFinished(m.TxnID, finishedTxn{})
-	return nil
+	i.finish(globalID, finishedTxn{})
+	return err
 }
 
 // proposeTail ships the branch's not-yet-proposed redo records through
-// Paxos. When wait is true it blocks until the group DLSN covers them
-// (async commit: the waiting happens in this request's goroutine while
-// other requests proceed).
-func (i *Instance) proposeTail(e *txnEntry, wait bool) error {
-	return i.proposeTailUntil(e, wait, time.Time{})
-}
-
-// proposeTailUntil is proposeTail with the durability wait bounded by
-// the statement deadline. On expiry the redo stays proposed (it will
-// become durable — or be truncated by a failover — on its own) but the
-// request goroutine is released with obs.ErrDeadlineExceeded, which the
-// coordinator treats as an unknown outcome, same as a timed-out RPC.
-func (i *Instance) proposeTailUntil(e *txnEntry, wait bool, deadline time.Time) error {
+// Paxos and waits until the group DLSN covers them (async commit: the
+// waiting happens in this request's goroutine while other requests
+// proceed), bounded by deadline (zero = none). On expiry the redo stays
+// proposed (it will become durable — or be truncated by a failover — on
+// its own) but the request goroutine is released with
+// obs.ErrDeadlineExceeded, which the coordinator treats as an unknown
+// outcome, same as a timed-out RPC.
+func (i *Instance) proposeTail(e *txnEntry, deadline time.Time) error {
 	redo := e.txn.Redo()
 	if e.proposed >= len(redo) {
 		return nil
@@ -457,9 +465,6 @@ func (i *Instance) proposeTailUntil(e *txnEntry, wait bool, deadline time.Time) 
 		return err
 	}
 	e.proposed = len(redo)
-	if !wait {
-		return nil
-	}
 	err = i.node.AwaitDurableUntil(end, deadline)
 	if errors.Is(err, obs.ErrDeadlineExceeded) {
 		i.mDeadline.Add(1)

@@ -63,11 +63,7 @@ func (i *Instance) decide(globalID uint64, commit bool, ts hlc.Timestamp) (decis
 		return *d, false
 	}
 	i.decisions[globalID] = &decision{commit: commit, ts: ts}
-	i.decFIFO = append(i.decFIFO, globalID)
-	for len(i.decFIFO) > finishedCap {
-		delete(i.decisions, i.decFIFO[0])
-		i.decFIFO = i.decFIFO[1:]
-	}
+	i.decFIFO = storage.CapFIFO(i.decFIFO, globalID, i.decisions, finishedCap)
 	return decision{commit: commit, ts: ts}, true
 }
 
@@ -85,16 +81,14 @@ func (i *Instance) dropDecision(globalID uint64) {
 	i.mu.Unlock()
 }
 
-// noteFinished records a settled branch outcome for idempotent retries.
-func (i *Instance) noteFinished(globalID uint64, f finishedTxn) {
+// finish releases a settled branch and records its outcome for
+// idempotent retries.
+func (i *Instance) finish(globalID uint64, f finishedTxn) {
 	i.mu.Lock()
+	delete(i.txns, globalID)
 	if _, ok := i.finished[globalID]; !ok {
 		i.finished[globalID] = f
-		i.finFIFO = append(i.finFIFO, globalID)
-		for len(i.finFIFO) > finishedCap {
-			delete(i.finished, i.finFIFO[0])
-			i.finFIFO = i.finFIFO[1:]
-		}
+		i.finFIFO = storage.CapFIFO(i.finFIFO, globalID, i.finished, finishedCap)
 	}
 	i.mu.Unlock()
 }
@@ -175,39 +169,33 @@ func (i *Instance) handleResolve(m ResolveTxnReq) (ResolveTxnResp, error) {
 	// Fold the tombstone into replayed state (a leader applies its own
 	// proposals itself) and abort this instance's own branch of the
 	// transaction, if any — the primary is usually also a participant.
-	_ = i.applier.Apply([]wal.Record{rec})
-	i.abortLocalBranch(m.TxnID)
+	// The verdict is durable either way: on an error here a resolver
+	// asking again reads it.
+	if err := i.applier.Apply([]wal.Record{rec}); err != nil {
+		return ResolveTxnResp{}, err
+	}
+	if err := i.abortLocalBranch(m.TxnID); err != nil {
+		return ResolveTxnResp{}, err
+	}
 	i.resolvedAborts.Add(1)
 	return ResolveTxnResp{}, nil
 }
 
 // abortLocalBranch aborts this instance's live branch of globalID, if one
 // exists and is still undecided locally.
-func (i *Instance) abortLocalBranch(globalID uint64) {
+func (i *Instance) abortLocalBranch(globalID uint64) error {
 	i.mu.Lock()
 	e, ok := i.txns[globalID]
 	i.mu.Unlock()
 	if !ok {
-		return
+		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.txn.Status()
-	if st == storage.TxnCommitted || st == storage.TxnAborted {
-		return
+	if st := e.txn.Status(); st == storage.TxnCommitted || st == storage.TxnAborted {
+		return nil
 	}
-	proposedAny := e.proposed > 0
-	if err := i.eng.Abort(e.txn); err != nil {
-		return
-	}
-	if proposedAny {
-		// Followers buffered this branch's redo: ship an abort marker.
-		_, _ = i.node.Propose(wal.Record{Type: wal.RecAbort, TxnID: e.txn.ID})
-	}
-	i.mu.Lock()
-	delete(i.txns, globalID)
-	i.mu.Unlock()
-	i.noteFinished(globalID, finishedTxn{})
+	return i.abortBranch(globalID, e)
 }
 
 // askPrimary fetches the authoritative verdict for globalID from the
@@ -265,9 +253,10 @@ func (i *Instance) ResolveInDoubt(route func(string) string) int {
 			}
 		case stale:
 			// Never prepared: presumed abort applies unilaterally.
-			i.abortLocalBranch(c.id)
-			i.resolvedAborts.Add(1)
-			resolved++
+			if i.abortLocalBranch(c.id) == nil {
+				i.resolvedAborts.Add(1)
+				resolved++
+			}
 		}
 	}
 
@@ -316,33 +305,15 @@ func (i *Instance) resolveLocalBranch(globalID uint64, e *txnEntry, primary stri
 		return false // a late coordinator RPC settled it first
 	}
 	if resp.Committed {
-		i.clock.Update(resp.CommitTS)
-		if err := i.eng.Commit(e.txn, resp.CommitTS); err != nil {
+		if _, err := i.commitBranch(globalID, e, resp.CommitTS, time.Time{}); err != nil {
 			return false
 		}
-		if err := i.proposeTail(e, true); err != nil {
-			return false
-		}
-		i.markDirtyPages(e.txn)
-		lsn := i.node.DLSN()
-		i.mu.Lock()
-		delete(i.txns, globalID)
-		i.mu.Unlock()
-		i.noteFinished(globalID, finishedTxn{committed: true, commitTS: resp.CommitTS, lsn: lsn})
 		i.resolvedCommits.Add(1)
 		return true
 	}
-	proposedAny := e.proposed > 0
-	if err := i.eng.Abort(e.txn); err != nil {
+	if err := i.abortBranch(globalID, e); err != nil {
 		return false
 	}
-	if proposedAny {
-		_, _ = i.node.Propose(wal.Record{Type: wal.RecAbort, TxnID: e.txn.ID})
-	}
-	i.mu.Lock()
-	delete(i.txns, globalID)
-	i.mu.Unlock()
-	i.noteFinished(globalID, finishedTxn{})
 	i.resolvedAborts.Add(1)
 	return true
 }

@@ -186,7 +186,7 @@ func (tx *Tx) Commit() error {
 		simnet.Delay(rw.svcCost)
 		<-rw.svc
 	}
-	if err := tx.tenant.eng.Commit(tx.txn, tx.rw.clock.Advance()); err != nil {
+	if _, err := tx.tenant.eng.CommitOnePhase(tx.txn, tx.rw.clock); err != nil {
 		return err
 	}
 	tx.tenant.addLoad(1)

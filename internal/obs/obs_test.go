@@ -133,8 +133,8 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 
 func TestRegistrySnapshotAndNilRegistry(t *testing.T) {
 	var nilR *Registry
-	nilR.Counter("x").Inc()            // must not panic
-	nilR.Histogram("y").Observe(1)     // must not panic
+	nilR.Counter("x").Inc()        // must not panic
+	nilR.Histogram("y").Observe(1) // must not panic
 	if got := nilR.Snapshot(); got != "" {
 		t.Fatalf("nil registry snapshot = %q", got)
 	}

@@ -134,7 +134,7 @@ func (a *Applier) Apply(recs []wal.Record) error {
 			delete(a.pending, rec.TxnID)
 			if !a.resolveAborts[rec.TxnID] {
 				a.resolveAborts[rec.TxnID] = true
-				a.resolveAbortFIFO = capFIFO(a.resolveAbortFIFO, rec.TxnID, a.resolveAborts)
+				a.resolveAbortFIFO = CapFIFO(a.resolveAbortFIFO, rec.TxnID, a.resolveAborts, decisionCap)
 			}
 		case wal.RecCommitPoint:
 			// Commit decision on the primary branch: remembered so the
@@ -145,7 +145,7 @@ func (a *Applier) Apply(recs []wal.Record) error {
 					return fmt.Errorf("storage: apply: commit point of txn %d: %w", rec.TxnID, err)
 				}
 				a.commitPoints[rec.TxnID] = ts
-				a.commitPointFIFO = capFIFOts(a.commitPointFIFO, rec.TxnID, a.commitPoints)
+				a.commitPointFIFO = CapFIFO(a.commitPointFIFO, rec.TxnID, a.commitPoints, decisionCap)
 			}
 		case wal.RecDDL, wal.RecTenant, wal.RecCheckpt, wal.RecPaxos:
 			// Control records; the catalog layers consume these.
@@ -156,19 +156,11 @@ func (a *Applier) Apply(recs []wal.Record) error {
 	return nil
 }
 
-// capFIFO appends id and evicts the oldest entries from m past decisionCap.
-func capFIFO(fifo []uint64, id uint64, m map[uint64]bool) []uint64 {
+// CapFIFO appends id to fifo, m's keys in insertion order, and evicts
+// the oldest keys from both past limit.
+func CapFIFO[V any](fifo []uint64, id uint64, m map[uint64]V, limit int) []uint64 {
 	fifo = append(fifo, id)
-	for len(fifo) > decisionCap {
-		delete(m, fifo[0])
-		fifo = fifo[1:]
-	}
-	return fifo
-}
-
-func capFIFOts(fifo []uint64, id uint64, m map[uint64]hlc.Timestamp) []uint64 {
-	fifo = append(fifo, id)
-	for len(fifo) > decisionCap {
+	for len(fifo) > limit {
 		delete(m, fifo[0])
 		fifo = fifo[1:]
 	}
@@ -183,36 +175,59 @@ func (a *Applier) commit(txnID uint64, commitTS hlc.Timestamp) error {
 	if len(rows) == 0 {
 		return nil // filtered out or empty transaction
 	}
+	writes, err := a.stage(rows)
+	if err != nil {
+		return fmt.Errorf("storage: apply txn %d: %w", txnID, err)
+	}
 	// Install via a short-lived internal transaction committed at the
 	// original timestamp: readers at snapshots >= commitTS see all rows,
 	// earlier snapshots none — identical visibility to the origin node.
+	// It installs while PREPARED with no prepare_ts, so a reader that
+	// meets one of its rows waits instead of skipping it. That reader
+	// waits inside its table's B+Tree read lock, hence stage.
 	txn := a.eng.Begin(hlc.Timestamp(^uint64(0) >> 1)) // snapshot above everything: replay never conflicts
+	txn.status.Store(int32(TxnPrepared))
+	for _, w := range writes {
+		if err := w.c.install(txn, w.row); err != nil {
+			_ = a.eng.Abort(txn) // cannot fail: txn is open and ours alone
+			return fmt.Errorf("storage: apply txn %d: %w", txnID, err)
+		}
+	}
+	if err := a.eng.settle(txn, TxnCommitted, commitTS); err != nil {
+		return err
+	}
+	a.applied++
+	return nil
+}
+
+// stagedWrite is a replayed row version and the chain it goes on.
+type stagedWrite struct {
+	c   *chain
+	row types.Row // nil for a delete
+}
+
+// stage does the B+Tree work of replaying rows, before any version is
+// installed: it finds or creates each row's chain, adds index entries
+// (readers check those against the primary chain) and counts rows.
+func (a *Applier) stage(rows []wal.Record) ([]stagedWrite, error) {
+	writes := make([]stagedWrite, 0, len(rows))
 	for _, rec := range rows {
 		t, err := a.eng.Table(rec.TableID)
 		if err != nil {
-			return fmt.Errorf("storage: apply txn %d: %w", txnID, err)
+			return nil, err
 		}
 		if rec.Type == wal.RecDelete {
-			c := getChain(t, rec.Key, false)
-			if c == nil {
-				continue // delete of a filtered/never-seen row
+			if c := getChain(t, rec.Key, false); c != nil { // else a filtered/never-seen row
+				writes = append(writes, stagedWrite{c: c})
+				t.rows.Add(-1)
 			}
-			if _, err := c.install(txn, nil); err != nil {
-				return fmt.Errorf("storage: apply delete: %w", err)
-			}
-			t.rows.Add(-1)
 			continue
 		}
 		row, err := types.DecodeRow(rec.Payload)
 		if err != nil {
-			return fmt.Errorf("storage: apply txn %d: %w", txnID, err)
+			return nil, err
 		}
-		c := getChain(t, rec.Key, true)
-		v, err := c.install(txn, row)
-		if err != nil {
-			return fmt.Errorf("storage: apply row: %w", err)
-		}
-		_ = v
+		writes = append(writes, stagedWrite{c: getChain(t, rec.Key, true), row: row})
 		if rec.Type == wal.RecInsert {
 			t.rows.Add(1)
 		}
@@ -222,14 +237,7 @@ func (a *Applier) commit(txnID uint64, commitTS hlc.Timestamp) error {
 		}
 		t.mu.RUnlock()
 	}
-	txn.commitTS.Store(uint64(commitTS))
-	if err := txn.casStatus(TxnActive, TxnCommitted); err != nil {
-		return err
-	}
-	close(txn.done)
-	a.eng.txns.Delete(txn.ID)
-	a.applied++
-	return nil
+	return writes, nil
 }
 
 // PendingTxns reports transactions with buffered rows but no commit yet

@@ -311,14 +311,9 @@ func (e *Engine) write(txn *Txn, t *Table, pk []byte, row types.Row, recType wal
 	if txn.Status() != TxnActive {
 		return fmt.Errorf("%w: txn %d is %v", ErrTxnNotActive, txn.ID, txn.Status())
 	}
-	c := getChain(t, pk, true)
-	v, err := c.install(txn, row)
-	if err != nil {
+	if err := getChain(t, pk, true).install(txn, row); err != nil {
 		return err
 	}
-	txn.mu.Lock()
-	txn.writes = append(txn.writes, v)
-	txn.mu.Unlock()
 
 	var payload []byte
 	if row != nil {
@@ -401,36 +396,66 @@ func (e *Engine) Delete(txn *Txn, tableID uint32, pk []byte) error {
 	return nil
 }
 
-// Prepare moves the transaction to PREPARED at prepareTS after write
-// validation (conflicts were validated at install time; Prepare re-checks
-// the state machine). This is phase one of 2PC on this participant.
+// Prepare is phase one of 2PC on this participant: it moves the
+// transaction from ACTIVE to PREPARED, only then draws prepare_ts from
+// clock, and returns it. §IV lets a reader skip an ACTIVE writer because
+// the reader folded its snapshot into the clock first, so a timestamp
+// drawn after the flip lands above it; a reader that meets the writer
+// between the flip and the draw finds prepare_ts zero and waits.
 // globalID is the coordinator's transaction ID (redo records carry
 // engine-local txn IDs, so cross-instance resolution needs the global ID)
 // and primary names the primary branch instance — the branch holding the
 // authoritative commit decision. Both are made durable in the prepare
 // record so a failed-over leader can still resolve the branch.
-func (e *Engine) Prepare(txn *Txn, prepareTS hlc.Timestamp, globalID uint64, primary string) error {
+func (e *Engine) Prepare(txn *Txn, clock *hlc.Clock, globalID uint64, primary string) (hlc.Timestamp, error) {
 	if err := txn.casStatus(TxnActive, TxnPrepared); err != nil {
-		return err
+		return 0, err
 	}
+	prepareTS := clock.Advance()
 	txn.prepareTS.Store(uint64(prepareTS))
 	txn.appendRedo(wal.Record{Type: wal.RecPrepare, TxnID: txn.ID,
 		Payload: EncodePrepareMeta(prepareTS, globalID, primary)})
+	return prepareTS, nil
+}
+
+// CommitOnePhase commits a transaction that is the only branch of its
+// transaction, in Prepare's order: ACTIVE to PREPARED (with no prepare_ts
+// or prepare record), then commit_ts drawn from clock and returned.
+func (e *Engine) CommitOnePhase(txn *Txn, clock *hlc.Clock) (hlc.Timestamp, error) {
+	if err := txn.casStatus(TxnActive, TxnPrepared); err != nil {
+		return 0, err
+	}
+	commitTS := clock.Advance()
+	return commitTS, e.Commit(txn, commitTS)
+}
+
+// Commit finalizes at a commit_ts decided elsewhere (2PC phase two, a
+// resolver, a TSO grant, a loader whose engine no other goroutine reads),
+// publishing all the transaction's versions at once: their visibility
+// flows from the txn's status+commitTS.
+func (e *Engine) Commit(txn *Txn, commitTS hlc.Timestamp) error {
+	if err := e.settle(txn, TxnCommitted, commitTS); err != nil {
+		return err
+	}
+	txn.appendRedo(wal.Record{Type: wal.RecCommit, TxnID: txn.ID,
+		Payload: EncodeTS(commitTS)})
 	return nil
 }
 
-// Commit finalizes at commitTS from either ACTIVE (1PC) or PREPARED
-// (2PC). It atomically publishes all the transaction's versions: their
-// visibility flows from the txn's status+commitTS.
-func (e *Engine) Commit(txn *Txn, commitTS hlc.Timestamp) error {
-	txn.commitTS.Store(uint64(commitTS))
-	if err := txn.casStatus(TxnPrepared, TxnCommitted); err != nil {
-		if err2 := txn.casStatus(TxnActive, TxnCommitted); err2 != nil {
-			return err
-		}
+// settle moves an open transaction to COMMITTED at commitTS, or to
+// ABORTED, with one CAS from the state it observes (commit_ts is stored
+// first, for readers that see COMMITTED), then releases it.
+func (e *Engine) settle(txn *Txn, to TxnStatus, commitTS hlc.Timestamp) error {
+	from := txn.Status()
+	if from == TxnCommitted || from == TxnAborted {
+		return fmt.Errorf("%w: txn %d is already %v", ErrBadTransition, txn.ID, from)
 	}
-	txn.appendRedo(wal.Record{Type: wal.RecCommit, TxnID: txn.ID,
-		Payload: encodeTS(commitTS)})
+	if to == TxnCommitted {
+		txn.commitTS.Store(uint64(commitTS))
+	}
+	if err := txn.casStatus(from, to); err != nil {
+		return err
+	}
 	close(txn.done)
 	e.txns.Delete(txn.ID)
 	return nil
@@ -438,10 +463,8 @@ func (e *Engine) Commit(txn *Txn, commitTS hlc.Timestamp) error {
 
 // Abort rolls the transaction back from ACTIVE or PREPARED.
 func (e *Engine) Abort(txn *Txn) error {
-	if err := txn.casStatus(TxnActive, TxnAborted); err != nil {
-		if err2 := txn.casStatus(TxnPrepared, TxnAborted); err2 != nil {
-			return err
-		}
+	if err := e.settle(txn, TxnAborted, 0); err != nil {
+		return err
 	}
 	// Installed versions stay in their chains with status ABORTED:
 	// readers and writers skip them (walkVisible / install), and Vacuum
@@ -458,19 +481,17 @@ func (e *Engine) Abort(txn *Txn) error {
 		}
 	}
 	txn.redo = nil
-	txn.writes = nil
 	txn.mu.Unlock()
 	for tableID, d := range adjust {
 		if t, err := e.Table(tableID); err == nil {
 			t.rows.Add(d)
 		}
 	}
-	close(txn.done)
-	e.txns.Delete(txn.ID)
 	return nil
 }
 
-func encodeTS(ts hlc.Timestamp) []byte {
+// EncodeTS encodes a timestamp for commit/commit-point redo payloads.
+func EncodeTS(ts hlc.Timestamp) []byte {
 	return []byte{
 		byte(ts >> 56), byte(ts >> 48), byte(ts >> 40), byte(ts >> 32),
 		byte(ts >> 24), byte(ts >> 16), byte(ts >> 8), byte(ts),
@@ -493,14 +514,11 @@ func DecodeTS(b []byte) (hlc.Timestamp, error) {
 		uint64(b[6])<<8 | uint64(b[7])), nil
 }
 
-// EncodeTS encodes a timestamp for commit/commit-point redo payloads.
-func EncodeTS(ts hlc.Timestamp) []byte { return encodeTS(ts) }
-
 // EncodePrepareMeta encodes a RecPrepare payload: the 8-byte prepare
 // timestamp, the 8-byte global (coordinator) transaction ID, then the
 // primary branch instance name.
 func EncodePrepareMeta(ts hlc.Timestamp, globalID uint64, primary string) []byte {
-	b := encodeTS(ts)
+	b := EncodeTS(ts)
 	b = append(b,
 		byte(globalID>>56), byte(globalID>>48), byte(globalID>>40), byte(globalID>>32),
 		byte(globalID>>24), byte(globalID>>16), byte(globalID>>8), byte(globalID))

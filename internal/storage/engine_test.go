@@ -44,8 +44,8 @@ func userRow(id int64, name string, bal int64) types.Row {
 // commitTxn runs the 1PC fast path.
 func commitTxn(t *testing.T, e *Engine, txn *Txn) hlc.Timestamp {
 	t.Helper()
-	ts := advance()
-	if err := e.Commit(txn, ts); err != nil {
+	ts, err := e.CommitOnePhase(txn, testClock)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return ts
@@ -206,7 +206,7 @@ func TestPreparedWaitRule(t *testing.T) {
 	if err := e.Update(writer, 1, userRow(1, "alice", 999)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Prepare(writer, advance(), 0, ""); err != nil {
+	if _, err := e.Prepare(writer, testClock, 0, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -250,7 +250,7 @@ func TestPreparedFastPath(t *testing.T) {
 	reader := e.Begin(now()) // snapshot taken BEFORE the writer prepares
 	writer := e.Begin(now())
 	e.Update(writer, 1, userRow(1, "alice", 999))
-	e.Prepare(writer, advance(), 0, "") // prepare_ts > reader snapshot
+	e.Prepare(writer, testClock, 0, "") // prepare_ts > reader snapshot
 
 	done := make(chan int64, 1)
 	go func() {
@@ -278,7 +278,7 @@ func TestPreparedThenAbortReaderSeesOld(t *testing.T) {
 
 	writer := e.Begin(now())
 	e.Update(writer, 1, userRow(1, "alice", 999))
-	e.Prepare(writer, advance(), 0, "")
+	e.Prepare(writer, testClock, 0, "")
 	reader := e.Begin(advance())
 	got := make(chan int64, 1)
 	go func() {
@@ -518,6 +518,80 @@ func TestApplierAtomicTransactionVisibility(t *testing.T) {
 	}
 }
 
+// TestApplierPublishesTransactionAtomically: a replica reader at a
+// replayed transaction's commit_ts that meets it half installed waits for
+// its commit and then sees all of it, where a reader that skipped it
+// would read the first rows from before it and the rest from after. The
+// replay also finishes while that reader holds the table's B+Tree read
+// lock, though it creates a chain for a new key.
+func TestApplierPublishesTransactionAtomically(t *testing.T) {
+	key := func(id int64) []byte { return types.EncodeKey(nil, types.Int(id)) }
+	src, _ := newUserEngine(t)
+	seed := src.Begin(now())
+	for id := int64(0); id < 4; id++ {
+		src.Insert(seed, 1, userRow(id, "r", 0))
+	}
+	commitTxn(t, src, seed)
+	txn := src.Begin(now())
+	for id := int64(0); id < 4; id++ {
+		src.Update(txn, 1, userRow(id, "r", 1))
+	}
+	src.Insert(txn, 1, userRow(4, "r", 1))
+	commitTS := commitTxn(t, src, txn)
+
+	dst := NewEngine()
+	tbl, _ := dst.CreateTable(1, 0, usersSchema())
+	ap := NewApplier(dst)
+	if err := ap.Apply(seed.Redo()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold row 3's chain, so the replay installs rows 0-2 and stops.
+	held := getChain(tbl, key(3), false)
+	held.mu.Lock()
+	applied := make(chan error, 1)
+	go func() { applied <- ap.Apply(txn.Redo()) }()
+	first := getChain(tbl, key(0), false)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		first.mu.Lock()
+		w := first.head.txn
+		first.mu.Unlock()
+		if w.Status() != TxnCommitted {
+			break
+		}
+		if time.Now().After(deadline) {
+			held.mu.Unlock()
+			t.Fatal("the replay never installed row 0")
+		}
+	}
+	scanned := make(chan []int64, 1)
+	go func() {
+		var vals []int64
+		dst.ScanRangeAt(1, key(0), key(3), commitTS, func(_ []byte, row types.Row) bool {
+			vals = append(vals, row[2].AsInt())
+			return true
+		})
+		scanned <- vals
+	}()
+	time.Sleep(20 * time.Millisecond) // the scan meets the half-installed transaction
+	held.mu.Unlock()
+
+	select {
+	case err := <-applied:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replay is stuck behind a reader that waits for it")
+	}
+	if vals := <-scanned; len(vals) != 3 || vals[0] != 1 || vals[1] != 1 || vals[2] != 1 {
+		t.Fatalf("rows 0-2 at the replayed commit_ts read %v, want [1 1 1]", vals)
+	}
+	if row, ok, _ := dst.GetAt(1, key(4), commitTS); !ok || row[2].AsInt() != 1 {
+		t.Fatalf("the replayed insert reads %v, %v", row, ok)
+	}
+}
+
 func TestApplierTenantFilter(t *testing.T) {
 	src := NewEngine()
 	src.CreateTable(1, 100, usersSchema())
@@ -672,7 +746,7 @@ func TestConcurrentTransfersConserveMoney(t *testing.T) {
 					e.Abort(txn)
 					continue
 				}
-				e.Commit(txn, testClock.Advance())
+				e.CommitOnePhase(txn, testClock)
 			}
 		}(w)
 	}
@@ -724,7 +798,7 @@ func TestTxnStateMachine(t *testing.T) {
 	if txn.Status() != TxnActive {
 		t.Fatal("new txn not ACTIVE")
 	}
-	e.Prepare(txn, advance(), 0, "")
+	e.Prepare(txn, testClock, 0, "")
 	if txn.Status() != TxnPrepared {
 		t.Fatal("not PREPARED")
 	}
@@ -733,7 +807,7 @@ func TestTxnStateMachine(t *testing.T) {
 		t.Fatalf("write after prepare err = %v", err)
 	}
 	// Double prepare fails.
-	if err := e.Prepare(txn, advance(), 0, ""); !errors.Is(err, ErrBadTransition) {
+	if _, err := e.Prepare(txn, testClock, 0, ""); !errors.Is(err, ErrBadTransition) {
 		t.Fatalf("double prepare err = %v", err)
 	}
 	e.Commit(txn, advance())

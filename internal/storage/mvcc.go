@@ -24,9 +24,9 @@ type version struct {
 // chain is a row's version chain plus its write lock. The head is the
 // newest version. At most one uncommitted version can sit at the head —
 // that is the row-lock discipline InnoDB enforces with record locks; here
-// a second writer fails fast with ErrWriteConflict (no-wait policy, which
-// under SI's first-committer-wins rule only aborts transactions that were
-// doomed anyway).
+// a second writer fails fast with ErrWriteConflict (no-wait policy). That
+// also aborts writers that could have gone ahead had they waited for a
+// head writer that then aborted, and nothing retries them.
 type chain struct {
 	mu   sync.Mutex
 	head *version
@@ -77,14 +77,17 @@ func walkVisible(v *version, reader *Txn, snapshotTS hlc.Timestamp) (types.Row, 
 			// Uncertain commit timestamp. If even the *prepare* timestamp
 			// is above our snapshot, the final commit_ts (>= prepare_ts)
 			// can only be higher, so the version is invisible without
-			// waiting — the Clock-SI/HLC-SI fast path.
+			// waiting — the Clock-SI/HLC-SI fast path. A zero prepare_ts
+			// is a writer between its flip and its draw: wait.
 			if w.PrepareTS() > snapshotTS {
 				continue
 			}
 			return nil, false, w.Done()
 		case TxnActive:
-			// §IV case 3: ACTIVE writers are invisible to us (and the
-			// proof shows their commit_ts must exceed our snapshot_ts).
+			// §IV case 3: ACTIVE writers are invisible to us. Our snapshot
+			// is in the clock already, and a writer leaves ACTIVE before it
+			// draws its timestamp (Prepare, CommitOnePhase), so that lands
+			// above the snapshot.
 			continue
 		case TxnAborted:
 			continue
@@ -98,10 +101,8 @@ func walkVisible(v *version, reader *Txn, snapshotTS hlc.Timestamp) (types.Row, 
 //
 //   - another in-flight (ACTIVE/PREPARED) writer at the head → conflict;
 //   - a committed head version with commit_ts > writer's snapshot_ts →
-//     first-committer-wins conflict;
-//
-// On success the created version is returned so the txn can track it.
-func (c *chain) install(writer *Txn, row types.Row) (*version, error) {
+//     first-committer-wins conflict.
+func (c *chain) install(writer *Txn, row types.Row) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for v := c.head; v != nil; v = v.next.Load() {
@@ -113,10 +114,10 @@ func (c *chain) install(writer *Txn, row types.Row) (*version, error) {
 		}
 		switch w.Status() {
 		case TxnActive, TxnPrepared:
-			return nil, ErrWriteConflict
+			return ErrWriteConflict
 		case TxnCommitted:
 			if w.CommitTS() > writer.SnapshotTS {
-				return nil, ErrWriteConflict
+				return ErrWriteConflict
 			}
 			// Committed before our snapshot: safe to overwrite.
 		case TxnAborted:
@@ -128,7 +129,7 @@ func (c *chain) install(writer *Txn, row types.Row) (*version, error) {
 	nv := &version{row: row, txn: writer}
 	nv.next.Store(c.head)
 	c.head = nv
-	return nv, nil
+	return nil
 }
 
 // latestCommitted returns the newest committed row (for GC decisions and

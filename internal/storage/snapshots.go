@@ -63,7 +63,7 @@ func (e *Engine) register(t *Txn, check bool) error {
 			return err
 		}
 	}
-	t.ID, t.eng = e.nextID.Add(1), e
+	t.ID = e.nextID.Add(1)
 	e.txns.Store(t.ID, t)
 	return nil
 }

@@ -79,13 +79,8 @@ type Txn struct {
 	done chan struct{}
 
 	mu sync.Mutex
-	// writes are the version-chain entries this txn installed, for
-	// commit/abort finalization in install order.
-	writes []*version
 	// redo accumulates the transaction's redo records in write order.
 	redo []wal.Record
-	// engine backlink for finalization.
-	eng *Engine
 }
 
 func (t *Txn) Status() TxnStatus { return TxnStatus(t.status.Load()) }
